@@ -3,14 +3,12 @@
 ``ru_maxrss`` is a per-process high-water mark that never comes back
 down, so every scale point must be its own interpreter — the parent
 bench (``bench_perf_campaign.py::test_perf_campaign_scale``) launches
-this script once per (VP count, planner) and reads one JSON object from
-stdout.
+this script once per VP count and reads one JSON object from stdout.
 
-Usage: python benchmarks/_scale_point.py <vp_count> [streaming|materialized]
+Usage: python benchmarks/_scale_point.py <vp_count>
 """
 
 import json
-import os
 import resource
 import sys
 import time
@@ -40,8 +38,6 @@ def scale_config(vp_count: int):
 
 def main() -> None:
     vp_count = int(sys.argv[1])
-    planner = sys.argv[2] if len(sys.argv) > 2 else "streaming"
-    os.environ["REPRO_CAMPAIGN_PLANNER"] = planner
 
     from repro.core.experiment import Experiment
     from repro.core.shard import result_digest
@@ -54,7 +50,6 @@ def main() -> None:
     decoys = len(result.ledger)
     print(json.dumps({
         "vp_count": vp_count,
-        "planner": planner,
         "vps_recruited": len(result.eco.platform.vantage_points),
         "decoys": decoys,
         "log_entries": len(result.log),

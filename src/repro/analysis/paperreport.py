@@ -1,18 +1,16 @@
 """One-shot report rendering every paper artifact from a finished run.
 
 Used by the CLI (``python -m repro run``) and reusable on reloaded
-bundles (:mod:`repro.core.persist`): anything exposing ``ledger``,
-``log``, ``phase1``, ``locations``, ``directory`` and ``blocklist``
-attributes works with :func:`full_report`.
+bundles (:mod:`repro.core.persist`): anything exposing the run's merged
+:class:`~repro.analysis.streaming.AnalysisState` as ``analysis`` works
+with :func:`full_report`.
 
-The renderer is split from the analyses: :func:`batch_artifacts`
-recomputes every figure/table from the raw correlation output (the
-reference path), :func:`streaming_artifacts` reads the same values out of
-a merged :class:`~repro.analysis.streaming.AnalysisState`, and both feed
-one shared :func:`_render`.  Because every artifact the two paths
-produce is bit-identical (see ``docs/STREAMING.md``), the rendered text
-is byte-identical — ``tests/test_streaming_analysis.py`` holds both
-paths to that.
+Every report renders from that state through :func:`streaming_artifacts`.
+:func:`batch_artifacts` recomputes the same figures/tables from the raw
+correlation output; it is the executable specification the accumulators
+are checked against (``tests/test_streaming_analysis.py`` and the
+scenario fuzzer require the two artifact sets to be equal), not a second
+render path.
 """
 
 from typing import Dict, List, Optional
@@ -62,7 +60,7 @@ from repro.simkit.units import DAY, HOUR, MINUTE
 
 def batch_artifacts(source) -> Dict[str, object]:
     """Every rendered artifact, recomputed from the raw correlation
-    output (the reference implementation)."""
+    output (the reference implementation; no report renders from it)."""
     from repro.analysis.geography import cells_from_rows
 
     ledger = source.ledger
@@ -111,8 +109,8 @@ def _matrix_of(state):
     """The run's mitigation-vs-observer matrix accumulator, or None.
 
     The matrix has no batch recomputation path: per-observer-class
-    attribution exists only at tap time, so both render paths read the
-    same accumulator — which is exactly why their sections agree."""
+    attribution exists only at tap time, so both artifact sets read the
+    same accumulator."""
     if state is None or not state.matrix.enabled:
         return None
     return state.matrix
@@ -335,7 +333,8 @@ def _render(artifacts: Dict[str, object], title: str,
 
 def full_report(source, title: str = "Traffic shadowing measurement report",
                 include_validation: bool = False) -> str:
-    """Render all reproduced artifacts as one text document (batch path).
+    """Render all reproduced artifacts of a run or bundle as one text
+    document, from its ``analysis`` state.
 
     ``include_validation`` appends the ground-truth recall section; it
     requires a live :class:`~repro.core.experiment.ExperimentResult`
@@ -353,7 +352,7 @@ def full_report(source, title: str = "Traffic shadowing measurement report",
             f"{percent(report.recall)} over {report.planted_domains} planted "
             f"domains, {report.false_domains} unexplained flags"
         )
-    return _render(batch_artifacts(source), title, extra)
+    return _render(streaming_artifacts(source.analysis), title, extra)
 
 
 def full_report_from_state(

@@ -107,13 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
     report = commands.add_parser("report",
                                  help="re-render the report from a bundle")
     report.add_argument("bundle", help="directory written by 'run --export'")
-    report.add_argument("--engine", choices=("auto", "batch", "streaming"),
-                        default="auto",
-                        help="'streaming' renders from the bundle's "
-                             "analysis.json (O(merge), no re-correlation); "
-                             "'batch' replays the full log; 'auto' (default) "
-                             "uses streaming when analysis.json exists. "
-                             "Both engines produce byte-identical reports.")
     report.add_argument("--output", metavar="FILE")
     report.add_argument("--title",
                         help="override the report title (default names the "
@@ -299,20 +292,15 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _command_report(args: argparse.Namespace) -> int:
+    from repro.core.persist import load_analysis_state
+
     title = args.title or f"Report (reloaded from {args.bundle})"
-    engine = args.engine
-    if engine in ("auto", "streaming"):
-        from repro.core.persist import load_analysis_state
-        state = load_analysis_state(args.bundle)
-        if state is not None:
-            _emit(full_report_from_state(state, title=title), args.output)
-            return 0
-        if engine == "streaming":
-            print(f"{args.bundle} has no analysis.json; re-export the "
-                  "bundle or use --engine batch", file=sys.stderr)
-            return 2
-    bundle = load_bundle(args.bundle)
-    _emit(full_report(bundle, title=title), args.output)
+    # The bundle's analysis.json when present; else the state rebuilt
+    # from its records, which renders the same bytes.
+    state = load_analysis_state(args.bundle)
+    if state is None:
+        state = load_bundle(args.bundle).analysis
+    _emit(full_report_from_state(state, title=title), args.output)
     return 0
 
 

@@ -8,7 +8,6 @@ observation window.
 """
 
 import hashlib
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -27,13 +26,6 @@ from repro.topology.model import Endpoint
 from repro.vpn.vantage import VantagePoint
 from repro.vpn.vetting import VettingReport, full_vetting, vet_providers
 
-
-PLANNER_ENV = "REPRO_CAMPAIGN_PLANNER"
-"""Environment toggle for the Phase I planner: ``streaming`` (default)
-feeds the simulator lazily from the plan generator; ``materialized``
-schedules every send up front (the pre-streaming code path, kept for
-digest cross-checks — both planners produce byte-identical results).
-The env var is inherited by sharded worker processes."""
 
 _PATH_CACHE_LIMIT = 8192
 """Materialized :class:`PathInfo` entries kept per campaign (LRU).  An
@@ -142,7 +134,7 @@ class Campaign:
         self._web_choices: Dict[int, List[VantagePoint]] = {}
         """VPs sampled per web destination (keyed by destination position),
         drawn lazily from the sequential ``campaign.web.vps`` stream in
-        destination order — exactly the draws the up-front planner made."""
+        destination order, so the draws never depend on feed timing."""
         self._web_sampler = None
         self.vetting: Optional[VettingReport] = None
         self.sends_planned = 0
@@ -544,7 +536,7 @@ class Campaign:
 
         First use draws from the sequential ``campaign.web.vps`` stream;
         the plan generator visits destinations in pool order, so draws
-        happen in exactly the order the up-front planner made them.
+        happen in pool order whenever the feeder reaches them.
         """
         chosen = self._web_choices.get(position)
         if chosen is None:
@@ -608,7 +600,7 @@ class Campaign:
         those refreshes fire at exactly ``ttl`` after a grid-aligned
         send.  With the margin in hand, any follow-up event tying a
         planned send finds that send already queued with an earlier
-        sequence number, reproducing the up-front planner's order.
+        sequence number, so ties resolve in plan order.
         """
         margin = 64.0
         faults = self.eco.faults
@@ -629,48 +621,19 @@ class Campaign:
         spacing).  ``phase1_rounds`` repeats the whole pass, as the
         paper's two-month continuous rotation does.
 
-        The default (streaming) planner never materializes the pair
-        space: a first dry replay of the plan generator fixes the counts
-        and the last send time, then a simulator feeder schedules sends
-        lazily just ahead of the clock.  ``REPRO_CAMPAIGN_PLANNER=
-        materialized`` selects the classic up-front path; both produce
-        byte-identical campaigns (pinned by ``tests/test_properties``).
+        The pair space is never materialized: a first dry replay of the
+        plan generator fixes the counts and the last send time, then a
+        simulator feeder schedules sends lazily just ahead of the clock.
         """
-        if os.environ.get(PLANNER_ENV, "streaming") == "materialized":
-            return self._schedule_phase1_materialized()
-        return self._schedule_phase1_streaming()
+        from repro.vpn.scheduler import RoundRobinScheduler
 
-    def _phase1_vps(self) -> Tuple[List[VantagePoint], List[VantagePoint]]:
+        sim = self.eco.sim
         vps = self.eco.platform.vantage_points
         if not vps:
             raise RuntimeError("no vantage points left after vetting")
         dns_vps = vps
         if self.config.dns_vps_per_destination is not None:
             dns_vps = vps[: self.config.dns_vps_per_destination]
-        return vps, dns_vps
-
-    def _note_phase1_plan(self, planned: int, scheduled: int,
-                          last_time: float, deferred_by_churn: int) -> None:
-        self.sends_planned += planned
-        self.sends_scheduled += scheduled
-        self.last_send_time = last_time
-        # Every shard replays the identical plan (merge="same"); the
-        # scheduled subset is partitioned work and sums back to the plan.
-        self._metrics.counter(
-            "campaign.sends_planned", merge=MERGE_SAME).inc(planned)
-        self._metrics.counter("campaign.sends_scheduled").inc(scheduled)
-        # Churn deferrals happen inside the replayed plan, so every shard
-        # counts the identical total (merge="same", like sends_planned).
-        self._metrics.counter(
-            "faults.vp_churn_deferrals", merge=MERGE_SAME,
-        ).inc(deferred_by_churn)
-
-    def _schedule_phase1_streaming(self) -> int:
-        """Stream the plan: dry-replay for totals, then feed on demand."""
-        from repro.vpn.scheduler import RoundRobinScheduler
-
-        sim = self.eco.sim
-        vps, dns_vps = self._phase1_vps()
         start = sim.now()
         owns = self.owns_pair
 
@@ -694,14 +657,25 @@ class Campaign:
                 last_time = actual
             if owns(vp.address, address):
                 scheduled += 1
-        self._note_phase1_plan(planned, scheduled, last_time,
-                               limiter.deferred_by_churn)
+        self.sends_planned += planned
+        self.sends_scheduled += scheduled
+        self.last_send_time = last_time
+        # Every shard replays the identical plan (merge="same"); the
+        # scheduled subset is partitioned work and sums back to the plan.
+        self._metrics.counter(
+            "campaign.sends_planned", merge=MERGE_SAME).inc(planned)
+        self._metrics.counter("campaign.sends_scheduled").inc(scheduled)
+        # Churn deferrals happen inside the replayed plan, so every shard
+        # counts the identical total (merge="same", like sends_planned).
+        self._metrics.counter(
+            "faults.vp_churn_deferrals", merge=MERGE_SAME,
+        ).inc(limiter.deferred_by_churn)
 
         # Pass 2 — the feeder.  A fresh generator and a fresh limiter
         # (its deferral count is NOT re-reported) replay the identical
         # plan; owned pairs materialize their path and enqueue the send
-        # at feed time, in plan order — the same path-construction and
-        # sequence-number order the up-front planner produced.
+        # at feed time, in plan order, so path construction and sequence
+        # numbers follow the plan.
         plan = self._phase1_plan(start, vps, dns_vps)
         feed_limiter = RoundRobinScheduler(vps, per_target_interval=0.5,
                                            faults=self.eco.faults)
@@ -736,50 +710,6 @@ class Campaign:
 
         sim.set_feeder(feed, margin=self._feed_margin(),
                        lookahead=_FEED_LOOKAHEAD)
-        return scheduled
-
-    def _schedule_phase1_materialized(self) -> int:
-        """The classic planner: every send scheduled up front."""
-        from repro.vpn.scheduler import RoundRobinScheduler
-
-        sim = self.eco.sim
-        vps, dns_vps = self._phase1_vps()
-        start = sim.now()
-        limiter = RoundRobinScheduler(vps, per_target_interval=0.5,
-                                      faults=self.eco.faults)
-        planned = 0
-        scheduled = 0
-        last_time = start
-        for (_floor, send_time, vp, destination, protocol, address,
-             asn, country, service, round_index) in self._phase1_plan(
-                start, vps, dns_vps):
-            # Every shard replays the full plan — including rate-limiter
-            # state and VP-churn deferrals — so `actual` matches the
-            # serial schedule; only owned pairs materialize a path and
-            # enqueue the send.
-            actual = limiter.earliest_send_time(address, send_time,
-                                                vp_address=vp.address)
-            plan_index = planned
-            planned += 1
-            if actual > last_time:
-                last_time = actual
-            if self.owns_pair(vp.address, address):
-                info = self.path_info(vp, address, asn, country,
-                                      service_name=service)
-                sim.schedule_at(
-                    actual,
-                    lambda info=info, protocol=protocol,
-                           destination=destination, round_index=round_index,
-                           plan_index=plan_index:
-                        self.send_decoy(info, protocol, ttl=64, phase=1,
-                                        destination=destination,
-                                        round_index=round_index,
-                                        plan_key=(plan_index, 0)),
-                    label=f"send:{protocol}",
-                )
-                scheduled += 1
-        self._note_phase1_plan(planned, scheduled, last_time,
-                               limiter.deferred_by_churn)
         return scheduled
 
     def run_phase1(self) -> None:

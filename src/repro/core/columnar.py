@@ -12,23 +12,15 @@ common to every columnar consumer and live here:
   and country codes repeat across millions of rows, and a 4-byte column
   reference replaces a Python string pointer + object.
 * :func:`merged_order` — the deterministic (time, shard position,
-  within-shard index) interleave order used by cross-shard merges, with
-  a numpy fast path when numpy is importable (it is optional — the
-  stdlib path is always available and produces the identical order).
+  within-shard index) interleave order used by cross-shard merges.
 
 Nothing in this module imports from ``core/wire`` or the stores, so the
 dependency arrow points one way: wire/ledger/log build on columnar.
 """
 
 import heapq
+from itertools import count, repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-try:  # numpy is an optional accelerator, never a requirement
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
-
-HAS_NUMPY = _np is not None
 
 #: Column sentinel for "this optional string/int field is None".
 NONE_REF = -1
@@ -92,15 +84,11 @@ def merged_order(
     The order key is ``(time, shard position, index)`` — each shard's
     times are already non-decreasing (simulators append monotonically),
     and position/index break cross-shard ties stably, so the result
-    depends only on the inputs, never on worker completion order.
-
-    With numpy available the merge is one stable argsort over the
-    concatenated time columns; the stdlib fallback is a k-way heap merge.
-    Both paths produce the identical sequence.
+    depends only on the inputs, never on worker completion order.  The
+    merge is a k-way heap merge of the per-shard streams.
 
     Each shard's times must be non-decreasing — a violation raises
-    rather than silently reordering (a stable sort would hide it; the
-    heap merge would garble it).
+    rather than silently reordering (the heap merge would garble it).
     """
     for position, times in enumerate(shard_times):
         previous = None
@@ -111,34 +99,9 @@ def merged_order(
                     f"{time} after {previous}"
                 )
             previous = time
-    if _np is not None:
-        sizes = [len(times) for times in shard_times]
-        total = sum(sizes)
-        if total == 0:
-            return
-        flat = _np.empty(total, dtype=_np.float64)
-        offset = 0
-        for times, size in zip(shard_times, sizes):
-            flat[offset:offset + size] = times
-            offset += size
-        # Concatenation order is (position, index); a *stable* sort by
-        # time alone therefore yields exactly (time, position, index).
-        starts = []
-        offset = 0
-        for size in sizes:
-            starts.append(offset)
-            offset += size
-        import bisect
-        for flat_index in _np.argsort(flat, kind="stable"):
-            position = bisect.bisect_right(starts, int(flat_index)) - 1
-            yield position, int(flat_index) - starts[position]
-        return
-    yield from (
-        (position, index)
-        for _, position, index in heapq.merge(
-            *(
-                ((time, position, index) for index, time in enumerate(times))
-                for position, times in enumerate(shard_times)
-            )
-        )
-    )
+    # zip binds each shard's position as its stream is built; a nested
+    # generator expression would read it late, as the last shard's.
+    streams = [zip(times, repeat(position), count())
+               for position, times in enumerate(shard_times)]
+    for _, position, index in heapq.merge(*streams):
+        yield position, index

@@ -14,6 +14,9 @@ when:
 The correlator decodes each logged domain's identifier, joins it to the
 decoy ledger, applies the rules in arrival order, and emits
 :class:`ShadowingEvent` records that every analysis consumes.
+:class:`IncrementalCorrelator` is the only code that applies the rules
+(and recovers aliased names); the batch :class:`Correlator`, the shard
+workers and the serve daemon all feed log entries through it.
 """
 
 import weakref
@@ -202,6 +205,12 @@ class DecoyLedger:
             return None
         return self._record(row)
 
+    def phase_of(self, domain: str) -> Optional[int]:
+        """The phase of ``domain``'s decoy, or None if unregistered — one
+        column read, no record materialized."""
+        row = self._row_by_domain.get(domain)
+        return None if row is None else self._phases[row]
+
     def records(self, phase: Optional[int] = None) -> List[DecoyRecord]:
         if phase is None:
             return [self._record(row) for row in range(len(self._domains))]
@@ -275,7 +284,14 @@ class CorrelationResult:
 
 
 class Correlator:
-    """Joins honeypot logs to the decoy ledger and classifies arrivals."""
+    """Joins honeypot logs to the decoy ledger and classifies arrivals.
+
+    A batch pass is a replay: every logged request goes, in arrival
+    order, through an :class:`IncrementalCorrelator` — the one
+    implementation of the Section 3 rules and alias recovery — and the
+    retained events come back in batch order (logged domains by first
+    appearance, each domain's arrivals in order).
+    """
 
     def __init__(self, ledger: DecoyLedger, zone: str,
                  codec: Optional[IdentifierCodec] = None):
@@ -286,48 +302,70 @@ class Correlator:
     def correlate(self, log: LogStore,
                   phase: Optional[int] = None) -> CorrelationResult:
         """Classify every logged request; optionally restrict to decoys of
-        one experiment phase."""
-        result = CorrelationResult()
-        for domain in log.domains():
-            aliased = False
-            record = self._ledger.lookup(domain)
-            if record is None:
-                record = self._recover_alias(domain)
-                if record is None:
-                    result.unknown_domains.append(domain)
-                    continue
-                aliased = True
-            if phase is not None and record.phase != phase:
-                continue
-            if not aliased:
-                try:
-                    self._codec.decode_domain(domain, self._zone)
-                except IdentifierError:
-                    result.unknown_domains.append(domain)
-                    continue
-            dns_arrivals = 0
-            for entry in log.for_domain(domain):
-                unsolicited = True
-                if (not aliased and entry.protocol == "dns"
-                        and record.protocol == "dns"):
-                    dns_arrivals += 1
-                    if dns_arrivals == 1:
-                        # Rule (iii): the first DNS appearance of a DNS
-                        # decoy's name is the decoy itself recursing.
-                        # Aliased names never qualify: the decoy's own
-                        # recursion carries its exact domain, so anything
-                        # arriving under a mangled name is third-party.
-                        result.initial_arrivals[domain] = entry
-                        unsolicited = False
-                if unsolicited:
-                    result.events.append(
-                        ShadowingEvent(
-                            decoy=record,
-                            request=entry,
-                            combo=self.combo_label(record.protocol, entry.protocol),
-                        )
-                    )
-        return result
+        one experiment phase (see :func:`split_correlation`)."""
+        incremental = IncrementalCorrelator(self._ledger, self._zone,
+                                            codec=self._codec,
+                                            retain_events=True)
+        for entry in log:
+            incremental.ingest(entry)
+        result = incremental.result()
+        if phase is None:
+            return result
+        return split_correlation(result, self._ledger, phase)
+
+    @staticmethod
+    def combo_label(decoy_protocol: str, request_protocol: str) -> str:
+        try:
+            return f"{_DECOY_LABELS[decoy_protocol]}-{_REQUEST_LABELS[request_protocol]}"
+        except KeyError as exc:
+            raise ValueError(
+                f"unknown protocol pair ({decoy_protocol!r}, {request_protocol!r})"
+            ) from exc
+
+
+class IncrementalCorrelator:
+    """Record-at-a-time correlation: the Section 3 rules, applied once.
+
+    Classification state is per *logged domain* (its ledger resolution
+    and whether its solicited initial DNS arrival was consumed), so each
+    ingest is O(1) lookups and the log is never revisited.  The rules
+    only look backwards — an entry's class depends on the entries before
+    it, never on those after — so the live service, the shard workers
+    and :meth:`Correlator.correlate` all classify through this class.
+
+    With ``retain_events=True`` the correlator also keeps, per logged
+    domain, its first appearance and its events (a
+    :class:`ShardCorrelation`, see :attr:`retained`), and :meth:`result`
+    replays them through :class:`CorrelationMerger` into batch order.
+    ``retain_events=False`` (the service default) keeps only the
+    O(domains) classification state.
+
+    :meth:`state_snapshot` / :meth:`from_state_snapshot` round-trip that
+    classification state for daemon restarts; retained events are
+    deliberately not serialized (the analysis accumulators, not the
+    event list, are the durable product — see docs/SERVICE.md).
+    """
+
+    def __init__(self, ledger: DecoyLedger, zone: str,
+                 codec: Optional[IdentifierCodec] = None,
+                 retain_events: bool = False):
+        self._ledger = ledger
+        self._zone = zone
+        self._codec = codec if codec is not None else IdentifierCodec()
+        self._resolutions: Dict[str, Optional[Tuple[str, bool]]] = {}
+        """Logged domain -> (canonical ledger domain, aliased) or None
+        for noise.  The decode attempt runs once per distinct domain."""
+        self._initial_seen: Set[str] = set()
+        """Domains whose solicited first DNS arrival was consumed."""
+        self.event_count = 0
+        self.unknown_count = 0
+        """Distinct undecodable domains seen (the length of a
+        ``phase=None`` correlation's ``unknown_domains``)."""
+        self.initial_count = 0
+        self._shard = ShardCorrelation(
+            firsts=[], events={}, initial_arrivals={}, unknown_domains=[]
+        ) if retain_events else None
+        self._log_index = 0
 
     def _recover_alias(self, domain: str) -> Optional[DecoyRecord]:
         """Map a mangled logged name back to its decoy, if possible.
@@ -348,68 +386,6 @@ class Correlator:
             return None
         return self._ledger.lookup(canonical)
 
-    @staticmethod
-    def combo_label(decoy_protocol: str, request_protocol: str) -> str:
-        try:
-            return f"{_DECOY_LABELS[decoy_protocol]}-{_REQUEST_LABELS[request_protocol]}"
-        except KeyError as exc:
-            raise ValueError(
-                f"unknown protocol pair ({decoy_protocol!r}, {request_protocol!r})"
-            ) from exc
-
-
-class IncrementalCorrelator:
-    """Record-at-a-time correlation for the always-on service.
-
-    :class:`Correlator` re-scans the whole log per call; a live daemon
-    cannot afford that.  This class applies the same Section 3 rules to
-    one :class:`~repro.honeypot.logstore.LoggedRequest` at a time —
-    classification state is per *logged domain* (its ledger resolution
-    and whether its solicited initial DNS arrival was consumed), so each
-    ingest is O(1) lookups and the full log is never revisited.
-
-    Exactness: for any log fed entry by entry, the multiset of emitted
-    events (and the initial-arrival / unknown-domain partitions) equals
-    ``Correlator.correlate(log)`` — the batch pass groups its output by
-    domain, but classifies each entry independently of every entry that
-    *follows* it, so arrival order is all the state needed.  Pinned by
-    ``tests/test_serve.py``.
-
-    With ``retain_events=True`` the correlator also keeps per-domain
-    event lists and first-appearance keys, and :meth:`result` replays
-    them through :class:`CorrelationMerger` to reproduce the batch
-    event *order* bit for bit.  ``retain_events=False`` (the service
-    default) keeps only the O(domains) classification state.
-
-    :meth:`state_snapshot` / :meth:`from_state_snapshot` round-trip that
-    classification state for daemon restarts; retained events are
-    deliberately not serialized (the analysis accumulators, not the
-    event list, are the durable product — see docs/SERVICE.md).
-    """
-
-    def __init__(self, ledger: DecoyLedger, zone: str,
-                 codec: Optional[IdentifierCodec] = None,
-                 retain_events: bool = False):
-        self._ledger = ledger
-        self._zone = zone
-        self._codec = codec if codec is not None else IdentifierCodec()
-        self._batch = Correlator(ledger, zone, codec=self._codec)
-        self._resolutions: Dict[str, Optional[Tuple[str, bool]]] = {}
-        """Logged domain -> (canonical ledger domain, aliased) or None
-        for noise.  The decode attempt runs once per distinct domain."""
-        self._initial_seen: Set[str] = set()
-        """Domains whose solicited first DNS arrival was consumed."""
-        self.event_count = 0
-        self.unknown_count = 0
-        """Distinct undecodable domains seen (matches the batch pass's
-        ``unknown_domains`` length for a phase=None correlation)."""
-        self.initial_count = 0
-        self._retain = retain_events
-        self._shard = ShardCorrelation(
-            firsts=[], events={}, initial_arrivals={}, unknown_domains=[]
-        ) if retain_events else None
-        self._log_index = 0
-
     def _resolve(self, domain: str) -> Optional[Tuple[DecoyRecord, bool]]:
         cached = self._resolutions.get(domain, _UNRESOLVED)
         if cached is not _UNRESOLVED:
@@ -421,7 +397,7 @@ class IncrementalCorrelator:
         record = self._ledger.lookup(domain)
         aliased = False
         if record is None:
-            record = self._batch._recover_alias(domain)
+            record = self._recover_alias(domain)
             aliased = record is not None
         if record is not None and not aliased:
             try:
@@ -456,6 +432,11 @@ class IncrementalCorrelator:
         if (not aliased and entry.protocol == "dns"
                 and record.protocol == "dns"
                 and domain not in self._initial_seen):
+            # Rule (iii): the first DNS appearance of a DNS decoy's name
+            # is the decoy itself recursing.  Aliased names never
+            # qualify: the decoy's own recursion carries its exact
+            # domain, so anything arriving under a mangled name is
+            # third-party.
             self._initial_seen.add(domain)
             self.initial_count += 1
             if self._shard is not None:
@@ -468,21 +449,28 @@ class IncrementalCorrelator:
         )
         self.event_count += 1
         if self._shard is not None:
-            self._shard.events.setdefault(record.domain, []).append(event)
+            self._shard.events.setdefault(domain, []).append(event)
         return event
 
-    def result(self) -> CorrelationResult:
-        """The batch-identical correlation of everything ingested so far
-        (requires ``retain_events=True``): the retained single-"shard"
-        state replayed through :class:`CorrelationMerger`, which imposes
-        the batch first-appearance domain order."""
+    @property
+    def retained(self) -> "ShardCorrelation":
+        """The retained per-logged-domain state (live, not a copy).
+
+        Requires ``retain_events=True``."""
         if self._shard is None:
             raise RuntimeError(
                 "this IncrementalCorrelator was built with "
                 "retain_events=False and keeps no event lists; only "
                 "counts and classification state are available"
             )
-        return CorrelationMerger().add(self._shard, 0).result()
+        return self._shard
+
+    def result(self) -> CorrelationResult:
+        """The batch-ordered correlation of everything ingested so far
+        (requires ``retain_events=True``): the retained single-"shard"
+        state replayed through :class:`CorrelationMerger`, which imposes
+        the first-appearance domain order."""
+        return CorrelationMerger().add(self.retained, 0).result()
 
     # -- restart support ---------------------------------------------------
 
@@ -540,56 +528,49 @@ class ShardCorrelation:
     supervisor needs to reconstruct the *merged-log* correlation without
     ever materializing the merged log.
 
-    Exactness rests on shard locality: every log entry bearing a decoy's
-    data arrives at an observer in the shard that owns the decoy's
-    (VP, destination) pair — aliased names decode back to in-shard
-    canonical decoys — so one shard holds *all* of a domain's events and
-    the per-domain event order is the shard's own arrival order.
+    Everything is keyed by the *logged* domain (``entry.domain``), the
+    unit the batch pass groups by: an aliased name keeps its own event
+    list next to its canonical decoy's.  Exactness rests on shard
+    locality: every log entry bearing a decoy's data — aliased names
+    included — arrives at an observer in the shard that owns the
+    decoy's (VP, destination) pair, so one shard holds *all* of a logged
+    domain's events and their order is the shard's own arrival order.
     """
 
     firsts: List[Tuple[float, int, str]]
-    """(first time, first in-shard log index, domain) for every domain in
-    this shard's log; with the shard position this keys the merged
-    first-appearance order (the order ``LogStore.merged().domains()``
-    would yield)."""
+    """(first time, first in-shard log index, logged domain) for every
+    domain in this shard's log, in first-appearance order; with the
+    shard position this keys the merged first-appearance order (the
+    order ``LogStore.merged().domains()`` would yield)."""
     events: Dict[str, List[ShadowingEvent]]
-    """Per-domain events, in in-shard arrival order."""
+    """Logged domain -> its events, in in-shard arrival order."""
     initial_arrivals: Dict[str, LoggedRequest]
     unknown_domains: List[str]
 
-
-def shard_correlation(result: CorrelationResult, log: LogStore) -> ShardCorrelation:
-    """Package one shard's :class:`CorrelationResult` for exact merging."""
-    firsts: List[Tuple[float, int, str]] = []
-    for domain in log.domains():
-        occurrence = log.first_occurrence(domain)
-        if occurrence is None:  # pragma: no cover - domains() implies entries
-            continue
-        firsts.append((occurrence[0], occurrence[1], domain))
-    events: Dict[str, List[ShadowingEvent]] = {}
-    for event in result.events:
-        events.setdefault(event.decoy.domain, []).append(event)
-    return ShardCorrelation(
-        firsts=firsts,
-        events=events,
-        initial_arrivals=dict(result.initial_arrivals),
-        unknown_domains=list(result.unknown_domains),
-    )
+    def copy(self) -> "ShardCorrelation":
+        """An independent snapshot (fresh lists, shared events)."""
+        return ShardCorrelation(
+            firsts=list(self.firsts),
+            events={domain: list(events)
+                    for domain, events in self.events.items()},
+            initial_arrivals=dict(self.initial_arrivals),
+            unknown_domains=list(self.unknown_domains),
+        )
 
 
 class CorrelationMerger:
     """Incremental, order-independent accumulator behind
     :func:`merge_shard_correlations`.
 
-    The batch pass iterates merged-log domains in first-appearance order
-    and emits each domain's events in arrival order.  First appearance
-    orders by (time, shard position, in-shard index) — exactly
-    :meth:`LogStore.merged`'s interleaving key — and shard locality puts
-    all of a domain's events in one shard, so replaying per-shard event
-    lists in that domain order reproduces the merged event list.  A
-    domain counts as unknown only if some shard flagged it and no shard
-    correlated it (the shard that owns a decoy resolves its domain;
-    other shards never see it).
+    The batch order walks the merged log's logged domains in
+    first-appearance order and emits each domain's events in arrival
+    order.  First appearance orders by (time, shard position, in-shard
+    index) — exactly :meth:`LogStore.merged`'s interleaving key — and
+    shard locality puts all of a logged domain's events in one shard, so
+    replaying per-shard event lists in that domain order reproduces the
+    merged event list.  A domain counts as unknown only if some shard
+    flagged it and no shard correlated it (the shard that owns a decoy
+    resolves its domain; other shards never see it).
 
     Every contribution is tagged with its *global* shard index, so
     :meth:`add` and :meth:`merge` commute: the sharded supervisor folds
@@ -683,11 +664,9 @@ def split_correlation(result: CorrelationResult, ledger: DecoyLedger,
     split.events = [event for event in result.events
                     if event.decoy.phase == phase]
     for domain, entry in result.initial_arrivals.items():
-        record = ledger.lookup(domain)
-        if record is not None and record.phase == phase:
+        if ledger.phase_of(domain) == phase:
             split.initial_arrivals[domain] = entry
     for domain in result.unknown_domains:
-        record = ledger.lookup(domain)
-        if record is None or record.phase == phase:
+        if ledger.phase_of(domain) in (None, phase):
             split.unknown_domains.append(domain)
     return split

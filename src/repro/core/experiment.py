@@ -22,7 +22,12 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.campaign import Campaign, PathInfo
 from repro.core.config import ExperimentConfig
-from repro.core.correlate import CorrelationResult, Correlator, DecoyLedger
+from repro.core.correlate import (
+    CorrelationResult,
+    Correlator,
+    DecoyLedger,
+    split_correlation,
+)
 from repro.core.ecosystem import Ecosystem, build_ecosystem
 from repro.core.phase2 import HopByHopTracer, ObserverLocation
 from repro.honeypot.logstore import LogStore
@@ -217,10 +222,11 @@ class Experiment:
             # Exhibitors schedule unsolicited requests days out, so Phase I
             # decoys keep drawing traffic during the Phase II window; the
             # final correlation pass covers the complete log, as the
-            # paper's offline analysis does.
+            # paper's offline analysis does, and is split into both phases.
             with spans.span("correlate"):
-                phase1 = correlator.correlate(eco.deployment.log, phase=1)
-                phase2 = correlator.correlate(eco.deployment.log, phase=2)
+                full = correlator.correlate(eco.deployment.log)
+                phase1 = split_correlation(full, campaign.ledger, 1)
+                phase2 = split_correlation(full, campaign.ledger, 2)
                 locations = tracer.locate(phase2)
 
             # Feed the streaming analysis state (decoys were observed at

@@ -4,22 +4,23 @@ A field deployment of this methodology accumulates honeypot logs for
 months and analyzes them offline; this module provides the same workflow
 for simulated campaigns.  ``export_result`` writes a directory bundle
 (ledger, honeypot log, correlated events, observer locations, IP
-directory, blocklist, metadata) and ``load_bundle`` reconstructs typed
-objects that every function in :mod:`repro.analysis` accepts.
+directory, blocklist, metadata, and the run's analysis state) and
+``load_bundle`` reconstructs typed objects that every function in
+:mod:`repro.analysis` accepts.
 """
 
 import dataclasses
 import json
 import pathlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 from repro.core.correlate import (
     CorrelationResult,
     Correlator,
     DecoyLedger,
     DecoyRecord,
-    ShadowingEvent,
+    split_correlation,
 )
 from repro.core.experiment import ExperimentResult
 from repro.core.identifier import DecoyIdentity
@@ -54,9 +55,10 @@ class AnalysisBundle:
     locations: List[ObserverLocation]
     directory: IpDirectory
     blocklist: Blocklist
-    analysis: Optional[object] = None
-    """Restored :class:`~repro.analysis.streaming.AnalysisState`, when
-    the bundle was exported with one (``analysis.json``)."""
+    analysis: object
+    """The run's :class:`~repro.analysis.streaming.AnalysisState`:
+    restored from ``analysis.json``, or rebuilt from the bundle's
+    records when that file is absent."""
 
 
 def _write_jsonl(path: pathlib.Path, rows) -> None:
@@ -130,11 +132,11 @@ def export_result(result: ExperimentResult, directory: Union[str, pathlib.Path])
 
 
 def load_analysis_state(directory: Union[str, pathlib.Path]):
-    """Load just the streaming analysis state from a bundle, or None.
+    """Load just the stored analysis state from a bundle, or None.
 
-    This is the fast path behind ``repro report --engine streaming``: it
-    reads one JSON file — no ledger reload, no log replay, no
-    re-correlation — and verifies the stored content digest.
+    This is the fast path behind ``repro report``: it reads one JSON
+    file — no ledger reload, no log replay, no re-correlation — and
+    verifies the stored content digest.
     """
     from repro.analysis.streaming import AnalysisState
 
@@ -183,10 +185,9 @@ def load_bundle(directory: Union[str, pathlib.Path]) -> AnalysisBundle:
             if line.strip():
                 blocklist.add(line.strip())
 
-    zone = meta["config"]["zone"]
-    correlator = Correlator(ledger, zone=zone)
-    phase1 = correlator.correlate(log, phase=1)
-    phase2 = correlator.correlate(log, phase=2)
+    full = Correlator(ledger, zone=meta["config"]["zone"]).correlate(log)
+    phase1 = split_correlation(full, ledger, 1)
+    phase2 = split_correlation(full, ledger, 2)
 
     stored_events = sum(1 for _ in _read_jsonl(src / _PATHS["events"]))
     recomputed = len(phase1.events) + len(phase2.events)
@@ -196,6 +197,21 @@ def load_bundle(directory: Union[str, pathlib.Path]) -> AnalysisBundle:
             f"recomputed {recomputed}"
         )
 
+    analysis = load_analysis_state(src)
+    if analysis is None:
+        # Rebuild the state from what the campaign fed as it ran: every
+        # decoy, every Phase I event, every Phase II location and the
+        # final log length (the accumulators are order-free, so the
+        # state equals the run's).  The mitigation-vs-observer matrix is
+        # fed at tap time only, so a rebuilt state has none.
+        from repro.analysis.streaming import AnalysisState
+
+        analysis = AnalysisState(directory=directory_obj, blocklist=blocklist)
+        for record in ledger.records():
+            analysis.observe_decoy(record)
+        analysis.observe_events(phase1.events)
+        analysis.observe_locations(locations)
+        analysis.set_log_entries(len(log))
     return AnalysisBundle(
         meta=meta,
         ledger=ledger,
@@ -205,5 +221,5 @@ def load_bundle(directory: Union[str, pathlib.Path]) -> AnalysisBundle:
         locations=locations,
         directory=directory_obj,
         blocklist=blocklist,
-        analysis=load_analysis_state(src),
+        analysis=analysis,
     )

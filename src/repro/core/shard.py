@@ -76,9 +76,8 @@ from repro.core.campaign import Campaign, pair_shard
 from repro.core.config import ExperimentConfig
 from repro.core.correlate import (
     CorrelationMerger,
-    Correlator,
     DecoyRecord,
-    shard_correlation,
+    IncrementalCorrelator,
     split_correlation,
 )
 from repro.core.ecosystem import build_ecosystem
@@ -262,20 +261,24 @@ def _shard_worker(conn, config: ExperimentConfig, shard_index: int,
             with tracer_spans.span("phase1"):
                 campaign.run_phase1()
             phase1_records = len(campaign.ledger)
-            phase1_log_len = len(eco.deployment.log)
             vetting = campaign.vetting
-            # Correlate the shard's own Phase I log: shard locality means
-            # the merged correlation is exactly the merge of these (see
-            # CorrelationMerger), so the parent never re-scans.
-            correlator = Correlator(campaign.ledger, zone=config.zone)
-            phase1_result = correlator.correlate(eco.deployment.log, phase=1)
+            # Correlate the shard's own log as it grows: shard locality
+            # means the merged correlation is exactly the merge of these
+            # (see CorrelationMerger), so the parent never re-scans.  At
+            # this boundary every ledger record is a Phase I decoy.
+            correlator = IncrementalCorrelator(
+                campaign.ledger, zone=config.zone, retain_events=True)
+            phase1_entries, phase1_log_len = eco.deployment.log.tail(0)
+            for entry in phase1_entries:
+                correlator.ingest(entry)
+            phase1_result = correlator.result()
             interim_analysis = campaign.analysis.clone()
             interim_analysis.observe_events(phase1_result.events)
             interim_analysis.set_log_entries(phase1_log_len)
             phase1_payload = ShardPhase1Payload(
                 shard_index=shard_index,
                 records=_ledger_snapshot(campaign, 0),
-                log_entries=list(eco.deployment.log),
+                log_entries=phase1_entries,
                 sends_planned=campaign.sends_planned,
                 sends_scheduled=campaign.sends_scheduled,
                 last_send_time=campaign.last_send_time,
@@ -284,8 +287,9 @@ def _shard_worker(conn, config: ExperimentConfig, shard_index: int,
                 vetting_removed_ttl=len(vetting.removed_ttl_reset),
                 vetting_removed_intercepted=len(vetting.removed_intercepted),
                 wall_seconds=time.perf_counter() - started,
-                correlation=shard_correlation(phase1_result,
-                                              eco.deployment.log),
+                # A copy: the correlator keeps appending, and this
+                # payload is the delta base of the final one.
+                correlation=correlator.retained.copy(),
                 analysis=interim_analysis.snapshot(),
                 telemetry=eco.telemetry.snapshot(),
             )
@@ -300,9 +304,12 @@ def _shard_worker(conn, config: ExperimentConfig, shard_index: int,
             with tracer_spans.span("phase2"):
                 schedule_phase2_entries(campaign, tracer, entries)
                 eco.sim.run(until=eco.sim.now() + config.phase2_observation_window)
-            # One unfiltered pass over the complete shard log; the phase
+            # The correlator now covers the complete shard log; the phase
             # split is derived from it (and by the parent, after merging).
-            full_result = correlator.correlate(eco.deployment.log)
+            phase2_entries, _ = eco.deployment.log.tail(phase1_log_len)
+            for entry in phase2_entries:
+                correlator.ingest(entry)
+            full_result = correlator.result()
             phase2 = split_correlation(full_result, campaign.ledger, 2)
             locations = tracer.locate(phase2)
             campaign.analysis.observe_events(
@@ -314,7 +321,7 @@ def _shard_worker(conn, config: ExperimentConfig, shard_index: int,
             final_payload = ShardFinalPayload(
                 shard_index=shard_index,
                 records=_ledger_snapshot(campaign, phase1_records),
-                log_entries=list(eco.deployment.log)[phase1_log_len:],
+                log_entries=phase2_entries,
                 locations=[
                     (probe_set.plan_index, location)
                     for probe_set, location in zip(tracer.probe_sets, locations)
@@ -338,8 +345,7 @@ def _shard_worker(conn, config: ExperimentConfig, shard_index: int,
                 wall_seconds=time.perf_counter() - stage,
                 telemetry=eco.telemetry.snapshot(),
                 spans=list(tracer_spans.spans),
-                correlation=shard_correlation(full_result,
-                                              eco.deployment.log),
+                correlation=correlator.retained,
                 analysis=campaign.analysis.snapshot(),
             )
             send(("final", encode_final_payload(final_payload, phase1_payload)))
@@ -554,6 +560,17 @@ class _ShardSupervisor:
                 handle.process.join()
 
 
+def _require_products(payload, tag: str) -> None:
+    """Every payload carries its shard's correlation and analysis state;
+    the merge has no way to rebuild either from raw records."""
+    for name in ("correlation", "analysis"):
+        if getattr(payload, name) is None:
+            raise RuntimeError(
+                f"shard {payload.shard_index} protocol error: {tag} "
+                f"payload carries no {name}"
+            )
+
+
 def _check_consistent(payloads: Sequence[ShardPhase1Payload],
                       parent_campaign: Campaign) -> None:
     """Every shard replays the same plan; any divergence is a bug."""
@@ -671,58 +688,25 @@ def run_sharded(config: Optional[ExperimentConfig] = None, *,
         lambda a, b: a.merge(b)) if need_plan else None
     interim_analyses = PairwiseMerger(
         lambda a, b: a.merge(b)) if checkpoints is not None else None
-    all_interim_correlations = True
-    all_interim_analyses = True
 
     def note_phase1(payload: ShardPhase1Payload) -> None:
-        nonlocal all_interim_correlations, all_interim_analyses
-        if payload.correlation is None:
-            all_interim_correlations = False
-        elif interim_correlations is not None:
+        _require_products(payload, "phase1")
+        if interim_correlations is not None:
             interim_correlations.push(
                 CorrelationMerger().add(payload.correlation,
                                         payload.shard_index))
-        if payload.analysis is None:
-            all_interim_analyses = False
-        elif interim_analyses is not None:
+        if interim_analyses is not None:
             interim_analyses.push(AnalysisState.from_snapshot(payload.analysis))
 
     # Final accumulators, also fed on arrival (including from cache).
     final_correlations = PairwiseMerger(lambda a, b: a.merge(b))
     final_analyses = PairwiseMerger(lambda a, b: a.merge(b))
-    all_final_correlations = True
-    all_final_analyses = True
 
     def note_final(payload: ShardFinalPayload) -> None:
-        nonlocal all_final_correlations, all_final_analyses
-        if payload.correlation is None:
-            all_final_correlations = False
-        else:
-            final_correlations.push(
-                CorrelationMerger().add(payload.correlation,
-                                        payload.shard_index))
-        if payload.analysis is None:
-            all_final_analyses = False
-        else:
-            final_analyses.push(AnalysisState.from_snapshot(payload.analysis))
-
-    # Parent-side ledger registration of the Phase I records, deferred
-    # until after Phase II dispatch (the streaming plan path needs only
-    # the merged correlation, not the parent ledger) but idempotent so
-    # the fallback interim-correlate path can pull it forward.
-    interim_registered = False
-
-    def register_interim() -> None:
-        nonlocal interim_registered
-        if interim_registered:
-            return
-        interim_registered = True
-        for key, record in sorted(
-            (pair for payload in phase1_payloads for pair in payload.records),
-            key=lambda pair: pair[0],
-        ):
-            campaign.ledger.register(record)
-            campaign.ledger.set_key(record.domain, key)
+        _require_products(payload, "final")
+        final_correlations.push(
+            CorrelationMerger().add(payload.correlation, payload.shard_index))
+        final_analyses.push(AnalysisState.from_snapshot(payload.analysis))
 
     for payload in cached_phase1.values():
         note_phase1(payload)
@@ -762,23 +746,13 @@ def run_sharded(config: Optional[ExperimentConfig] = None, *,
             # exercises.
             supervisor.kill(supervision.kill_after_phase1)
 
-        # Interim merge, part one: just enough to compute the plan.  The
-        # streaming path consumes the already-merged pairwise partials;
-        # only pre-streaming checkpoint payloads force a parent-side
-        # re-correlation of the merged interim log.
+        # Interim merge, part one: just enough to compute the plan, from
+        # the already-merged pairwise partials.
         with spans.span("merge_interim"):
             if cached_slices is not None:
                 slices = cached_slices
             else:
-                if all_interim_correlations:
-                    phase1_interim = interim_correlations.result().result()
-                else:  # payloads from a pre-streaming shard build
-                    register_interim()
-                    interim_log = LogStore.merged(
-                        [payload.log_entries for payload in phase1_payloads]
-                    )
-                    correlator = Correlator(campaign.ledger, zone=config.zone)
-                    phase1_interim = correlator.correlate(interim_log, phase=1)
+                phase1_interim = interim_correlations.result().result()
                 entries = plan_phase2(eco, phase1_interim, config)
                 slices = [[] for _ in range(shard_count)]
                 for entry in entries:
@@ -802,14 +776,20 @@ def run_sharded(config: Optional[ExperimentConfig] = None, *,
                     waiting[shard_index] = "phase1"
 
         # Interim merge, part two: parent-side bookkeeping overlapped
-        # with worker Phase II.
+        # with worker Phase II — the Phase I ledger registration (the
+        # plan needed only the merged correlation) and checkpoints.
         with spans.span("merge_interim"):
-            register_interim()
+            for key, record in sorted(
+                (pair for payload in phase1_payloads
+                 for pair in payload.records),
+                key=lambda pair: pair[0],
+            ):
+                campaign.ledger.register(record)
+                campaign.ledger.set_key(record.domain, key)
             if checkpoints is not None:
                 checkpoints.save_phase2_plan(slices)
-                if all_interim_analyses and len(interim_analyses):
-                    checkpoints.save_analysis(
-                        interim_analyses.result().snapshot())
+                checkpoints.save_analysis(
+                    interim_analyses.result().snapshot())
 
         with spans.span("phase2"):
             final_by_shard: Dict[int, ShardFinalPayload] = dict(cached_final)
@@ -946,22 +926,12 @@ def run_sharded(config: Optional[ExperimentConfig] = None, *,
             eco.telemetry = merged_metrics
 
     with spans.span("correlate"):
-        if all_final_correlations:
-            # Fold of the workers' full-log correlations (exact — shard
-            # locality, already pairwise-merged on arrival) phase-split
-            # against the merged ledger, instead of re-scanning the
-            # merged log twice.
-            merged_correlation = final_correlations.result().result()
-            phase1 = split_correlation(merged_correlation, campaign.ledger, 1)
-            phase2 = split_correlation(merged_correlation, campaign.ledger, 2)
-        else:  # payloads from a pre-streaming shard build
-            correlator = Correlator(campaign.ledger, zone=config.zone)
-            phase1 = correlator.correlate(merged_log, phase=1)
-            phase2 = correlator.correlate(merged_log, phase=2)
-
-    analysis = None
-    if all_final_analyses and len(final_analyses):
-        analysis = final_analyses.result()
+        # Fold of the workers' full-log correlations (exact — shard
+        # locality, already pairwise-merged on arrival) phase-split
+        # against the merged ledger; the merged log is never re-scanned.
+        merged_correlation = final_correlations.result().result()
+        phase1 = split_correlation(merged_correlation, campaign.ledger, 1)
+        phase2 = split_correlation(merged_correlation, campaign.ledger, 2)
 
     merged_spans = merge_spans(
         [spans.spans] + [payload.spans for payload in final_payloads])
@@ -988,7 +958,7 @@ def run_sharded(config: Optional[ExperimentConfig] = None, *,
         phase2=phase2,
         locations=locations,
         vetting=campaign.vetting,
-        analysis=analysis,
+        analysis=final_analyses.result(),
         timings=timings,
         telemetry=RunTelemetry(
             metrics=eco.telemetry,

@@ -1002,37 +1002,18 @@ def _apply_correlation_delta(base: ShardCorrelation,
                              delta: ShardCorrelation) -> ShardCorrelation:
     """Rebuild the full-log shard correlation from Phase I + delta.
 
-    Per-domain event order must match what a fresh full-log correlation
-    pass would emit: events grouped by the *logged* domain that carried
-    them (``event.request.domain``), groups ordered by that domain's
-    first appearance in the log, arrivals in order within each group.
-    Phase I events for a logged domain all precede its Phase II events,
-    so a stable sort of (base + new) on the first-appearance index is
-    exact.  (Multiple logged domains — aliases — can map onto one
-    canonical decoy domain, which is why concatenation alone is not
-    enough.)
+    Event lists are keyed by the logged domain that carried them, and a
+    logged domain's Phase I events all precede its Phase II events, so
+    each full list is the base list followed by the delta's.
     """
-    firsts = base.firsts + delta.firsts
-    first_position: Dict[str, int] = {}
-    for _, index, domain in firsts:
-        if domain not in first_position:
-            first_position[domain] = index
-    events = {domain: entries for domain, entries in base.events.items()}
+    events = dict(base.events)
     for domain, new_events in delta.events.items():
-        combined = events.get(domain, []) + new_events
-        try:
-            combined.sort(key=lambda event:
-                          first_position[event.request.domain])
-        except KeyError as exc:
-            raise WireError(
-                f"correlation delta event references logged domain {exc} "
-                "absent from the firsts table"
-            ) from None
-        events[domain] = combined
+        events[domain] = events.get(domain, []) + new_events
     arrivals = dict(base.initial_arrivals)
     arrivals.update(delta.initial_arrivals)
     return ShardCorrelation(
-        firsts=firsts, events=events, initial_arrivals=arrivals,
+        firsts=base.firsts + delta.firsts, events=events,
+        initial_arrivals=arrivals,
         unknown_domains=base.unknown_domains + delta.unknown_domains,
     )
 

@@ -167,19 +167,6 @@ class LogStore:
     def domains(self) -> List[str]:
         return list(self._by_domain)
 
-    def first_occurrence(self, domain: str) -> Optional[Tuple[float, int]]:
-        """(time, index) of the first entry bearing ``domain``, or None.
-
-        The index is the entry's position in this store; together with the
-        shard position it forms the deterministic cross-shard ordering key
-        :func:`repro.core.correlate.merge_shard_correlations` uses.
-        """
-        indexes = self._by_domain.get(domain)
-        if not indexes:
-            return None
-        first = indexes[0]
-        return self._times[first], first
-
     def between(self, start: float, end: float) -> List[LoggedRequest]:
         """Entries in the half-open window ``start <= time < end``.
 

@@ -222,7 +222,11 @@ def check_invariants(spec: Scenario, *, workers: int = 2) -> InvariantOutcome:
     ``workers == 1`` by config validation); unshardable specs run the
     serial pipeline twice and must reproduce their own digest exactly.
     """
-    from repro.analysis.paperreport import full_report, full_report_from_state
+    from repro.analysis.paperreport import (
+        batch_artifacts,
+        full_report,
+        streaming_artifacts,
+    )
     from repro.core.experiment import Experiment
     from repro.core.shard import result_digest
 
@@ -244,12 +248,14 @@ def check_invariants(spec: Scenario, *, workers: int = 2) -> InvariantOutcome:
     checks[INVARIANT_SOUNDNESS] = (
         "ok" if not problems else "FAIL: " + "; ".join(problems))
 
-    batch_text = full_report(serial)
-    streaming_text = full_report_from_state(serial.analysis)
+    batch = batch_artifacts(serial)
+    streaming = streaming_artifacts(serial.analysis)
+    differing = sorted(key for key in batch
+                       if batch[key] != streaming[key])
     checks[INVARIANT_STREAMING] = (
-        "ok" if batch_text == streaming_text else
-        "FAIL: streaming report diverges from batch "
-        f"({len(batch_text)} vs {len(streaming_text)} chars)")
+        "ok" if not differing else
+        "FAIL: streaming artifacts diverge from batch: "
+        + ", ".join(differing))
 
     shardable = workers > 1 and not any(
         getattr(config, name) is not None
@@ -263,7 +269,7 @@ def check_invariants(spec: Scenario, *, workers: int = 2) -> InvariantOutcome:
             checks[INVARIANT_SHARDED] = (
                 f"FAIL: serial {outcome.serial_digest[:12]} != "
                 f"{workers}-worker {sharded_digest[:12]}")
-        elif full_report(sharded) != batch_text:
+        elif full_report(sharded) != full_report(serial):
             checks[INVARIANT_SHARDED] = (
                 "FAIL: digests match but sharded report text differs")
         else:

@@ -149,6 +149,12 @@ class FeedServer:
 
     def stop(self) -> None:
         self._stopping.set()
+        # On Linux, close() alone does not wake a thread blocked in
+        # accept(); shutdown() does (accept raises EINVAL at once).
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:

@@ -1,63 +1,21 @@
-"""Streaming planner equivalence and columnar-store round-trips.
+"""Columnar-store round-trips.
 
-The streaming Phase I planner (the default) must be byte-for-byte
-indistinguishable from the classic materialized planner — same digests,
-serial and sharded — and the columnar ledger/log must round-trip through
-the wire codec and the checkpoint store exactly like their object-per-row
-predecessors did.
+The columnar ledger/log must round-trip through the wire codec and the
+checkpoint store exactly like their object-per-row predecessors did, and
+a merged log must answer every query like a serially built one.
 """
 
-import os
 import random
 
-import pytest
-
-from repro.core.campaign import PLANNER_ENV
 from repro.core.checkpoint import CheckpointStore
-from repro.core.config import ExperimentConfig
+from repro.core.columnar import merged_order
 from repro.core.correlate import DecoyLedger
-from repro.core.experiment import Experiment
-from repro.core.shard import result_digest
 from repro.core.wire import (
     ShardPhase1Payload,
     decode_phase1_payload,
     encode_phase1_payload,
 )
 from repro.honeypot.logstore import LoggedRequest, LogStore
-
-SEEDS = (101, 202, 303)
-
-
-def _run_digest(seed: int, planner: str, workers: int = 1) -> str:
-    """One tiny experiment's result digest under the given planner."""
-    saved = os.environ.get(PLANNER_ENV)
-    os.environ[PLANNER_ENV] = planner
-    try:
-        config = ExperimentConfig.tiny(seed=seed)
-        config.workers = workers
-        return result_digest(Experiment(config).run())
-    finally:
-        if saved is None:
-            del os.environ[PLANNER_ENV]
-        else:
-            os.environ[PLANNER_ENV] = saved
-
-
-class TestPlannerEquivalence:
-    """Streaming == materialized, pinned across seeds and worker counts."""
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_serial_digests_identical(self, seed):
-        assert (_run_digest(seed, "streaming")
-                == _run_digest(seed, "materialized"))
-
-    def test_two_worker_digests_identical(self):
-        seed = SEEDS[0]
-        streaming = _run_digest(seed, "streaming", workers=2)
-        materialized = _run_digest(seed, "materialized", workers=2)
-        assert streaming == materialized
-        # And sharding itself is planner-neutral.
-        assert streaming == _run_digest(seed, "streaming")
 
 
 def _ledger_with_keys(rng, count=40):
@@ -183,6 +141,13 @@ class TestColumnarRoundTrip:
         assert log.between(0.0, 1e9)[0] is held[0]
 
 
+class TestMergedOrder:
+    def test_three_shards_with_ties(self):
+        # Key (time, shard position, index): the 3.0 tie goes to shard 0.
+        order = list(merged_order([[1.0, 3.0], [2.0, 3.0], [0.5]]))
+        assert order == [(2, 0), (0, 0), (1, 0), (0, 1), (1, 1)]
+
+
 class TestMergedLogStoreIndexes:
     """Satellite: merged() must rebuild every maintained index so
     windowed/filtered queries match a serially-built store exactly."""
@@ -237,5 +202,3 @@ class TestMergedLogStoreIndexes:
             assert merged.by_protocol(protocol) == serial.by_protocol(protocol)
         for domain in serial.domains():
             assert merged.for_domain(domain) == serial.for_domain(domain)
-            assert (merged.first_occurrence(domain)
-                    == serial.first_occurrence(domain))

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.core.correlate import Correlator, DecoyLedger, DecoyRecord
+from repro.core.correlate import (
+    Correlator,
+    DecoyLedger,
+    DecoyRecord,
+    IncrementalCorrelator,
+    merge_shard_correlations,
+)
 from repro.core.identifier import DecoyIdentity, IdentifierCodec
 from repro.honeypot.logstore import LoggedRequest, LogStore
 
@@ -181,6 +187,82 @@ class TestAliasRecovery:
         result = correlator.correlate(log)
         assert result.events == []
         assert result.unknown_domains == [f"probe.{foreign.domain}"]
+
+
+def _batch_events(ledger, entries):
+    log = LogStore()
+    for item in entries:
+        log.append(item)
+    return Correlator(ledger, ZONE).correlate(log).events
+
+
+def _incremental_events(ledger, entries):
+    correlator = IncrementalCorrelator(ledger, ZONE, retain_events=True)
+    for item in entries:
+        correlator.ingest(item)
+    return correlator.result().events
+
+
+def _shard_merge_events(ledger, entries):
+    """One shard per decoy: every entry bearing a decoy's data, aliases
+    included, lands in the shard that owns that decoy."""
+    owners = sorted({record.domain for record in ledger.records()})
+    shards = [IncrementalCorrelator(ledger, ZONE, retain_events=True)
+              for _ in owners]
+    for item in entries:
+        owner = next(position for position, domain in enumerate(owners)
+                     if item.domain.endswith(domain))
+        shards[owner].ingest(item)
+    return merge_shard_correlations(
+        [shard.retained for shard in shards]).events
+
+
+class TestAliasEventOrder:
+    """Aliased names are grouped under their own logged domain, so every
+    path emits the batch order: logged domains by first appearance, each
+    domain's arrivals in time order."""
+
+    A = make_record(protocol="dns", sequence=1)
+    B = make_record(protocol="http", sequence=2)
+    ALIAS = f"probe.{A.domain}"
+
+    CASES = {
+        "alias-only": (
+            [(ALIAS, "dns", 150.0)],
+            [(ALIAS, 150.0)],
+        ),
+        "alias-before-canonical": (
+            [(ALIAS, "dns", 150.0), (A.domain, "dns", 200.0)],
+            [(ALIAS, 150.0)],
+        ),
+        "canonical-alias-canonical": (
+            [(A.domain, "dns", 100.0), (ALIAS, "dns", 150.0),
+             (A.domain, "dns", 200.0)],
+            [(A.domain, 200.0), (ALIAS, 150.0)],
+        ),
+        "alias-between-decoys": (
+            [(A.domain, "dns", 100.0), (B.domain, "http", 120.0),
+             (ALIAS, "dns", 150.0), (A.domain, "dns", 200.0)],
+            [(A.domain, 200.0), (B.domain, 120.0), (ALIAS, 150.0)],
+        ),
+    }
+
+    @pytest.mark.parametrize("path", [_batch_events, _incremental_events,
+                                      _shard_merge_events],
+                             ids=["batch", "incremental", "shard-merge"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_event_order(self, case, path):
+        ledger = DecoyLedger()
+        ledger.register(self.A)
+        ledger.register(self.B)
+        arrivals, expected = self.CASES[case]
+        events = path(ledger, [entry(domain, protocol, time)
+                               for domain, protocol, time in arrivals])
+        assert [(event.request.domain, event.request.time)
+                for event in events] == expected
+        canonical = {self.ALIAS: self.A.domain}
+        assert [event.decoy.domain for event in events] == \
+            [canonical.get(domain, domain) for domain, _ in expected]
 
 
 class TestDecoyLedger:

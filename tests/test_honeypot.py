@@ -77,16 +77,6 @@ class TestLogStore:
             right = [entry.time for entry in store.between(cut, 8.0)]
             assert left + right == whole, f"cut at {cut} double/under-counts"
 
-    def test_first_occurrence(self):
-        store = LogStore()
-        assert store.first_occurrence("a.www.experiment.domain") is None
-        store.append(self.entry(time=1.0, domain="b.www.experiment.domain"))
-        store.append(self.entry(time=2.0))
-        store.append(self.entry(time=3.0))
-        assert store.first_occurrence("a.www.experiment.domain") == (2.0, 1)
-        assert store.first_occurrence("b.www.experiment.domain") == (1.0, 0)
-        assert store.first_occurrence("missing") is None
-
     def test_by_protocol(self):
         store = LogStore()
         store.append(self.entry(time=1.0, protocol="dns"))

@@ -128,3 +128,19 @@ class TestCli:
         assert main(["report", str(bundle)]) == 0
         out = capsys.readouterr().out
         assert "reloaded" in out
+
+    def test_report_same_bytes_without_analysis_json(self, result,
+                                                     bundle_dir, tmp_path):
+        """Without analysis.json the bundle's state is rebuilt from its
+        records; the rebuilt state and the rendered bytes are the run's."""
+        copy = tmp_path / "bundle"
+        copy.mkdir()
+        for path in bundle_dir.iterdir():
+            (copy / path.name).write_text(path.read_text())
+        with_state = tmp_path / "with-state.txt"
+        rebuilt = tmp_path / "rebuilt.txt"
+        assert main(["report", str(copy), "--output", str(with_state)]) == 0
+        (copy / "analysis.json").unlink()
+        assert load_bundle(copy).analysis.digest() == result.analysis.digest()
+        assert main(["report", str(copy), "--output", str(rebuilt)]) == 0
+        assert rebuilt.read_bytes() == with_state.read_bytes()

@@ -127,7 +127,7 @@ def _correlation(rng, records, entries):
     for _, record in records:
         if entries and rng.random() < 0.6:
             entry = rng.choice(entries)
-            events.setdefault(record.domain, []).append(ShadowingEvent(
+            events.setdefault(entry.domain, []).append(ShadowingEvent(
                 decoy=record, request=entry,
                 combo=f"{record.protocol.upper()}-{entry.protocol.upper()}",
             ))
@@ -199,26 +199,17 @@ def _final_payload(rng, base):
         if entry.domain not in seen:
             seen.add(entry.domain)
             firsts.append((entry.time, offset + index, entry.domain))
+    # Event lists are keyed by the logged domain and only ever appended
+    # to, as a real worker's correlator retains them.
     events = {domain: list(entries)
               for domain, entries in base_corr.events.items()}
-    grew = set()
     for _, record in base.records + new_records:
         if new_entries and rng.random() < 0.4:
             entry = rng.choice(new_entries)
-            events.setdefault(record.domain, []).append(ShadowingEvent(
+            events.setdefault(entry.domain, []).append(ShadowingEvent(
                 decoy=record, request=entry,
                 combo=f"{record.protocol.upper()}-{entry.protocol.upper()}",
             ))
-            grew.add(record.domain)
-    # A real worker's full-log correlation orders each per-domain list by
-    # the triggering request domain's first appearance in the log; mirror
-    # that invariant so the reconstructed payload compares equal.
-    first_position = {}
-    for _, index, domain in firsts:
-        first_position.setdefault(domain, index)
-    for domain in grew:
-        events[domain].sort(
-            key=lambda event: first_position[event.request.domain])
     arrivals = dict(base_corr.initial_arrivals)
     for _, record in new_records:
         if new_entries and rng.random() < 0.3:
