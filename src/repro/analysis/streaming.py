@@ -926,11 +926,6 @@ class AnalysisState:
         state.event_count = data["event_count"]
         return state
 
-    def clone(self) -> "AnalysisState":
-        """Deep copy via the canonical snapshot (keeps intel handles)."""
-        return self.from_snapshot(self.snapshot(), directory=self._directory,
-                                  blocklist=self._blocklist)
-
     def digest(self) -> str:
         """Content hash of the canonical snapshot; equal states hash
         equal regardless of observation or merge order."""

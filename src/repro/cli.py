@@ -231,8 +231,13 @@ def _command_run(args: argparse.Namespace) -> int:
         print("--inject-worker-kill requires --workers >= 2", file=sys.stderr)
         return 2
     if args.resume:
+        from repro.core.checkpoint import CheckpointError
         from repro.core.shard import run_sharded
-        result = run_sharded(resume_dir=args.resume)
+        try:
+            result = run_sharded(resume_dir=args.resume)
+        except CheckpointError as error:
+            print(f"cannot resume: {error}", file=sys.stderr)
+            return 2
     else:
         if args.tiny:
             config = ExperimentConfig.tiny(seed=args.seed)

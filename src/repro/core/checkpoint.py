@@ -14,11 +14,10 @@ none — never a torn file.  Shard payloads and the Phase II plan are
 stored as the same wire-format blobs that crossed the worker pipe
 (:mod:`repro.core.wire`) — the supervisor writes the received bytes
 verbatim, so checkpointing costs one file write, not a re-serialization,
-and the blob checksum doubles as on-disk corruption detection.  Final
-payloads are deltas: decoding one requires the shard's Phase I payload,
-which resume loads first anyway.  ``meta.json`` carries the
-human-readable run identity (seed, shard count) used to reject resuming
-with a mismatched config.
+and the blob checksum doubles as on-disk corruption detection.  Every
+blob decodes on its own.  ``meta.json`` carries the human-readable run
+identity (seed, shard count) used to reject resuming with a mismatched
+config.
 """
 
 import json
@@ -38,14 +37,15 @@ from repro.core.wire import (
 _META = "meta.json"
 _CONFIG = "config.pkl"
 _PLAN = "phase2_plan.bin"
-_ANALYSIS = "analysis.json"
 
-CHECKPOINT_FORMAT = 4
-"""Format 4 adds a ``kind`` discriminator to ``meta.json`` (``"run"``
-for phase-boundary shard checkpoints, ``"serve"`` for the continuous
-watermark checkpoints of :mod:`repro.serve`) so the two layouts cannot
-be resumed into each other.  Format 3 stored the same run payloads but
-no kind; as with every bump, older directories are rejected up front
+CHECKPOINT_FORMAT = 5
+"""Format 5 stores wire v3 shard blobs (final payloads no longer decode
+against their Phase I payload) and drops the never-read
+``analysis.json``.  Format 4 added a ``kind`` discriminator to
+``meta.json`` (``"run"`` for phase-boundary shard checkpoints,
+``"serve"`` for the continuous watermark checkpoints of
+:mod:`repro.serve`) so the two layouts cannot be resumed into each
+other.  As with every bump, older directories are rejected up front
 instead of failing on a missing file later."""
 
 KIND_RUN = "run"
@@ -99,7 +99,10 @@ class CheckpointStore:
         if not path.exists():
             raise CheckpointError(f"{self.directory} has no {_META}; "
                                   "not a checkpoint directory")
-        meta = json.loads(path.read_text())
+        try:
+            meta = json.loads(path.read_text())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"{path} is not valid JSON: {exc}") from exc
         if meta.get("format") != CHECKPOINT_FORMAT:
             raise CheckpointError(
                 f"{self.directory} is checkpoint format "
@@ -120,6 +123,12 @@ class CheckpointStore:
         except FileNotFoundError as exc:
             raise CheckpointError(
                 f"{self.directory} has no {_CONFIG}"
+            ) from exc
+        except (pickle.UnpicklingError, EOFError, AttributeError,
+                ImportError, IndexError) as exc:
+            # The failures the pickle module documents for damaged input.
+            raise CheckpointError(
+                f"{self.directory / _CONFIG} is truncated or corrupt: {exc}"
             ) from exc
 
     # -- phase payloads ----------------------------------------------------
@@ -158,29 +167,13 @@ class CheckpointStore:
         except WireError as exc:
             raise CheckpointError(f"{self.directory / _PLAN}: {exc}") from exc
 
-    def save_analysis(self, snapshot: Dict) -> None:
-        """Persist the merged interim analysis state (canonical JSON).
-
-        JSON, not a wire blob: the snapshot is already canonical-JSON-able,
-        and a text artifact doubles as a debugging/diffing aid."""
-        self._write_bytes(_ANALYSIS,
-                          json.dumps(snapshot, sort_keys=True).encode())
-
-    def load_analysis(self) -> Optional[Dict]:
-        try:
-            return json.loads((self.directory / _ANALYSIS).read_text())
-        except FileNotFoundError:
-            return None
-
     def save_final_blob(self, shard_index: int, blob: bytes) -> None:
         self._write_bytes(self._final_name(shard_index), blob)
 
-    def load_final(self, shard_index: int, phase1):
-        """Decode a final payload against its (already loaded) Phase I
-        payload — the delta base every final blob is encoded against."""
+    def load_final(self, shard_index: int):
         name = self._final_name(shard_index)
         try:
-            return decode_final_payload(self._read_bytes(name), phase1)
+            return decode_final_payload(self._read_bytes(name))
         except WireError as exc:
             raise CheckpointError(f"{self.directory / name}: {exc}") from exc
 

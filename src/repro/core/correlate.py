@@ -15,14 +15,15 @@ The correlator decodes each logged domain's identifier, joins it to the
 decoy ledger, applies the rules in arrival order, and emits
 :class:`ShadowingEvent` records that every analysis consumes.
 :class:`IncrementalCorrelator` is the only code that applies the rules
-(and recovers aliased names); the batch :class:`Correlator`, the shard
-workers and the serve daemon all feed log entries through it.
+(and recovers aliased names); the batch :class:`Correlator` (serial runs,
+shard workers and the sharded parent) and the serve daemon both feed log
+entries through it.
 """
 
 import weakref
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core import columnar
 from repro.core.identifier import DecoyIdentity, IdentifierCodec, IdentifierError
@@ -220,9 +221,9 @@ class DecoyLedger:
     def records_from(self, start: int) -> Iterator[DecoyRecord]:
         """Records from registration position ``start`` onward.
 
-        The delta-snapshot path: a shard shipping only what it appended
-        since its last snapshot walks the tail without materializing the
-        full record list (registration order is insertion order)."""
+        The ledger-tail path: a shard's final payload ships only the
+        records Phase II appended, walked without materializing the full
+        record list (registration order is insertion order)."""
         return (self._record(row) for row in range(start, len(self._domains)))
 
     def __len__(self) -> int:
@@ -330,13 +331,12 @@ class IncrementalCorrelator:
     and whether its solicited initial DNS arrival was consumed), so each
     ingest is O(1) lookups and the log is never revisited.  The rules
     only look backwards — an entry's class depends on the entries before
-    it, never on those after — so the live service, the shard workers
-    and :meth:`Correlator.correlate` all classify through this class.
+    it, never on those after — so the live service and
+    :meth:`Correlator.correlate` both classify through this class.
 
-    With ``retain_events=True`` the correlator also keeps, per logged
-    domain, its first appearance and its events (a
-    :class:`ShardCorrelation`, see :attr:`retained`), and :meth:`result`
-    replays them through :class:`CorrelationMerger` into batch order.
+    With ``retain_events=True`` the correlator also keeps the logged
+    domains in first-appearance order and, per logged domain, its events
+    and initial arrival, and :meth:`result` walks them in batch order.
     ``retain_events=False`` (the service default) keeps only the
     O(domains) classification state.
 
@@ -362,9 +362,12 @@ class IncrementalCorrelator:
         """Distinct undecodable domains seen (the length of a
         ``phase=None`` correlation's ``unknown_domains``)."""
         self.initial_count = 0
-        self._shard = ShardCorrelation(
-            firsts=[], events={}, initial_arrivals={}, unknown_domains=[]
-        ) if retain_events else None
+        self._retain = retain_events
+        self._domains: List[str] = []
+        """Logged domains in first-appearance order (retained only)."""
+        self._events: Dict[str, List[ShadowingEvent]] = {}
+        self._arrivals: Dict[str, LoggedRequest] = {}
+        self._unknown: List[str] = []
         self._log_index = 0
 
     def _recover_alias(self, domain: str) -> Optional[DecoyRecord]:
@@ -407,8 +410,8 @@ class IncrementalCorrelator:
         if record is None:
             self._resolutions[domain] = None
             self.unknown_count += 1
-            if self._shard is not None:
-                self._shard.unknown_domains.append(domain)
+            if self._retain:
+                self._unknown.append(domain)
             return None
         self._resolutions[domain] = (record.domain, aliased)
         return record, aliased
@@ -420,11 +423,10 @@ class IncrementalCorrelator:
         unsolicited, or ``None`` when it is the decoy's own solicited
         initial arrival (rule iii) or undecodable noise.
         """
-        index = self._log_index
         self._log_index += 1
         domain = entry.domain
-        if self._shard is not None and domain not in self._resolutions:
-            self._shard.firsts.append((entry.time, index, domain))
+        if self._retain and domain not in self._resolutions:
+            self._domains.append(domain)
         resolved = self._resolve(domain)
         if resolved is None:
             return None
@@ -439,8 +441,8 @@ class IncrementalCorrelator:
             # third-party.
             self._initial_seen.add(domain)
             self.initial_count += 1
-            if self._shard is not None:
-                self._shard.initial_arrivals[domain] = entry
+            if self._retain:
+                self._arrivals[domain] = entry
             return None
         event = ShadowingEvent(
             decoy=record,
@@ -448,29 +450,30 @@ class IncrementalCorrelator:
             combo=Correlator.combo_label(record.protocol, entry.protocol),
         )
         self.event_count += 1
-        if self._shard is not None:
-            self._shard.events.setdefault(domain, []).append(event)
+        if self._retain:
+            self._events.setdefault(domain, []).append(event)
         return event
 
-    @property
-    def retained(self) -> "ShardCorrelation":
-        """The retained per-logged-domain state (live, not a copy).
+    def result(self) -> CorrelationResult:
+        """The batch-ordered correlation of everything ingested so far
+        (requires ``retain_events=True``): logged domains by first
+        appearance, each domain's events in arrival order.
 
-        Requires ``retain_events=True``."""
-        if self._shard is None:
+        :meth:`LogStore.append` only accepts time-ordered entries, so
+        first-appearance order is the log's ``(time, index)`` order."""
+        if not self._retain:
             raise RuntimeError(
                 "this IncrementalCorrelator was built with "
                 "retain_events=False and keeps no event lists; only "
                 "counts and classification state are available"
             )
-        return self._shard
-
-    def result(self) -> CorrelationResult:
-        """The batch-ordered correlation of everything ingested so far
-        (requires ``retain_events=True``): the retained single-"shard"
-        state replayed through :class:`CorrelationMerger`, which imposes
-        the first-appearance domain order."""
-        return CorrelationMerger().add(self.retained, 0).result()
+        result = CorrelationResult(unknown_domains=list(self._unknown))
+        for domain in self._domains:
+            result.events.extend(self._events.get(domain, ()))
+            arrival = self._arrivals.get(domain)
+            if arrival is not None:
+                result.initial_arrivals[domain] = arrival
+        return result
 
     # -- restart support ---------------------------------------------------
 
@@ -520,133 +523,6 @@ class IncrementalCorrelator:
 
 _UNRESOLVED = object()
 """Sentinel distinguishing "never looked up" from "resolved to noise"."""
-
-
-@dataclass
-class ShardCorrelation:
-    """One shard's correlation output plus the ordering metadata the
-    supervisor needs to reconstruct the *merged-log* correlation without
-    ever materializing the merged log.
-
-    Everything is keyed by the *logged* domain (``entry.domain``), the
-    unit the batch pass groups by: an aliased name keeps its own event
-    list next to its canonical decoy's.  Exactness rests on shard
-    locality: every log entry bearing a decoy's data — aliased names
-    included — arrives at an observer in the shard that owns the
-    decoy's (VP, destination) pair, so one shard holds *all* of a logged
-    domain's events and their order is the shard's own arrival order.
-    """
-
-    firsts: List[Tuple[float, int, str]]
-    """(first time, first in-shard log index, logged domain) for every
-    domain in this shard's log, in first-appearance order; with the
-    shard position this keys the merged first-appearance order (the
-    order ``LogStore.merged().domains()`` would yield)."""
-    events: Dict[str, List[ShadowingEvent]]
-    """Logged domain -> its events, in in-shard arrival order."""
-    initial_arrivals: Dict[str, LoggedRequest]
-    unknown_domains: List[str]
-
-    def copy(self) -> "ShardCorrelation":
-        """An independent snapshot (fresh lists, shared events)."""
-        return ShardCorrelation(
-            firsts=list(self.firsts),
-            events={domain: list(events)
-                    for domain, events in self.events.items()},
-            initial_arrivals=dict(self.initial_arrivals),
-            unknown_domains=list(self.unknown_domains),
-        )
-
-
-class CorrelationMerger:
-    """Incremental, order-independent accumulator behind
-    :func:`merge_shard_correlations`.
-
-    The batch order walks the merged log's logged domains in
-    first-appearance order and emits each domain's events in arrival
-    order.  First appearance orders by (time, shard position, in-shard
-    index) — exactly :meth:`LogStore.merged`'s interleaving key — and
-    shard locality puts all of a logged domain's events in one shard, so
-    replaying per-shard event lists in that domain order reproduces the
-    merged event list.  A domain counts as unknown only if some shard
-    flagged it and no shard correlated it (the shard that owns a decoy
-    resolves its domain; other shards never see it).
-
-    Every contribution is tagged with its *global* shard index, so
-    :meth:`add` and :meth:`merge` commute: the sharded supervisor folds
-    correlations pairwise in worker-completion order and still gets the
-    exact batch result.
-    """
-
-    def __init__(self):
-        self._first_key: Dict[str, Tuple[float, int, int]] = {}
-        self._events: Dict[str, List[Tuple[int, List[ShadowingEvent]]]] = {}
-        self._arrivals: Dict[str, Tuple[int, LoggedRequest]] = {}
-        self._flagged_unknown: Set[str] = set()
-
-    def add(self, shard: ShardCorrelation, position: int) -> "CorrelationMerger":
-        """Fold one shard's correlation in; ``position`` is its global
-        shard index (the batch iteration order)."""
-        first_key = self._first_key
-        for time, index, domain in shard.firsts:
-            key = (time, position, index)
-            existing = first_key.get(domain)
-            if existing is None or key < existing:
-                first_key[domain] = key
-        for domain, domain_events in shard.events.items():
-            if domain_events:
-                self._events.setdefault(domain, []).append(
-                    (position, domain_events))
-        for domain, arrival in shard.initial_arrivals.items():
-            existing = self._arrivals.get(domain)
-            if existing is None or position > existing[0]:
-                self._arrivals[domain] = (position, arrival)
-        self._flagged_unknown.update(shard.unknown_domains)
-        return self
-
-    def merge(self, other: "CorrelationMerger") -> "CorrelationMerger":
-        """Fold another partial accumulation in (associative/commutative)."""
-        for domain, key in other._first_key.items():
-            existing = self._first_key.get(domain)
-            if existing is None or key < existing:
-                self._first_key[domain] = key
-        for domain, groups in other._events.items():
-            self._events.setdefault(domain, []).extend(groups)
-        for domain, tagged in other._arrivals.items():
-            existing = self._arrivals.get(domain)
-            if existing is None or tagged[0] > existing[0]:
-                self._arrivals[domain] = tagged
-        self._flagged_unknown.update(other._flagged_unknown)
-        return self
-
-    def result(self) -> CorrelationResult:
-        """The batch-identical merged correlation."""
-        result = CorrelationResult()
-        for domain in sorted(self._first_key, key=self._first_key.__getitem__):
-            correlated = False
-            groups = self._events.get(domain)
-            if groups:
-                for _, domain_events in sorted(groups, key=lambda g: g[0]):
-                    result.events.extend(domain_events)
-                correlated = True
-            tagged = self._arrivals.get(domain)
-            if tagged is not None:
-                result.initial_arrivals[domain] = tagged[1]
-                correlated = True
-            if not correlated and domain in self._flagged_unknown:
-                result.unknown_domains.append(domain)
-        return result
-
-
-def merge_shard_correlations(
-    shards: Sequence[ShardCorrelation],
-) -> CorrelationResult:
-    """Reconstruct ``Correlator.correlate(LogStore.merged(...))`` from
-    per-shard correlations, bit for bit (see :class:`CorrelationMerger`)."""
-    merger = CorrelationMerger()
-    for position, shard in enumerate(shards):
-        merger.add(shard, position)
-    return merger.result()
 
 
 def split_correlation(result: CorrelationResult, ledger: DecoyLedger,

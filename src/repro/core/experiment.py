@@ -171,6 +171,30 @@ def schedule_phase2_entries(campaign: Campaign, tracer: HopByHopTracer,
     return scheduled
 
 
+def correlate_and_locate(
+    campaign: Campaign, tracer: HopByHopTracer,
+) -> Tuple[CorrelationResult, CorrelationResult, List[ObserverLocation]]:
+    """The run's tail, shared by serial runs and shard workers.
+
+    Exhibitors schedule unsolicited requests days out, so Phase I decoys
+    keep drawing traffic during the Phase II window; one correlation pass
+    covers the complete log, as the paper's offline analysis does, and is
+    split into both phases.  Phase II verdicts are located from it, and
+    the streaming analysis state (decoys were observed at send time) is
+    fed the Phase I events, the locations and the log length.
+    """
+    eco = campaign.eco
+    full = Correlator(campaign.ledger, zone=eco.config.zone).correlate(
+        eco.deployment.log)
+    phase1 = split_correlation(full, campaign.ledger, 1)
+    phase2 = split_correlation(full, campaign.ledger, 2)
+    locations = tracer.locate(phase2)
+    campaign.analysis.observe_events(phase1.events)
+    campaign.analysis.observe_locations(locations)
+    campaign.analysis.set_log_entries(len(eco.deployment.log))
+    return phase1, phase2, locations
+
+
 class Experiment:
     """Orchestrates one full run."""
 
@@ -219,21 +243,9 @@ class Experiment:
                 eco.sim.run(
                     until=eco.sim.now() + self.config.phase2_observation_window)
 
-            # Exhibitors schedule unsolicited requests days out, so Phase I
-            # decoys keep drawing traffic during the Phase II window; the
-            # final correlation pass covers the complete log, as the
-            # paper's offline analysis does, and is split into both phases.
             with spans.span("correlate"):
-                full = correlator.correlate(eco.deployment.log)
-                phase1 = split_correlation(full, campaign.ledger, 1)
-                phase2 = split_correlation(full, campaign.ledger, 2)
-                locations = tracer.locate(phase2)
-
-            # Feed the streaming analysis state (decoys were observed at
-            # send time); it becomes the O(merge) report input.
-            campaign.analysis.observe_events(phase1.events)
-            campaign.analysis.observe_locations(locations)
-            campaign.analysis.set_log_entries(len(eco.deployment.log))
+                phase1, phase2, locations = correlate_and_locate(
+                    campaign, tracer)
 
         timings = timings_from_spans(spans.spans)
         timings["total"] = _time.perf_counter() - started

@@ -27,19 +27,27 @@ Data plane
 ----------
 
 Workers stay alive across a two-round protocol and everything that
-crosses the pipe is a compact wire-format blob (:mod:`repro.core.wire`):
-Phase I payloads flow to the parent, which folds each one into pairwise
-interim accumulators *as it arrives* (:class:`PairwiseMerger` over
-:class:`~repro.core.correlate.CorrelationMerger` and
-``AnalysisState``), computes the global Phase II plan (per-destination
-quotas need the *merged* Phase I correlation), and dispatches each shard
-its slice before doing any parent-side bookkeeping — Phase II simulation
-overlaps the parent's ledger registration and checkpoint writes.  Final
-payloads are deltas against the Phase I snapshot (ledger/log tails,
-correlation-event tails, telemetry/analysis diffs), decoded against the
-parent's retained Phase I payloads and merged in arrival order.  Nothing
-in the protocol depends on arrival order: the accumulators are
-order-independent and the final fan-in sorts by content keys.
+crosses the pipe is a compact wire-format blob (:mod:`repro.core.wire`)
+carrying what the worker simulated, never what the parent can derive.
+Phase I payloads (ledger records, log entries, counters) flow to the
+parent in arrival order.  Once all have arrived, the parent registers
+the records in key order, correlates the merged Phase I log exactly as
+the serial run does, computes the global Phase II plan (per-destination
+quotas need the *merged* correlation) and dispatches each shard its
+slice.  Each worker then runs Phase II and the serial run's tail on its
+own log (:func:`~repro.core.experiment.correlate_and_locate`) and ships
+its ledger and log tails, locations, counters and full telemetry and
+analysis snapshots.  The parent folds the analyses pairwise as they
+arrive (:class:`PairwiseMerger`), merges everything else by content
+keys, and makes one correlation pass over the merged log.  Nothing in
+the protocol depends on arrival order.
+
+Analysis stays worker-fed.  Each worker's locate and analysis are exact
+because every log entry bearing a decoy's identifier reaches the worker
+that owns the decoy's (VP, destination) pair.  The parent must not
+observe events itself: with ``pair_resolver_filter`` off, its IP
+directory lacks interceptor rows that only workers register (see
+docs/PERFORMANCE.md, "Alt-resolver directory rows").
 
 Crash tolerance
 ---------------
@@ -74,16 +82,12 @@ from repro.core.checkpoint import CheckpointError, CheckpointStore
 
 from repro.core.campaign import Campaign, pair_shard
 from repro.core.config import ExperimentConfig
-from repro.core.correlate import (
-    CorrelationMerger,
-    DecoyRecord,
-    IncrementalCorrelator,
-    split_correlation,
-)
+from repro.core.correlate import Correlator, DecoyRecord, split_correlation
 from repro.core.ecosystem import build_ecosystem
 from repro.core.experiment import (
     ExperimentResult,
     Phase2PlanEntry,
+    correlate_and_locate,
     plan_phase2,
     schedule_phase2_entries,
 )
@@ -153,13 +157,13 @@ class PairwiseMerger:
     O(log n) partials are alive and each element has participated in
     O(log n) merges — instead of the n merges a left fold performs on
     its accumulator.  For accumulators whose merge cost grows with the
-    accumulated state (correlation mergers, analysis states) this turns
-    the supervisor's fan-in from a 1×N barrier pass into balanced
-    pairwise work that happens as payloads arrive.
+    accumulated state (analysis states) this turns the supervisor's
+    fan-in from a 1×N barrier pass into balanced pairwise work that
+    happens as payloads arrive.
 
     The fold order is arrival order, so the merge operation must be
-    order-independent; both accumulators pushed by the supervisor are
-    (their tests pin associativity/commutativity).
+    order-independent; ``AnalysisState.merge`` is (its tests pin
+    associativity/commutativity).
     """
 
     __slots__ = ("_merge", "_stack")
@@ -238,9 +242,8 @@ def _shard_worker(conn, config: ExperimentConfig, shard_index: int,
                   shard_count: int, heartbeat_interval: float = 0.5) -> None:
     """Worker process body: Phase I, then (on request) Phase II.
 
-    Payloads cross the pipe as wire blobs.  The worker keeps its own
-    Phase I payload alive as the delta base for the final encoding —
-    the final blob ships only what Phase II appended.
+    Payloads cross the pipe as wire blobs.  The final blob ships only the
+    ledger and log tails Phase II appended, plus full snapshots.
     """
     send_lock = threading.Lock()
 
@@ -262,19 +265,7 @@ def _shard_worker(conn, config: ExperimentConfig, shard_index: int,
                 campaign.run_phase1()
             phase1_records = len(campaign.ledger)
             vetting = campaign.vetting
-            # Correlate the shard's own log as it grows: shard locality
-            # means the merged correlation is exactly the merge of these
-            # (see CorrelationMerger), so the parent never re-scans.  At
-            # this boundary every ledger record is a Phase I decoy.
-            correlator = IncrementalCorrelator(
-                campaign.ledger, zone=config.zone, retain_events=True)
             phase1_entries, phase1_log_len = eco.deployment.log.tail(0)
-            for entry in phase1_entries:
-                correlator.ingest(entry)
-            phase1_result = correlator.result()
-            interim_analysis = campaign.analysis.clone()
-            interim_analysis.observe_events(phase1_result.events)
-            interim_analysis.set_log_entries(phase1_log_len)
             phase1_payload = ShardPhase1Payload(
                 shard_index=shard_index,
                 records=_ledger_snapshot(campaign, 0),
@@ -287,13 +278,10 @@ def _shard_worker(conn, config: ExperimentConfig, shard_index: int,
                 vetting_removed_ttl=len(vetting.removed_ttl_reset),
                 vetting_removed_intercepted=len(vetting.removed_intercepted),
                 wall_seconds=time.perf_counter() - started,
-                # A copy: the correlator keeps appending, and this
-                # payload is the delta base of the final one.
-                correlation=correlator.retained.copy(),
-                analysis=interim_analysis.snapshot(),
-                telemetry=eco.telemetry.snapshot(),
             )
             send(("phase1", encode_phase1_payload(phase1_payload)))
+            # Nothing reads the Phase I payload again; let its rows go.
+            del phase1_payload, phase1_entries
 
             command, blob = conn.recv()
             if command != "phase2":
@@ -304,24 +292,11 @@ def _shard_worker(conn, config: ExperimentConfig, shard_index: int,
             with tracer_spans.span("phase2"):
                 schedule_phase2_entries(campaign, tracer, entries)
                 eco.sim.run(until=eco.sim.now() + config.phase2_observation_window)
-            # The correlator now covers the complete shard log; the phase
-            # split is derived from it (and by the parent, after merging).
-            phase2_entries, _ = eco.deployment.log.tail(phase1_log_len)
-            for entry in phase2_entries:
-                correlator.ingest(entry)
-            full_result = correlator.result()
-            phase2 = split_correlation(full_result, campaign.ledger, 2)
-            locations = tracer.locate(phase2)
-            campaign.analysis.observe_events(
-                event for event in full_result.events
-                if event.decoy.phase == 1
-            )
-            campaign.analysis.observe_locations(locations)
-            campaign.analysis.set_log_entries(len(eco.deployment.log))
+            _, _, locations = correlate_and_locate(campaign, tracer)
             final_payload = ShardFinalPayload(
                 shard_index=shard_index,
                 records=_ledger_snapshot(campaign, phase1_records),
-                log_entries=phase2_entries,
+                log_entries=eco.deployment.log.tail(phase1_log_len)[0],
                 locations=[
                     (probe_set.plan_index, location)
                     for probe_set, location in zip(tracer.probe_sets, locations)
@@ -345,10 +320,9 @@ def _shard_worker(conn, config: ExperimentConfig, shard_index: int,
                 wall_seconds=time.perf_counter() - stage,
                 telemetry=eco.telemetry.snapshot(),
                 spans=list(tracer_spans.spans),
-                correlation=correlator.retained,
                 analysis=campaign.analysis.snapshot(),
             )
-            send(("final", encode_final_payload(final_payload, phase1_payload)))
+            send(("final", encode_final_payload(final_payload)))
     except BaseException:
         try:
             send(("error", traceback.format_exc()))
@@ -560,17 +534,6 @@ class _ShardSupervisor:
                 handle.process.join()
 
 
-def _require_products(payload, tag: str) -> None:
-    """Every payload carries its shard's correlation and analysis state;
-    the merge has no way to rebuild either from raw records."""
-    for name in ("correlation", "analysis"):
-        if getattr(payload, name) is None:
-            raise RuntimeError(
-                f"shard {payload.shard_index} protocol error: {tag} "
-                f"payload carries no {name}"
-            )
-
-
 def _check_consistent(payloads: Sequence[ShardPhase1Payload],
                       parent_campaign: Campaign) -> None:
     """Every shard replays the same plan; any divergence is a bug."""
@@ -655,8 +618,7 @@ def run_sharded(config: Optional[ExperimentConfig] = None, *,
                         "Phase I checkpoint; the directory is corrupt"
                     )
                 cached_phase1[index] = checkpoints.load_phase1(index)
-                cached_final[index] = checkpoints.load_final(
-                    index, cached_phase1[index])
+                cached_final[index] = checkpoints.load_final(index)
             cached_slices = checkpoints.load_phase2_plan()
         checkpoints.save_run(config, shard_count)
     started = time.perf_counter()
@@ -671,6 +633,7 @@ def run_sharded(config: Optional[ExperimentConfig] = None, *,
         campaign = Campaign(eco)
         campaign.vet_platform()
     spans.virtual_now = eco.sim.now
+    correlator = Correlator(campaign.ledger, zone=config.zone)
 
     supervisor = _ShardSupervisor(config, shard_count, supervision,
                                   registry=eco.telemetry)
@@ -679,39 +642,12 @@ def run_sharded(config: Optional[ExperimentConfig] = None, *,
     phase1_by_shard: Dict[int, ShardPhase1Payload] = dict(cached_phase1)
     wire_bytes = {"phase1": 0, "dispatch": 0, "final": 0}
 
-    # Pairwise interim accumulators, fed on arrival: the Phase II plan
-    # needs the merged Phase I correlation, and checkpointed runs persist
-    # the merged interim analysis.  Both merges are order-independent, so
-    # arrival order (which varies run to run) cannot leak into results.
-    need_plan = cached_slices is None
-    interim_correlations = PairwiseMerger(
-        lambda a, b: a.merge(b)) if need_plan else None
-    interim_analyses = PairwiseMerger(
-        lambda a, b: a.merge(b)) if checkpoints is not None else None
-
-    def note_phase1(payload: ShardPhase1Payload) -> None:
-        _require_products(payload, "phase1")
-        if interim_correlations is not None:
-            interim_correlations.push(
-                CorrelationMerger().add(payload.correlation,
-                                        payload.shard_index))
-        if interim_analyses is not None:
-            interim_analyses.push(AnalysisState.from_snapshot(payload.analysis))
-
-    # Final accumulators, also fed on arrival (including from cache).
-    final_correlations = PairwiseMerger(lambda a, b: a.merge(b))
+    # Final analyses fold pairwise on arrival (including from cache);
+    # the merge is order-independent, so arrival order (which varies run
+    # to run) cannot leak into results.
     final_analyses = PairwiseMerger(lambda a, b: a.merge(b))
-
-    def note_final(payload: ShardFinalPayload) -> None:
-        _require_products(payload, "final")
-        final_correlations.push(
-            CorrelationMerger().add(payload.correlation, payload.shard_index))
-        final_analyses.push(AnalysisState.from_snapshot(payload.analysis))
-
-    for payload in cached_phase1.values():
-        note_phase1(payload)
     for payload in cached_final.values():
-        note_final(payload)
+        final_analyses.push(AnalysisState.from_snapshot(payload.analysis))
 
     try:
         with spans.span("phase1"):
@@ -726,9 +662,7 @@ def run_sharded(config: Optional[ExperimentConfig] = None, *,
                     supervisor.respawn(death.shard_index)
                     continue
                 wire_bytes["phase1"] += len(blob)
-                payload = decode_phase1_payload(blob)
-                phase1_by_shard[shard_index] = payload
-                note_phase1(payload)
+                phase1_by_shard[shard_index] = decode_phase1_payload(blob)
                 if checkpoints is not None:
                     checkpoints.save_phase1_blob(shard_index, blob)
                 del waiting[shard_index]
@@ -746,38 +680,9 @@ def run_sharded(config: Optional[ExperimentConfig] = None, *,
             # exercises.
             supervisor.kill(supervision.kill_after_phase1)
 
-        # Interim merge, part one: just enough to compute the plan, from
-        # the already-merged pairwise partials.
-        with spans.span("merge_interim"):
-            if cached_slices is not None:
-                slices = cached_slices
-            else:
-                phase1_interim = interim_correlations.result().result()
-                entries = plan_phase2(eco, phase1_interim, config)
-                slices = [[] for _ in range(shard_count)]
-                for entry in entries:
-                    owner = pair_shard(entry.vp_address,
-                                       entry.destination_address, shard_count)
-                    slices[owner].append(entry)
-            slice_blobs = [encode_plan_slice(plan_slice)
-                           for plan_slice in slices]
-
-        # Dispatch before bookkeeping: Phase II simulation starts in the
-        # workers while the parent registers the interim ledger and
-        # writes checkpoints.
-        with spans.span("phase2"):
-            for shard_index in live:
-                wire_bytes["dispatch"] += len(slice_blobs[shard_index])
-                if supervisor.dispatch_phase2(shard_index,
-                                              slice_blobs[shard_index]):
-                    waiting[shard_index] = "final"
-                else:
-                    supervisor.respawn(shard_index)
-                    waiting[shard_index] = "phase1"
-
-        # Interim merge, part two: parent-side bookkeeping overlapped
-        # with worker Phase II — the Phase I ledger registration (the
-        # plan needed only the merged correlation) and checkpoints.
+        # Phase I registration and planning, exactly as the serial run
+        # plans: one correlation pass over the merged Phase I log.  A
+        # resume that loads a stored plan skips the pass.
         with spans.span("merge_interim"):
             for key, record in sorted(
                 (pair for payload in phase1_payloads
@@ -786,13 +691,32 @@ def run_sharded(config: Optional[ExperimentConfig] = None, *,
             ):
                 campaign.ledger.register(record)
                 campaign.ledger.set_key(record.domain, key)
-            if checkpoints is not None:
-                checkpoints.save_phase2_plan(slices)
-                checkpoints.save_analysis(
-                    interim_analyses.result().snapshot())
+            if cached_slices is not None:
+                slices = cached_slices
+            else:
+                phase1_log = LogStore.merged(
+                    [payload.log_entries for payload in phase1_payloads])
+                phase1 = correlator.correlate(phase1_log, phase=1)
+                slices = [[] for _ in range(shard_count)]
+                for entry in plan_phase2(eco, phase1, config):
+                    owner = pair_shard(entry.vp_address,
+                                       entry.destination_address, shard_count)
+                    slices[owner].append(entry)
+                if checkpoints is not None:
+                    checkpoints.save_phase2_plan(slices)
+            slice_blobs = [encode_plan_slice(plan_slice)
+                           for plan_slice in slices]
 
         with spans.span("phase2"):
             final_by_shard: Dict[int, ShardFinalPayload] = dict(cached_final)
+            for shard_index in live:
+                wire_bytes["dispatch"] += len(slice_blobs[shard_index])
+                if supervisor.dispatch_phase2(shard_index,
+                                              slice_blobs[shard_index]):
+                    waiting[shard_index] = "final"
+                else:
+                    supervisor.respawn(shard_index)
+                    waiting[shard_index] = "phase1"
             while waiting:
                 try:
                     shard_index, blob = supervisor.next_payload(waiting)
@@ -802,8 +726,7 @@ def run_sharded(config: Optional[ExperimentConfig] = None, *,
                     continue
                 if waiting[shard_index] == "phase1":
                     # Respawn replay: verify the fresh Phase I payload is
-                    # content-identical, adopt it as the shard's delta
-                    # decode context, and re-dispatch the same slice.
+                    # content-identical, then re-dispatch the same slice.
                     wire_bytes["phase1"] += len(blob)
                     payload = decode_phase1_payload(blob)
                     if _phase1_fingerprint(payload) != phase1_prints[shard_index]:
@@ -812,9 +735,6 @@ def run_sharded(config: Optional[ExperimentConfig] = None, *,
                             "original Phase I payload — the shard simulation "
                             "is not deterministic"
                         )
-                    phase1_by_shard[shard_index] = payload
-                    if checkpoints is not None:
-                        checkpoints.save_phase1_blob(shard_index, blob)
                     wire_bytes["dispatch"] += len(slice_blobs[shard_index])
                     if supervisor.dispatch_phase2(shard_index,
                                                   slice_blobs[shard_index]):
@@ -824,19 +744,15 @@ def run_sharded(config: Optional[ExperimentConfig] = None, *,
                         waiting[shard_index] = "phase1"
                     continue
                 wire_bytes["final"] += len(blob)
-                payload = decode_final_payload(blob,
-                                               phase1_by_shard[shard_index])
+                payload = decode_final_payload(blob)
                 final_by_shard[shard_index] = payload
-                note_final(payload)
+                final_analyses.push(
+                    AnalysisState.from_snapshot(payload.analysis))
                 if checkpoints is not None:
                     checkpoints.save_final_blob(shard_index, blob)
                 del waiting[shard_index]
             final_payloads = [final_by_shard[index]
                               for index in range(shard_count)]
-            # Replays re-decode Phase I; keep the list in step with the
-            # decode contexts the final payloads were resolved against.
-            phase1_payloads = [phase1_by_shard[index]
-                               for index in range(shard_count)]
     finally:
         supervisor.shutdown()
 
@@ -926,12 +842,10 @@ def run_sharded(config: Optional[ExperimentConfig] = None, *,
             eco.telemetry = merged_metrics
 
     with spans.span("correlate"):
-        # Fold of the workers' full-log correlations (exact — shard
-        # locality, already pairwise-merged on arrival) phase-split
-        # against the merged ledger; the merged log is never re-scanned.
-        merged_correlation = final_correlations.result().result()
-        phase1 = split_correlation(merged_correlation, campaign.ledger, 1)
-        phase2 = split_correlation(merged_correlation, campaign.ledger, 2)
+        # The serial run's final pass, over the merged log.
+        full = correlator.correlate(merged_log)
+        phase1 = split_correlation(full, campaign.ledger, 1)
+        phase2 = split_correlation(full, campaign.ledger, 2)
 
     merged_spans = merge_spans(
         [spans.spans] + [payload.spans for payload in final_payloads])

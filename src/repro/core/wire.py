@@ -1,11 +1,7 @@
 """Compact, versioned wire format for the worker↔supervisor data plane.
 
-The sharded executor used to pickle-the-world: every payload shipped full
-``DecoyRecord``/``LoggedRequest`` object graphs, and the final payload
-re-shipped the complete correlation, telemetry, and analysis state the
-supervisor already held from Phase I.  At 4 workers the transport alone
-cost more than the parallelism saved (BENCH_campaign.json recorded 0.6x
-serial).  This module replaces it with a purpose-built binary encoding:
+Every blob crossing a shard worker's pipe, the serve feed socket, or a
+checkpoint directory is a purpose-built binary encoding:
 
 * **String interning.**  Domains, addresses, VP ids, countries, protocol
   labels, and metric-like strings repeat across thousands of records; each
@@ -14,16 +10,12 @@ serial).  This module replaces it with a purpose-built binary encoding:
 * **Struct packing.**  Fixed-width floats use an 8-byte IEEE double
   (exact round trip); counts, indexes, and small integers are LEB128
   varints (zigzag where negatives occur); booleans are single bytes.
-* **Cross-references, not copies.**  A ``ShadowingEvent`` is three
-  varints — (record index, log index, combo ref) — instead of a re-pickled
-  record+request pair, so the correlation section costs bytes proportional
-  to the *events*, not to the objects they mention.
-* **Delta shipping.**  The final payload encodes only what changed since
-  the Phase I snapshot: ledger/log tails (high-water marks), correlation
-  events whose request arrived after the Phase I log boundary, and
-  structural JSON diffs of the telemetry/analysis snapshots.  Decoding
-  takes the Phase I payload as context and reconstructs the full state
-  exactly.
+* **Raw output only.**  Shard payloads carry what a worker simulated —
+  ledger records, log entries, counters — never derived state the
+  supervisor can recompute: no correlation events cross the wire, since
+  the supervisor correlates the merged log itself.  A final payload
+  ships the ledger and log *tails* Phase II appended plus full
+  telemetry and analysis snapshots, so it decodes on its own.
 
 Every blob is framed ``MAGIC | version | kind | string table | body |
 crc32`` and decoding is strict: truncation, trailing garbage, a bad
@@ -43,19 +35,18 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.columnar import StringTable
-from repro.core.correlate import (
-    DecoyRecord,
-    ShadowingEvent,
-    ShardCorrelation,
-)
+from repro.core.correlate import DecoyRecord
 from repro.core.identifier import DecoyIdentity
 from repro.core.phase2 import ObserverLocation
 from repro.honeypot.logstore import LoggedRequest
 from repro.observers.exhibitor import ObservationRecord
 from repro.telemetry.spans import Span
 
-WIRE_VERSION = 2
-"""v2 appended the decoy mitigation column to ledger records."""
+WIRE_VERSION = 3
+"""v3 dropped the Phase I payload's correlation, analysis and telemetry
+sections and the final payload's deltas: a final blob ships full
+telemetry and analysis snapshots and decodes without its Phase I blob.
+v2 appended the decoy mitigation column to ledger records."""
 _MAGIC = b"RWIR"
 
 _KIND_PHASE1 = 1
@@ -81,9 +72,7 @@ class WireError(ValueError):
 #
 # The payload dataclasses live here because the wire format *is* their
 # schema; :mod:`repro.core.shard` re-exports them under their historical
-# names.  Correlation, telemetry, and analysis fields always hold the
-# FULL state after decoding — delta reconstruction is this module's
-# private concern, invisible to the merge code.
+# names.
 
 
 @dataclass
@@ -101,17 +90,6 @@ class ShardPhase1Payload:
     vetting_removed_ttl: int
     vetting_removed_intercepted: int
     wall_seconds: float
-    correlation: Optional[ShardCorrelation] = None
-    """This shard's Phase I correlation, packaged for exact merging —
-    the supervisor plans Phase II from the merged accumulation of these
-    instead of re-correlating the merged interim log."""
-    analysis: Optional[dict] = None
-    """Snapshot of the shard's interim
-    :class:`~repro.analysis.streaming.AnalysisState` at the Phase I
-    boundary (decoys + correlated events so far)."""
-    telemetry: Optional[dict] = None
-    """Interim :meth:`MetricsRegistry.snapshot` at the Phase I boundary;
-    the final payload ships only a structural diff against this."""
 
 
 @dataclass
@@ -160,7 +138,7 @@ class ServeCampaignState:
 
 @dataclass
 class ShardFinalPayload:
-    """Phase II deltas plus final counters from one shard."""
+    """Phase II tails plus final counters and snapshots from one shard."""
 
     shard_index: int
     records: List[Tuple[LedgerKey, DecoyRecord]]
@@ -179,16 +157,13 @@ class ShardFinalPayload:
     virtual_now: float
     wall_seconds: float
     telemetry: Dict[str, dict] = field(default_factory=dict)
-    """The shard's full registry snapshot (both phases); shipped as a
-    diff against the Phase I payload's ``telemetry``."""
+    """The shard's full registry snapshot (both phases)."""
     spans: List[Span] = field(default_factory=list)
     """Per-shard stage spans, tagged with the shard index."""
-    correlation: Optional[ShardCorrelation] = None
-    """Full-log (both phases) correlation of this shard; shipped as the
-    Phase II delta and reconstructed against the Phase I correlation."""
     analysis: Optional[dict] = None
-    """The shard's final AnalysisState snapshot; shipped as a diff
-    against the Phase I payload's ``analysis``."""
+    """The shard's final
+    :class:`~repro.analysis.streaming.AnalysisState` snapshot; decoding
+    rejects a blob without one."""
 
 
 # -- primitive writer / reader ---------------------------------------------
@@ -500,88 +475,6 @@ def _read_log(dec: _Decoder) -> List[LoggedRequest]:
     return [_read_log_entry(dec) for _ in range(dec.varint())]
 
 
-def _write_events(enc: _Encoder, events: Sequence[ShadowingEvent],
-                  record_index: Dict[str, int],
-                  log_index: Dict[int, int]) -> None:
-    enc.body.varint(len(events))
-    for event in events:
-        enc.body.varint(record_index[event.decoy.domain])
-        enc.body.varint(log_index[id(event.request)])
-        enc.ref(event.combo)
-
-
-def _read_events(dec: _Decoder, records: Sequence[DecoyRecord],
-                 entries: Sequence[LoggedRequest]) -> List[ShadowingEvent]:
-    events = []
-    for _ in range(dec.varint()):
-        record_ref = dec.varint()
-        entry_ref = dec.varint()
-        combo = dec.ref()
-        try:
-            events.append(ShadowingEvent(
-                decoy=records[record_ref],
-                request=entries[entry_ref],
-                combo=combo,
-            ))
-        except IndexError:
-            raise WireError(
-                f"event references record {record_ref}/log {entry_ref} "
-                "outside the payload"
-            ) from None
-    return events
-
-
-def _write_correlation(enc: _Encoder, correlation: ShardCorrelation,
-                       record_index: Dict[str, int],
-                       log_index: Dict[int, int],
-                       firsts_skip: int = 0,
-                       unknown_skip: int = 0) -> None:
-    w = enc.body
-    firsts = correlation.firsts[firsts_skip:]
-    w.varint(len(firsts))
-    for time, index, domain in firsts:
-        w.f64(time)
-        w.varint(index)
-        enc.ref(domain)
-    w.varint(len(correlation.events))
-    for domain, events in correlation.events.items():
-        enc.ref(domain)
-        _write_events(enc, events, record_index, log_index)
-    w.varint(len(correlation.initial_arrivals))
-    for domain, entry in correlation.initial_arrivals.items():
-        enc.ref(domain)
-        w.varint(log_index[id(entry)])
-    unknown = correlation.unknown_domains[unknown_skip:]
-    w.varint(len(unknown))
-    for domain in unknown:
-        enc.ref(domain)
-
-
-def _read_correlation(dec: _Decoder, records: Sequence[DecoyRecord],
-                      entries: Sequence[LoggedRequest]) -> ShardCorrelation:
-    firsts = [(dec.f64(), dec.varint(), dec.ref())
-              for _ in range(dec.varint())]
-    events: Dict[str, List[ShadowingEvent]] = {}
-    for _ in range(dec.varint()):
-        domain = dec.ref()
-        events[domain] = _read_events(dec, records, entries)
-    arrivals: Dict[str, LoggedRequest] = {}
-    for _ in range(dec.varint()):
-        domain = dec.ref()
-        entry_ref = dec.varint()
-        try:
-            arrivals[domain] = entries[entry_ref]
-        except IndexError:
-            raise WireError(
-                f"initial arrival references log entry {entry_ref} "
-                "outside the payload"
-            ) from None
-    unknown = [dec.ref() for _ in range(dec.varint())]
-    return ShardCorrelation(firsts=firsts, events=events,
-                            initial_arrivals=arrivals,
-                            unknown_domains=unknown)
-
-
 def _write_spans(enc: _Encoder, spans: Sequence[Span]) -> None:
     enc.body.varint(len(spans))
     for span in spans:
@@ -649,9 +542,9 @@ def _read_str_int_map(dec: _Decoder) -> Dict[str, int]:
 
 
 def _write_json(enc: _Encoder, value) -> None:
-    """A canonical-JSON section: telemetry/analysis snapshots and their
-    structural diffs are tree-shaped dicts the registry/accumulator code
-    already round-trips through JSON (checkpoints, bundles)."""
+    """A canonical-JSON section: telemetry/analysis snapshots are
+    tree-shaped dicts the registry/accumulator code already round-trips
+    through JSON (checkpoints, bundles)."""
     if value is None:
         enc.body.flag(False)
         return
@@ -669,92 +562,7 @@ def _read_json(dec: _Decoder):
         raise WireError(f"malformed JSON section: {exc}") from None
 
 
-# -- snapshot deltas -------------------------------------------------------
-#
-# Telemetry and analysis snapshots are JSON trees whose Phase II versions
-# mostly extend their Phase I versions: counters grow, histogram buckets
-# fill, accumulator lists append.  A structural diff ships O(changes)
-# instead of O(state); application is exact (``apply == new``) for any
-# pair of JSON values, so exactness never depends on which parts changed.
-
-_SD_REPLACE = "r"
-_SD_DICT = "d"
-_SD_APPEND = "a"
-_SD_SAME = "="
-
-
-def snapshot_delta(old, new):
-    """Structural diff of two JSON-able values; see
-    :func:`apply_snapshot_delta` for the inverse."""
-    if old == new:
-        return [_SD_SAME]
-    if isinstance(old, dict) and isinstance(new, dict):
-        changed = {}
-        for key, value in new.items():
-            if key not in old:
-                changed[key] = [_SD_REPLACE, value]
-            elif old[key] != value:
-                changed[key] = snapshot_delta(old[key], value)
-        removed = sorted(key for key in old if key not in new)
-        return [_SD_DICT, changed, removed]
-    if (isinstance(old, list) and isinstance(new, list)
-            and len(new) >= len(old) and new[:len(old)] == old):
-        return [_SD_APPEND, new[len(old):]]
-    return [_SD_REPLACE, new]
-
-
-def apply_snapshot_delta(old, delta):
-    """Reconstruct ``new`` from ``old`` and ``snapshot_delta(old, new)``."""
-    try:
-        tag = delta[0]
-        if tag == _SD_SAME:
-            return old
-        if tag == _SD_REPLACE:
-            return delta[1]
-        if tag == _SD_APPEND:
-            return list(old) + list(delta[1])
-        if tag == _SD_DICT:
-            _, changed, removed = delta
-            result = {key: value for key, value in old.items()
-                      if key not in removed}
-            for key, child in changed.items():
-                result[key] = (apply_snapshot_delta(old[key], child)
-                               if key in old else child[1])
-            return result
-    except (TypeError, KeyError, IndexError, AttributeError) as exc:
-        raise WireError(f"malformed snapshot delta: {exc}") from None
-    raise WireError(f"unknown snapshot delta tag {tag!r}")
-
-
-def _normalize_json(value):
-    """The JSON image of a snapshot (tuples -> lists, int keys -> str).
-
-    Deltas are computed and applied in this space so the worker's
-    in-memory snapshot and the supervisor's decoded copy agree exactly.
-    """
-    return json.loads(json.dumps(value, sort_keys=True,
-                                 separators=(",", ":")))
-
-
 # -- payload codecs --------------------------------------------------------
-
-
-def _record_index(records: Sequence[Tuple[LedgerKey, DecoyRecord]],
-                  base: int = 0,
-                  into: Optional[Dict[str, int]] = None) -> Dict[str, int]:
-    index = {} if into is None else into
-    for position, (_, record) in enumerate(records, base):
-        index[record.domain] = position
-    return index
-
-
-def _log_identity_index(entries: Sequence[LoggedRequest],
-                        base: int = 0,
-                        into: Optional[Dict[int, int]] = None) -> Dict[int, int]:
-    index = {} if into is None else into
-    for position, entry in enumerate(entries, base):
-        index[id(entry)] = position
-    return index
 
 
 def encode_phase1_payload(payload: ShardPhase1Payload) -> bytes:
@@ -771,15 +579,6 @@ def encode_phase1_payload(payload: ShardPhase1Payload) -> bytes:
     w.f64(payload.wall_seconds)
     _write_records(enc, payload.records)
     _write_log(enc, payload.log_entries)
-    if payload.correlation is None:
-        w.flag(False)
-    else:
-        w.flag(True)
-        _write_correlation(enc, payload.correlation,
-                           _record_index(payload.records),
-                           _log_identity_index(payload.log_entries))
-    _write_json(enc, payload.analysis)
-    _write_json(enc, payload.telemetry)
     return enc.frame(_KIND_PHASE1)
 
 
@@ -796,12 +595,6 @@ def decode_phase1_payload(blob: bytes) -> ShardPhase1Payload:
     wall_seconds = dec.f64()
     records = _read_records(dec)
     log_entries = _read_log(dec)
-    correlation = None
-    if dec.flag():
-        correlation = _read_correlation(
-            dec, [record for _, record in records], log_entries)
-    analysis = _read_json(dec)
-    telemetry = _read_json(dec)
     if not dec.done():
         raise WireError("trailing bytes after phase1 payload")
     return ShardPhase1Payload(
@@ -810,19 +603,11 @@ def decode_phase1_payload(blob: bytes) -> ShardPhase1Payload:
         last_send_time=last_send_time, virtual_now=virtual_now,
         vetting_kept=vetting_kept, vetting_removed_ttl=vetting_removed_ttl,
         vetting_removed_intercepted=vetting_removed_intercepted,
-        wall_seconds=wall_seconds, correlation=correlation,
-        analysis=analysis, telemetry=telemetry,
+        wall_seconds=wall_seconds,
     )
 
 
-def encode_final_payload(payload: ShardFinalPayload,
-                         base: ShardPhase1Payload) -> bytes:
-    """Encode the Phase II payload as deltas against the Phase I payload.
-
-    ``payload`` holds the shard's FULL correlation/telemetry/analysis (as
-    the merge code consumes them); the encoder derives the shipped deltas
-    here so the worker never maintains parallel delta state.
-    """
+def encode_final_payload(payload: ShardFinalPayload) -> bytes:
     enc = _Encoder()
     w = enc.body
     w.varint(payload.shard_index)
@@ -855,83 +640,22 @@ def encode_final_payload(payload: ShardFinalPayload,
         w.varint(leveraged)
     _write_str_int_map(enc, payload.resolver_received)
     _write_spans(enc, payload.spans)
-
-    # Correlation delta: only events whose triggering request arrived
-    # after the Phase I log boundary, plus the firsts/unknown tails and
-    # arrivals for domains Phase I had none for.  Indexes are global —
-    # base records/log first, then this payload's deltas.
-    if payload.correlation is None or base.correlation is None:
-        w.flag(False)
-        if payload.correlation is not None:
-            raise WireError(
-                "final payload has a correlation but the phase1 payload "
-                "does not; delta encoding needs both"
-            )
-    else:
-        w.flag(True)
-        record_index = _record_index(base.records)
-        _record_index(payload.records, base=len(base.records),
-                      into=record_index)
-        log_index = _log_identity_index(base.log_entries)
-        _log_identity_index(payload.log_entries, base=len(base.log_entries),
-                            into=log_index)
-        base_len = len(base.log_entries)
-        base_corr = base.correlation
-        full = payload.correlation
-        new_events: Dict[str, List[ShadowingEvent]] = {}
-        for domain, events in full.events.items():
-            tail = [event for event in events
-                    if log_index[id(event.request)] >= base_len]
-            if tail:
-                new_events[domain] = tail
-        new_arrivals = {
-            domain: entry
-            for domain, entry in full.initial_arrivals.items()
-            if domain not in base_corr.initial_arrivals
-        }
-        delta = ShardCorrelation(
-            firsts=full.firsts, events=new_events,
-            initial_arrivals=new_arrivals,
-            unknown_domains=full.unknown_domains,
-        )
-        _write_correlation(enc, delta, record_index, log_index,
-                           firsts_skip=len(base_corr.firsts),
-                           unknown_skip=len(base_corr.unknown_domains))
-
-    if payload.telemetry and base.telemetry is not None:
-        w.flag(True)
-        _write_json(enc, snapshot_delta(_normalize_json(base.telemetry),
-                                        _normalize_json(payload.telemetry)))
-    else:
-        w.flag(False)
-        _write_json(enc, _normalize_json(payload.telemetry)
-                    if payload.telemetry else payload.telemetry or {})
-
-    if payload.analysis is not None and base.analysis is not None:
-        w.flag(True)
-        _write_json(enc, snapshot_delta(_normalize_json(base.analysis),
-                                        _normalize_json(payload.analysis)))
-    else:
-        w.flag(False)
-        _write_json(enc, payload.analysis)
+    _write_json(enc, payload.telemetry)
+    _write_json(enc, payload.analysis)
     return enc.frame(_KIND_FINAL)
 
 
-def decode_final_payload(blob: bytes,
-                         base: ShardPhase1Payload) -> ShardFinalPayload:
-    """Decode a final payload, reconstructing full state from deltas.
+def _read_json_object(dec: _Decoder, section: str) -> dict:
+    value = _read_json(dec)
+    if not isinstance(value, dict):
+        raise WireError(f"final payload {section} section is missing or "
+                        "not a JSON object")
+    return value
 
-    ``base`` must be the (decoded) Phase I payload of the same shard —
-    the supervisor holds it from round one, and the checkpoint store
-    loads it before any final payload.
-    """
+
+def decode_final_payload(blob: bytes) -> ShardFinalPayload:
     dec = _open(blob, _KIND_FINAL)
     shard_index = dec.varint()
-    if shard_index != base.shard_index:
-        raise WireError(
-            f"final payload is for shard {shard_index} but the phase1 "
-            f"context is for shard {base.shard_index}"
-        )
     processed = dec.varint()
     emitter_emitted = dec.varint()
     virtual_now = dec.f64()
@@ -955,35 +679,8 @@ def decode_final_payload(blob: bytes,
         exhibitor_counts[name] = (dec.varint(), dec.varint())
     resolver_received = _read_str_int_map(dec)
     spans = _read_spans(dec)
-
-    correlation = None
-    if dec.flag():
-        if base.correlation is None:
-            raise WireError(
-                "final payload carries a correlation delta but the phase1 "
-                "context has no correlation to apply it to"
-            )
-        all_records = [record for _, record in base.records]
-        all_records += [record for _, record in records]
-        all_entries = base.log_entries + log_entries
-        delta = _read_correlation(dec, all_records, all_entries)
-        correlation = _apply_correlation_delta(base.correlation, delta)
-
-    telemetry_is_delta = dec.flag()
-    telemetry_section = _read_json(dec)
-    if telemetry_is_delta:
-        telemetry = apply_snapshot_delta(_normalize_json(base.telemetry),
-                                         telemetry_section)
-    else:
-        telemetry = telemetry_section if telemetry_section is not None else {}
-
-    analysis_is_delta = dec.flag()
-    analysis_section = _read_json(dec)
-    if analysis_is_delta:
-        analysis = apply_snapshot_delta(_normalize_json(base.analysis),
-                                        analysis_section)
-    else:
-        analysis = analysis_section
+    telemetry = _read_json_object(dec, "telemetry")
+    analysis = _read_json_object(dec, "analysis")
     if not dec.done():
         raise WireError("trailing bytes after final payload")
     return ShardFinalPayload(
@@ -994,27 +691,7 @@ def decode_final_payload(blob: bytes,
         resolver_received=resolver_received,
         emitter_emitted=emitter_emitted, virtual_now=virtual_now,
         wall_seconds=wall_seconds, telemetry=telemetry, spans=spans,
-        correlation=correlation, analysis=analysis,
-    )
-
-
-def _apply_correlation_delta(base: ShardCorrelation,
-                             delta: ShardCorrelation) -> ShardCorrelation:
-    """Rebuild the full-log shard correlation from Phase I + delta.
-
-    Event lists are keyed by the logged domain that carried them, and a
-    logged domain's Phase I events all precede its Phase II events, so
-    each full list is the base list followed by the delta's.
-    """
-    events = dict(base.events)
-    for domain, new_events in delta.events.items():
-        events[domain] = events.get(domain, []) + new_events
-    arrivals = dict(base.initial_arrivals)
-    arrivals.update(delta.initial_arrivals)
-    return ShardCorrelation(
-        firsts=base.firsts + delta.firsts, events=events,
-        initial_arrivals=arrivals,
-        unknown_domains=base.unknown_domains + delta.unknown_domains,
+        analysis=analysis,
     )
 
 

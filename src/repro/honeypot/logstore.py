@@ -10,9 +10,8 @@ of bytes per row where one dataclass instance per row costs hundreds.
 Rows materialize back into :class:`LoggedRequest` objects on demand
 through a weak-value cache: while anything holds a row's object (a
 correlation event, a wire payload under construction), every read of
-that row returns the *same* object — the identity contract the wire
-codec's cross-reference tables rely on — and once nothing does, the
-object is collectable again.
+that row returns the *same* object, and once nothing does, the object
+is collectable again.
 """
 
 import bisect

@@ -39,10 +39,9 @@ def render_profile(spans: List[Span],
                    title: str = "Stage profile (cumulative wall time)") -> str:
     """Per-stage cumulative time across all shards — the ``--profile`` view.
 
-    Aggregates repeated spans (the supervisor opens ``phase2`` and
-    ``merge_interim`` twice to bracket the overlapped dispatch) and all
-    shards' copies of a stage into one row, so the output answers "where
-    did the run spend its time" rather than listing every span.  Shares
+    Aggregates all shards' copies of a stage into one row, so the output
+    answers "where did the run spend its time" rather than listing every
+    span.  Shares
     are of summed wall time: with N workers overlapping, they measure
     work, not elapsed time.
     """

@@ -7,7 +7,6 @@ from repro.core.correlate import (
     DecoyLedger,
     DecoyRecord,
     IncrementalCorrelator,
-    merge_shard_correlations,
 )
 from repro.core.identifier import DecoyIdentity, IdentifierCodec
 from repro.honeypot.logstore import LoggedRequest, LogStore
@@ -203,20 +202,6 @@ def _incremental_events(ledger, entries):
     return correlator.result().events
 
 
-def _shard_merge_events(ledger, entries):
-    """One shard per decoy: every entry bearing a decoy's data, aliases
-    included, lands in the shard that owns that decoy."""
-    owners = sorted({record.domain for record in ledger.records()})
-    shards = [IncrementalCorrelator(ledger, ZONE, retain_events=True)
-              for _ in owners]
-    for item in entries:
-        owner = next(position for position, domain in enumerate(owners)
-                     if item.domain.endswith(domain))
-        shards[owner].ingest(item)
-    return merge_shard_correlations(
-        [shard.retained for shard in shards]).events
-
-
 class TestAliasEventOrder:
     """Aliased names are grouped under their own logged domain, so every
     path emits the batch order: logged domains by first appearance, each
@@ -247,9 +232,8 @@ class TestAliasEventOrder:
         ),
     }
 
-    @pytest.mark.parametrize("path", [_batch_events, _incremental_events,
-                                      _shard_merge_events],
-                             ids=["batch", "incremental", "shard-merge"])
+    @pytest.mark.parametrize("path", [_batch_events, _incremental_events],
+                             ids=["batch", "incremental"])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_event_order(self, case, path):
         ledger = DecoyLedger()

@@ -17,6 +17,7 @@ checkpoint store's resume contract.
 """
 
 import dataclasses
+import json
 import os
 
 import pytest
@@ -274,6 +275,28 @@ class TestCheckpointStore:
         store.save_phase2_plan([[], []])
         assert not list(tmp_path.glob("*.tmp"))
         assert store.load_phase2_plan() == [[], []]
+
+    @pytest.mark.parametrize("length", [0, 10, 100])
+    def test_truncated_config_is_a_checkpoint_error(self, tmp_path, length):
+        config = ExperimentConfig.tiny(seed=3)
+        config.workers = 2
+        CheckpointStore(tmp_path).save_run(config, 2)
+        config_path = tmp_path / "config.pkl"
+        config_path.write_bytes(config_path.read_bytes()[:length])
+        with pytest.raises(CheckpointError, match="config.pkl"):
+            run_sharded(resume_dir=tmp_path)
+
+    def test_corrupt_meta_is_a_checkpoint_error(self, tmp_path):
+        (tmp_path / "meta.json").write_text('{"seed": 1, "shard')
+        with pytest.raises(CheckpointError, match="meta.json"):
+            CheckpointStore(tmp_path).load_meta()
+
+    def test_other_format_rejected(self, tmp_path):
+        # The format-4 layout: same meta.json keys, older payload blobs.
+        (tmp_path / "meta.json").write_text(json.dumps(
+            {"seed": 1, "shard_count": 2, "format": 4, "kind": "run"}))
+        with pytest.raises(CheckpointError, match="format 4"):
+            CheckpointStore(tmp_path).load_meta()
 
 
 class TestLostTransit:

@@ -144,3 +144,9 @@ class TestCli:
         assert load_bundle(copy).analysis.digest() == result.analysis.digest()
         assert main(["report", str(copy), "--output", str(rebuilt)]) == 0
         assert rebuilt.read_bytes() == with_state.read_bytes()
+
+    def test_resume_from_non_checkpoint_exits_2(self, tmp_path, capsys):
+        assert main(["run", "--resume", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot resume: ")
+        assert "meta.json" in err

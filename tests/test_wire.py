@@ -1,4 +1,4 @@
-"""Wire-codec properties and delta-vs-full equivalence.
+"""Wire-codec properties and serial-vs-sharded equivalence.
 
 The compact payload codec (:mod:`repro.core.wire`) replaced
 pickle-the-world transport on the worker↔supervisor data plane, so its
@@ -11,20 +11,18 @@ and every truncated or corrupted blob must raise a versioned
 Like :mod:`tests.test_properties_codecs`, the property tests drive a
 ``random.Random`` with pinned seeds so failures replay exactly.  The
 equivalence suite then closes the loop end to end: for three seeds, the
-serial run, the 4-worker run (delta transport), the
-killed-and-respawned run (replayed Phase I verified against the delta
-stream), and the resumed run (payloads reloaded from wire blobs) all
-produce the same result digest.
+serial run, the 4-worker run, the killed-and-respawned run (replayed
+Phase I verified against the original payload), and the resumed run
+(payloads reloaded from wire blobs) all produce the same result digest.
 """
 
-import json
 import random
 import string
 
 import pytest
 
 from repro.core.config import ExperimentConfig
-from repro.core.correlate import DecoyRecord, ShadowingEvent, ShardCorrelation
+from repro.core.correlate import DecoyRecord
 from repro.core.experiment import Experiment, Phase2PlanEntry
 from repro.core.identifier import DecoyIdentity
 from repro.core.phase2 import ObserverLocation
@@ -39,7 +37,6 @@ from repro.core.wire import (
     ShardFinalPayload,
     ShardPhase1Payload,
     WireError,
-    apply_snapshot_delta,
     decode_final_payload,
     decode_phase1_payload,
     decode_plan_slice,
@@ -48,7 +45,6 @@ from repro.core.wire import (
     encode_phase1_payload,
     encode_plan_slice,
     encode_plan_slices,
-    snapshot_delta,
 )
 from repro.honeypot.logstore import LoggedRequest
 from repro.net.addr import ip_from_int
@@ -115,31 +111,6 @@ def _log_entry(rng, time, domain=None):
     )
 
 
-def _correlation(rng, records, entries):
-    """A ShardCorrelation whose cross-references stay inside the payload."""
-    firsts, seen = [], set()
-    for index, entry in enumerate(entries):
-        if entry.domain not in seen:
-            seen.add(entry.domain)
-            firsts.append((entry.time, index, entry.domain))
-    events = {}
-    arrivals = {}
-    for _, record in records:
-        if entries and rng.random() < 0.6:
-            entry = rng.choice(entries)
-            events.setdefault(entry.domain, []).append(ShadowingEvent(
-                decoy=record, request=entry,
-                combo=f"{record.protocol.upper()}-{entry.protocol.upper()}",
-            ))
-        if entries and rng.random() < 0.4:
-            arrivals[record.domain] = rng.choice(entries)
-    unknown = sorted({entry.domain for entry in entries
-                      if rng.random() < 0.2})
-    return ShardCorrelation(firsts=firsts, events=events,
-                            initial_arrivals=arrivals,
-                            unknown_domains=unknown)
-
-
 def _snapshot(rng):
     return {
         "format": 1,
@@ -150,7 +121,7 @@ def _snapshot(rng):
     }
 
 
-def _phase1_payload(rng, shard_index=0, size=None):
+def _phase1_payload(rng, size=None):
     size = rng.randint(2, 12) if size is None else size
     records = [_record(rng, index) for index in range(size)]
     clock, entries = 0.0, []
@@ -160,7 +131,7 @@ def _phase1_payload(rng, shard_index=0, size=None):
                         if rng.random() < 0.5 else None)
         entries.append(_log_entry(rng, clock, entry_domain))
     return ShardPhase1Payload(
-        shard_index=shard_index,
+        shard_index=0,
         records=records,
         log_entries=entries,
         sends_planned=rng.randint(0, 10000),
@@ -171,9 +142,6 @@ def _phase1_payload(rng, shard_index=0, size=None):
         vetting_removed_ttl=rng.randint(0, 50),
         vetting_removed_intercepted=rng.randint(0, 50),
         wall_seconds=rng.uniform(0, 100),
-        correlation=_correlation(rng, records, entries),
-        analysis=_snapshot(rng),
-        telemetry=_snapshot(rng),
     )
 
 
@@ -188,46 +156,6 @@ def _final_payload(rng, base):
         entry_domain = (rng.choice(pool)[1].domain
                         if pool and rng.random() < 0.5 else None)
         new_entries.append(_log_entry(rng, clock, entry_domain))
-
-    # The full correlation extends the Phase I one: same events plus a
-    # tail referencing only entries this payload ships (what a real
-    # worker's full-log pass produces under shard locality).
-    base_corr = base.correlation
-    firsts, seen = list(base_corr.firsts), {f[2] for f in base_corr.firsts}
-    offset = len(base.log_entries)
-    for index, entry in enumerate(new_entries):
-        if entry.domain not in seen:
-            seen.add(entry.domain)
-            firsts.append((entry.time, offset + index, entry.domain))
-    # Event lists are keyed by the logged domain and only ever appended
-    # to, as a real worker's correlator retains them.
-    events = {domain: list(entries)
-              for domain, entries in base_corr.events.items()}
-    for _, record in base.records + new_records:
-        if new_entries and rng.random() < 0.4:
-            entry = rng.choice(new_entries)
-            events.setdefault(entry.domain, []).append(ShadowingEvent(
-                decoy=record, request=entry,
-                combo=f"{record.protocol.upper()}-{entry.protocol.upper()}",
-            ))
-    arrivals = dict(base_corr.initial_arrivals)
-    for _, record in new_records:
-        if new_entries and rng.random() < 0.3:
-            if record.domain not in arrivals:
-                arrivals[record.domain] = rng.choice(new_entries)
-    unknown = base_corr.unknown_domains + sorted(
-        {entry.domain for entry in new_entries if rng.random() < 0.2})
-    correlation = ShardCorrelation(
-        firsts=firsts, events=events, initial_arrivals=arrivals,
-        unknown_domains=unknown)
-
-    telemetry = json.loads(json.dumps(base.telemetry))
-    for key in list(telemetry["counters"]):
-        telemetry["counters"][key] += rng.randint(0, 9)
-    analysis = json.loads(json.dumps(base.analysis))
-    analysis["pairs"].extend(
-        [[rng.choice(_WORDS), rng.randint(0, 9)]
-         for _ in range(rng.randint(0, 3))])
 
     return ShardFinalPayload(
         shard_index=base.shard_index,
@@ -272,31 +200,20 @@ def _final_payload(rng, base):
         emitter_emitted=rng.randint(0, 100000),
         virtual_now=rng.uniform(0, 1e5),
         wall_seconds=rng.uniform(0, 100),
-        telemetry=telemetry,
+        telemetry=_snapshot(rng),
         spans=[Span(name=rng.choice(("build", "phase1", "phase2")),
                     wall_seconds=rng.uniform(0, 10),
                     virtual_start=rng.uniform(0, 1e5),
                     virtual_end=rng.uniform(0, 1e5),
                     shard=base.shard_index)
                for _ in range(rng.randint(0, 3))],
-        correlation=correlation,
-        analysis=analysis,
+        analysis=_snapshot(rng),
     )
 
 
 def _assert_payloads_equal(left, right):
     for name in left.__dataclass_fields__:
-        if name == "correlation":
-            continue
         assert getattr(left, name) == getattr(right, name), name
-    lc, rc = left.correlation, right.correlation
-    if lc is None or rc is None:
-        assert lc is rc
-        return
-    assert lc.firsts == rc.firsts
-    assert lc.events == rc.events
-    assert lc.initial_arrivals == rc.initial_arrivals
-    assert lc.unknown_domains == rc.unknown_domains
 
 
 class TestPhase1RoundTrip:
@@ -313,67 +230,35 @@ class TestPhase1RoundTrip:
             blob = encode_phase1_payload(_phase1_payload(rng))
             assert encode_phase1_payload(decode_phase1_payload(blob)) == blob
 
-    def test_without_optional_sections(self):
-        rng = random.Random(0x3173)
-        payload = _phase1_payload(rng)
-        payload.correlation = None
-        payload.analysis = None
-        payload.telemetry = None
-        decoded = decode_phase1_payload(encode_phase1_payload(payload))
-        assert decoded.correlation is None
-        assert decoded.analysis is None
-        assert decoded.telemetry is None
-
 
 class TestFinalRoundTrip:
     def test_delta_reconstructs_full_state(self):
+        """The final blob (Phase II tails plus full snapshots) decodes on
+        its own to the payload the worker built, and re-encodes to the
+        same bytes."""
         rng = random.Random(0x3174)
         for _ in range(CASES):
-            base = _phase1_payload(rng)
-            final = _final_payload(rng, base)
-            # Decode against the supervisor's *decoded* Phase I copy, as
-            # run_sharded does — the delta must survive the object-identity
-            # change across the pipe.
-            supervisor_base = decode_phase1_payload(
-                encode_phase1_payload(base))
-            decoded = decode_final_payload(
-                encode_final_payload(final, base), supervisor_base)
-            for name in ("records", "log_entries", "locations",
-                         "ground_truth", "label_counts", "processed",
-                         "exhibitor_counts", "resolver_received",
-                         "emitter_emitted", "virtual_now", "wall_seconds",
-                         "spans"):
-                assert getattr(final, name) == getattr(decoded, name), name
-            # Telemetry/analysis reconstruct in JSON space (the worker's
-            # tuples become lists, exactly as from_snapshot tolerates).
-            assert decoded.telemetry == json.loads(json.dumps(final.telemetry))
-            assert decoded.analysis == json.loads(json.dumps(final.analysis))
-            lc, rc = final.correlation, decoded.correlation
-            assert lc.firsts == rc.firsts
-            assert lc.initial_arrivals == rc.initial_arrivals
-            assert lc.unknown_domains == rc.unknown_domains
-            assert set(lc.events) == set(rc.events)
-            for domain in lc.events:
-                assert lc.events[domain] == rc.events[domain], domain
+            final = _final_payload(rng, _phase1_payload(rng))
+            blob = encode_final_payload(final)
+            decoded = decode_final_payload(blob)
+            _assert_payloads_equal(final, decoded)
+            assert encode_final_payload(decoded) == blob
 
     def test_delta_ships_fewer_bytes_than_full_reencode(self):
         rng = random.Random(0x3175)
         base = _phase1_payload(rng, size=50)
-        final = _final_payload(rng, base)
-        blob = encode_final_payload(final, base)
-        # The final blob must not re-ship the Phase I records/log: a
-        # regression to full shipping would exceed the Phase I blob size.
+        blob = encode_final_payload(_final_payload(rng, base))
+        # The final blob ships only the Phase II tails: a regression to
+        # re-shipping the Phase I records/log would exceed the Phase I
+        # blob size.
         assert len(blob) < len(encode_phase1_payload(base))
 
-    def test_shard_mismatch_rejected(self):
+    def test_missing_analysis_rejected(self):
         rng = random.Random(0x3176)
-        base = _phase1_payload(rng, shard_index=0)
-        final = _final_payload(rng, base)
-        blob = encode_final_payload(final, base)
-        other = decode_phase1_payload(encode_phase1_payload(
-            _phase1_payload(rng, shard_index=1)))
-        with pytest.raises(WireError, match="shard"):
-            decode_final_payload(blob, other)
+        final = _final_payload(rng, _phase1_payload(rng))
+        final.analysis = None
+        with pytest.raises(WireError, match="analysis"):
+            decode_final_payload(encode_final_payload(final))
 
 
 class TestPlanRoundTrip:
@@ -410,7 +295,7 @@ class TestCorruptionAlwaysRejected:
     def _blobs(self, rng):
         base = _phase1_payload(rng, size=3)
         yield encode_phase1_payload(base)
-        yield encode_final_payload(_final_payload(rng, base), base)
+        yield encode_final_payload(_final_payload(rng, base))
         yield encode_plan_slice(TestPlanRoundTrip()._entries(rng, 3))
 
     def test_every_truncation_raises_versioned_error(self):
@@ -457,64 +342,6 @@ class TestCorruptionAlwaysRejected:
                 decode_phase1_payload(garbage)
 
 
-def _random_json(rng, depth=0):
-    roll = rng.random()
-    if depth >= 3 or roll < 0.35:
-        return rng.choice((None, True, False, rng.randint(-50, 50),
-                           rng.choice(_WORDS)))
-    if roll < 0.7:
-        return {rng.choice(_WORDS): _random_json(rng, depth + 1)
-                for _ in range(rng.randint(0, 4))}
-    return [_random_json(rng, depth + 1) for _ in range(rng.randint(0, 4))]
-
-
-def _grown(rng, value):
-    """A plausible 'later snapshot': extend lists, bump ints, add keys."""
-    if isinstance(value, dict):
-        grown = {key: _grown(rng, child) for key, child in value.items()}
-        if rng.random() < 0.4:
-            grown["grown-" + rng.choice(_WORDS)] = _random_json(rng, 2)
-        if grown and rng.random() < 0.2:
-            grown.pop(rng.choice(sorted(grown)))
-        return grown
-    if isinstance(value, list):
-        return value + [_random_json(rng, 2)
-                        for _ in range(rng.randint(0, 3))]
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value + rng.randint(0, 10)
-    return value
-
-
-class TestSnapshotDelta:
-    def test_apply_inverts_delta_for_any_pair(self):
-        rng = random.Random(0x317E)
-        for _ in range(200):
-            old = _random_json(rng)
-            new = _random_json(rng)
-            assert apply_snapshot_delta(old, snapshot_delta(old, new)) == new
-
-    def test_grown_snapshots_ship_compact_deltas(self):
-        rng = random.Random(0x317F)
-        for _ in range(100):
-            old = {word: _random_json(rng, 1) for word in _WORDS}
-            new = _grown(rng, old)
-            delta = snapshot_delta(old, new)
-            assert apply_snapshot_delta(old, delta) == new
-            if old != new:
-                assert len(json.dumps(delta)) < 2 * len(json.dumps(new)) + 16
-
-    def test_identity_delta_is_constant_size(self):
-        value = {"a": list(range(1000))}
-        assert snapshot_delta(value, value) == ["="]
-        assert apply_snapshot_delta(value, ["="]) == value
-
-    def test_malformed_delta_raises_wire_error(self):
-        with pytest.raises(WireError):
-            apply_snapshot_delta({}, ["?"])
-        with pytest.raises(WireError):
-            apply_snapshot_delta({}, None)
-
-
 class TestPairwiseMerger:
     def test_matches_left_fold_for_every_count(self):
         for count in range(1, 33):
@@ -545,7 +372,7 @@ def _tiny(seed, workers):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_delta_vs_full_equivalence(seed, tmp_path):
     """Serial, 4-worker, killed-and-respawned, and resumed runs all
-    produce the same digest over the delta wire format."""
+    produce the same digest over the wire format."""
     serial = result_digest(Experiment(_tiny(seed, 1)).run())
     sharded = result_digest(Experiment(_tiny(seed, 4)).run())
 
