@@ -239,32 +239,34 @@ def _command_run(args: argparse.Namespace) -> int:
             print(f"cannot resume: {error}", file=sys.stderr)
             return 2
     else:
-        if args.tiny:
-            config = ExperimentConfig.tiny(seed=args.seed)
-            config.workers = args.workers
-        else:
-            config = ExperimentConfig(
-                seed=args.seed,
-                vp_scale=args.vp_scale,
-                web_destination_count=args.web_destinations,
-                workers=args.workers,
-            )
-        config.telemetry = bool(args.telemetry)
-        config.doh_adoption = args.doh_adoption
-        config.ciphertext_observer_share = args.ciphertext_observers
-        fault_knobs = (args.fault_loss, args.fault_churn, args.fault_outages,
-                       args.fault_log_delay, args.fault_log_dup)
-        if any(knob for knob in fault_knobs):
-            from repro.faults import FaultSpec
-            config.faults = FaultSpec(
-                seed=args.fault_seed,
-                link_loss_rate=args.fault_loss,
-                vp_churn_rate=args.fault_churn,
-                honeypot_outages_per_site=args.fault_outages,
-                log_delay_rate=args.fault_log_delay,
-                log_duplicate_rate=args.fault_log_dup,
-            )
         try:
+            if args.tiny:
+                config = ExperimentConfig.tiny(seed=args.seed)
+                config.workers = args.workers
+            else:
+                # Validates on construction, hence inside the try.
+                config = ExperimentConfig(
+                    seed=args.seed,
+                    vp_scale=args.vp_scale,
+                    web_destination_count=args.web_destinations,
+                    workers=args.workers,
+                )
+            config.telemetry = bool(args.telemetry)
+            config.doh_adoption = args.doh_adoption
+            config.ciphertext_observer_share = args.ciphertext_observers
+            fault_knobs = (args.fault_loss, args.fault_churn,
+                           args.fault_outages, args.fault_log_delay,
+                           args.fault_log_dup)
+            if any(knob for knob in fault_knobs):
+                from repro.faults import FaultSpec
+                config.faults = FaultSpec(
+                    seed=args.fault_seed,
+                    link_loss_rate=args.fault_loss,
+                    vp_churn_rate=args.fault_churn,
+                    honeypot_outages_per_site=args.fault_outages,
+                    log_delay_rate=args.fault_log_delay,
+                    log_duplicate_rate=args.fault_log_dup,
+                )
             config.validate()
         except ConfigError as error:
             for problem in error.problems:

@@ -715,5 +715,14 @@ class Campaign:
     def run_phase1(self) -> None:
         """Vet, schedule, and simulate through the observation window."""
         self.vet_platform()
+        self.simulate_phase1()
+
+    def simulate_phase1(self) -> None:
+        """Schedule Phase I on the vetted platform and simulate through
+        the observation window.
+
+        A shard worker starts here: it forks from a parent that already
+        vetted the platform (see :mod:`repro.core.shard`).
+        """
         self.schedule_phase1()
         self.eco.sim.run(until=self.last_send_time + self.config.observation_window)

@@ -38,9 +38,10 @@ _META = "meta.json"
 _CONFIG = "config.pkl"
 _PLAN = "phase2_plan.bin"
 
-CHECKPOINT_FORMAT = 5
-"""Format 5 stores wire v3 shard blobs (final payloads no longer decode
-against their Phase I payload) and drops the never-read
+CHECKPOINT_FORMAT = 6
+"""Format 6 stores wire v4 shard blobs (Phase I payloads without vetting
+counts).  Format 5 stored wire v3 shard blobs (final payloads no longer
+decode against their Phase I payload) and dropped the never-read
 ``analysis.json``.  Format 4 added a ``kind`` discriminator to
 ``meta.json`` (``"run"`` for phase-boundary shard checkpoints,
 ``"serve"`` for the continuous watermark checkpoints of

@@ -275,6 +275,18 @@ class ExperimentConfig:
                 "workers: bounded retention capacities are order-dependent "
                 f"and require workers == 1 (got workers={self.workers!r})"
             )
+        if self.workers > 1:
+            # Shard workers fork from the parent's vetted world (see
+            # repro.core.shard).  Imported here because serial runs never
+            # need multiprocessing, and importing it slows every start-up.
+            import multiprocessing
+
+            if "fork" not in multiprocessing.get_all_start_methods():
+                problems.append(
+                    "workers: sharded runs fork their workers and this "
+                    "platform has no 'fork' start method; use workers == 1 "
+                    f"(got workers={self.workers!r})"
+                )
         if problems:
             raise ConfigError(problems)
 

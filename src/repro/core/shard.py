@@ -52,17 +52,21 @@ docs/PERFORMANCE.md, "Alt-resolver directory rows").
 Crash tolerance
 ---------------
 
-Workers are supervised (:class:`SupervisorPolicy`): each one sends
+Workers are forked (never spawned) from the parent right after it built
+the ecosystem and vetted the platform, so each one starts from the
+parent's vetted world at Phase I scheduling; no worker builds or vets.
+They are supervised (:class:`SupervisorPolicy`): each one sends
 heartbeats from a background thread, and the parent treats a dead process
 *or* a stale heartbeat as a worker death.  Because every shard's
-simulation is a pure function of (config, shard index, shard count), a
-dead worker is simply respawned and replays its partition from the start
-of the current phase: the respawn re-runs build + Phase I, the parent
-verifies the replayed Phase I payload is content-identical to the
-original (any divergence is a determinism bug, not a recoverable fault),
-and then re-dispatches the same Phase II slice.  A fault-free N-worker
-run, a worker-killed-and-respawned run, and the serial run therefore
-produce identical result digests.
+simulation is a pure function of (vetted world, shard index, shard
+count), a dead worker is simply respawned and replays its partition from
+the start of the current phase: the respawn re-forks from the same
+vetted world and replays Phase I, the parent verifies the replayed
+Phase I payload is content-identical to the original (any divergence is
+a determinism bug, not a recoverable fault), and then re-dispatches the
+same Phase II slice.  A fault-free N-worker run, a
+worker-killed-and-respawned run, and the serial run therefore produce
+identical result digests.
 
 With a checkpoint directory, each payload's wire blob is flushed to disk
 verbatim as it arrives (:mod:`repro.core.checkpoint`), and
@@ -83,7 +87,7 @@ from repro.core.checkpoint import CheckpointError, CheckpointStore
 from repro.core.campaign import Campaign, pair_shard
 from repro.core.config import ExperimentConfig
 from repro.core.correlate import Correlator, DecoyRecord, split_correlation
-from repro.core.ecosystem import build_ecosystem
+from repro.core.ecosystem import Ecosystem, build_ecosystem
 from repro.core.experiment import (
     ExperimentResult,
     Phase2PlanEntry,
@@ -107,6 +111,7 @@ from repro.honeypot.logstore import LogStore
 from repro.telemetry.export import RunTelemetry
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.spans import SpanTracer, merge_spans, timings_from_spans
+from repro.vpn.vetting import VettingReport
 
 __all__ = [
     "SupervisorPolicy",
@@ -238,10 +243,13 @@ class _HeartbeatSender:
                 return
 
 
-def _shard_worker(conn, config: ExperimentConfig, shard_index: int,
-                  shard_count: int, heartbeat_interval: float = 0.5) -> None:
+def _shard_worker(conn, eco: Ecosystem, vetting: VettingReport,
+                  shard_index: int, shard_count: int,
+                  heartbeat_interval: float = 0.5) -> None:
     """Worker process body: Phase I, then (on request) Phase II.
 
+    ``eco`` and ``vetting`` are the parent's built and vetted world,
+    inherited through fork: the worker starts at Phase I scheduling.
     Payloads cross the pipe as wire blobs.  The final blob ships only the
     ledger and log tails Phase II appended, plus full snapshots.
     """
@@ -256,15 +264,13 @@ def _shard_worker(conn, config: ExperimentConfig, shard_index: int,
     try:
         started = time.perf_counter()
         tracer_spans = SpanTracer(shard=shard_index)
-        with tracer_spans.span("build"):
-            eco = build_ecosystem(config)
         tracer_spans.virtual_now = eco.sim.now
         campaign = Campaign(eco, shard_index=shard_index, shard_count=shard_count)
+        campaign.vetting = vetting
         with campaign:
             with tracer_spans.span("phase1"):
-                campaign.run_phase1()
+                campaign.simulate_phase1()
             phase1_records = len(campaign.ledger)
-            vetting = campaign.vetting
             phase1_entries, phase1_log_len = eco.deployment.log.tail(0)
             phase1_payload = ShardPhase1Payload(
                 shard_index=shard_index,
@@ -274,9 +280,6 @@ def _shard_worker(conn, config: ExperimentConfig, shard_index: int,
                 sends_scheduled=campaign.sends_scheduled,
                 last_send_time=campaign.last_send_time,
                 virtual_now=eco.sim.now(),
-                vetting_kept=len(vetting.kept),
-                vetting_removed_ttl=len(vetting.removed_ttl_reset),
-                vetting_removed_intercepted=len(vetting.removed_intercepted),
                 wall_seconds=time.perf_counter() - started,
             )
             send(("phase1", encode_phase1_payload(phase1_payload)))
@@ -291,7 +294,8 @@ def _shard_worker(conn, config: ExperimentConfig, shard_index: int,
             tracer = HopByHopTracer(campaign)
             with tracer_spans.span("phase2"):
                 schedule_phase2_entries(campaign, tracer, entries)
-                eco.sim.run(until=eco.sim.now() + config.phase2_observation_window)
+                eco.sim.run(until=eco.sim.now()
+                            + eco.config.phase2_observation_window)
             _, _, locations = correlate_and_locate(campaign, tracer)
             final_payload = ShardFinalPayload(
                 shard_index=shard_index,
@@ -344,18 +348,19 @@ class _WorkerDied(Exception):
 def _phase1_fingerprint(payload: ShardPhase1Payload) -> str:
     """Content hash of a Phase I payload, for replay verification.
 
-    A respawned worker re-derives its Phase I payload from scratch; any
-    difference from the original means the simulation is not the pure
-    function of (config, shard index, shard count) the whole merge
-    depends on, so the supervisor refuses to continue.
+    A respawned worker re-forks from the parent's vetted world and
+    re-derives its Phase I payload from there; any difference from the
+    original means the simulation is not the pure function of (vetted
+    world, shard index, shard count) the whole merge depends on — for
+    instance because the parent touched the world after the first spawn
+    — so the supervisor refuses to continue.
     """
     import hashlib
 
     hasher = hashlib.sha256()
     hasher.update(repr((
         payload.shard_index, payload.sends_planned, payload.sends_scheduled,
-        payload.last_send_time, payload.virtual_now, payload.vetting_kept,
-        payload.vetting_removed_ttl, payload.vetting_removed_intercepted,
+        payload.last_send_time, payload.virtual_now,
     )).encode())
     for key, record in payload.records:
         hasher.update(repr((key, record.domain, record.protocol,
@@ -390,13 +395,15 @@ class _ShardSupervisor:
     fresh process (bounded by ``policy.max_respawns``).
     """
 
-    def __init__(self, config: ExperimentConfig, shard_count: int,
-                 policy: SupervisorPolicy, registry=None):
-        self._mp = multiprocessing.get_context()
-        self._config = config
+    def __init__(self, eco: Ecosystem, vetting: VettingReport,
+                 shard_count: int, policy: SupervisorPolicy):
+        # Fork, whatever the platform default: the workers inherit the
+        # vetted world instead of pickling or rebuilding it.
+        self._mp = multiprocessing.get_context("fork")
+        self._eco = eco
+        self._vetting = vetting
         self._shard_count = shard_count
         self._policy = policy
-        self._registry = registry
         self._handles: Dict[int, _WorkerHandle] = {}
         self._respawns: Dict[int, int] = {}
 
@@ -404,8 +411,8 @@ class _ShardSupervisor:
         parent_conn, child_conn = self._mp.Pipe()
         process = self._mp.Process(
             target=_shard_worker,
-            args=(child_conn, self._config, shard_index, self._shard_count,
-                  self._policy.heartbeat_interval),
+            args=(child_conn, self._eco, self._vetting, shard_index,
+                  self._shard_count, self._policy.heartbeat_interval),
             daemon=True,
         )
         process.start()
@@ -430,10 +437,6 @@ class _ShardSupervisor:
                 "keeps dying is a bug, not a transient fault"
             )
         self._respawns[shard_index] = used + 1
-        if self._registry is not None:
-            # Created lazily so a respawn-free sharded snapshot stays
-            # key-identical to the serial run's.
-            self._registry.counter("shard.respawns").inc()
         handle = self._handles[shard_index]
         if handle.process.is_alive():
             handle.process.kill()
@@ -534,14 +537,11 @@ class _ShardSupervisor:
                 handle.process.join()
 
 
-def _check_consistent(payloads: Sequence[ShardPhase1Payload],
-                      parent_campaign: Campaign) -> None:
+def _check_consistent(payloads: Sequence[ShardPhase1Payload]) -> None:
     """Every shard replays the same plan; any divergence is a bug."""
     reference = payloads[0]
     for payload in payloads[1:]:
-        for attribute in ("sends_planned", "last_send_time", "virtual_now",
-                          "vetting_kept", "vetting_removed_ttl",
-                          "vetting_removed_intercepted"):
+        for attribute in ("sends_planned", "last_send_time", "virtual_now"):
             if getattr(payload, attribute) != getattr(reference, attribute):
                 raise RuntimeError(
                     f"shard {payload.shard_index} disagrees with shard "
@@ -549,12 +549,6 @@ def _check_consistent(payloads: Sequence[ShardPhase1Payload],
                     f"{getattr(payload, attribute)!r} != "
                     f"{getattr(reference, attribute)!r}"
                 )
-    vetting = parent_campaign.vetting
-    if vetting is not None and len(vetting.kept) != reference.vetting_kept:
-        raise RuntimeError(
-            f"parent vetting kept {len(vetting.kept)} VPs but shards kept "
-            f"{reference.vetting_kept}"
-        )
     total_scheduled = sum(payload.sends_scheduled for payload in payloads)
     if total_scheduled != reference.sends_planned:
         raise RuntimeError(
@@ -624,10 +618,6 @@ def run_sharded(config: Optional[ExperimentConfig] = None, *,
     started = time.perf_counter()
     spans = SpanTracer()
 
-    # The parent builds the same deterministic world and re-runs vetting
-    # itself: analyses need real VantagePoint objects in the report, and
-    # vetting is a pure function of the seed, so this costs one cheap
-    # pass instead of shipping objects from a worker.
     with spans.span("build"):
         eco = build_ecosystem(config)
         campaign = Campaign(eco)
@@ -635,8 +625,8 @@ def run_sharded(config: Optional[ExperimentConfig] = None, *,
     spans.virtual_now = eco.sim.now
     correlator = Correlator(campaign.ledger, zone=config.zone)
 
-    supervisor = _ShardSupervisor(config, shard_count, supervision,
-                                  registry=eco.telemetry)
+    supervisor = _ShardSupervisor(eco, campaign.vetting, shard_count,
+                                  supervision)
     live = [index for index in range(shard_count)
             if index not in cached_final]
     phase1_by_shard: Dict[int, ShardPhase1Payload] = dict(cached_phase1)
@@ -652,6 +642,11 @@ def run_sharded(config: Optional[ExperimentConfig] = None, *,
     try:
         with spans.span("phase1"):
             waiting: Dict[int, str] = {}
+            # Every worker, respawns included, forks from this vetted
+            # world.  From the first spawn until supervisor.shutdown() the
+            # parent must neither mutate ``eco`` nor draw from its
+            # ``router`` streams, or a respawn would replay a different
+            # world than the first spawn did.
             for shard_index in live:
                 supervisor.spawn(shard_index)
                 waiting[shard_index] = "phase1"
@@ -668,7 +663,7 @@ def run_sharded(config: Optional[ExperimentConfig] = None, *,
                 del waiting[shard_index]
             phase1_payloads = [phase1_by_shard[index]
                                for index in range(shard_count)]
-            _check_consistent(phase1_payloads, campaign)
+            _check_consistent(phase1_payloads)
         phase1_prints = {index: _phase1_fingerprint(phase1_by_shard[index])
                          for index in live}
 
@@ -826,19 +821,28 @@ def run_sharded(config: Optional[ExperimentConfig] = None, *,
             )
         ]
 
-        # Telemetry merge: the parent registry holds the replayed
-        # ("same"-policy) vetting counters plus zeros on everything the
-        # workers executed; each worker snapshot holds its shard's slice
-        # of the partitioned work.  Counter sums and bucket-wise histogram
-        # adds therefore reproduce the serial totals exactly.  Folded in
-        # shard order (cheap — snapshots are small) so the merged registry
-        # never depends on payload arrival order.
+        # Telemetry merge: the parent registry holds the ("same"-policy)
+        # vetting counters plus zeros on everything the workers executed;
+        # each worker inherited that registry through fork, and its
+        # snapshot adds its shard's slice of the partitioned work.
+        # Counter sums and bucket-wise histogram adds therefore reproduce
+        # the serial totals exactly.  Folded in shard order (cheap —
+        # snapshots are small) so the merged registry never depends on
+        # payload arrival order.
         if config.telemetry:
             merged_metrics = MetricsRegistry()
             merged_metrics.merge_from(eco.telemetry)
             for payload in final_payloads:
                 merged_metrics.merge_from(
                     MetricsRegistry.from_snapshot(payload.telemetry))
+            if supervisor.respawn_count:
+                # Counted here, once: a respawn forks from the parent's
+                # registry, so a count kept there would ship back in the
+                # respawned worker's snapshot and be summed twice.  Created
+                # only when non-zero so a respawn-free sharded snapshot
+                # stays key-identical to the serial run's.
+                merged_metrics.counter("shard.respawns").inc(
+                    supervisor.respawn_count)
             eco.telemetry = merged_metrics
 
     with spans.span("correlate"):

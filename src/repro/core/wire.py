@@ -42,8 +42,10 @@ from repro.honeypot.logstore import LoggedRequest
 from repro.observers.exhibitor import ObservationRecord
 from repro.telemetry.spans import Span
 
-WIRE_VERSION = 3
-"""v3 dropped the Phase I payload's correlation, analysis and telemetry
+WIRE_VERSION = 4
+"""v4 dropped the Phase I payload's three vetting counts: workers fork
+from the parent's vetted world, so there is nothing left to compare.
+v3 dropped the Phase I payload's correlation, analysis and telemetry
 sections and the final payload's deltas: a final blob ships full
 telemetry and analysis snapshots and decodes without its Phase I blob.
 v2 appended the decoy mitigation column to ledger records."""
@@ -86,9 +88,6 @@ class ShardPhase1Payload:
     sends_scheduled: int
     last_send_time: float
     virtual_now: float
-    vetting_kept: int
-    vetting_removed_ttl: int
-    vetting_removed_intercepted: int
     wall_seconds: float
 
 
@@ -573,9 +572,6 @@ def encode_phase1_payload(payload: ShardPhase1Payload) -> bytes:
     w.varint(payload.sends_scheduled)
     w.f64(payload.last_send_time)
     w.f64(payload.virtual_now)
-    w.varint(payload.vetting_kept)
-    w.varint(payload.vetting_removed_ttl)
-    w.varint(payload.vetting_removed_intercepted)
     w.f64(payload.wall_seconds)
     _write_records(enc, payload.records)
     _write_log(enc, payload.log_entries)
@@ -589,9 +585,6 @@ def decode_phase1_payload(blob: bytes) -> ShardPhase1Payload:
     sends_scheduled = dec.varint()
     last_send_time = dec.f64()
     virtual_now = dec.f64()
-    vetting_kept = dec.varint()
-    vetting_removed_ttl = dec.varint()
-    vetting_removed_intercepted = dec.varint()
     wall_seconds = dec.f64()
     records = _read_records(dec)
     log_entries = _read_log(dec)
@@ -601,8 +594,6 @@ def decode_phase1_payload(blob: bytes) -> ShardPhase1Payload:
         shard_index=shard_index, records=records, log_entries=log_entries,
         sends_planned=sends_planned, sends_scheduled=sends_scheduled,
         last_send_time=last_send_time, virtual_now=virtual_now,
-        vetting_kept=vetting_kept, vetting_removed_ttl=vetting_removed_ttl,
-        vetting_removed_intercepted=vetting_removed_intercepted,
         wall_seconds=wall_seconds,
     )
 

@@ -154,9 +154,8 @@ class FaultPlan:
     """Compiled fault decisions for one campaign.
 
     Stateless except for per-key caches; every method is a pure function
-    of ``(spec.seed, key)``.  Cheap to rebuild, so each shard worker
-    compiles its own plan from the config's spec instead of unpickling
-    one from the parent.
+    of ``(spec.seed, key)``, so the shard workers, which inherit the
+    parent's plan through fork, draw exactly what the serial run draws.
     """
 
     def __init__(self, spec: FaultSpec):

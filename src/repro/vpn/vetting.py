@@ -39,10 +39,11 @@ class VettingReport:
     def record(self, metrics) -> None:
         """Publish the outcome as ``merge="same"`` counters.
 
-        Vetting is a pure function of the seed, so every shard (and the
-        sharded parent) replays it to the identical outcome; a summing
-        merge would multiply the tally by the worker count.  The "same"
-        policy instead asserts agreement and keeps the one true value.
+        Vetting runs once, in the serial run or the sharded parent; shard
+        workers fork after it and inherit these counters, so every
+        worker's snapshot carries them again and a summing merge would
+        multiply the tally by the worker count.  The "same" policy
+        instead asserts agreement and keeps the one true value.
         """
         metrics.counter("vetting.kept", merge=MERGE_SAME).inc(len(self.kept))
         metrics.counter("vetting.removed_ttl_reset", merge=MERGE_SAME).inc(

@@ -91,9 +91,6 @@ class TestColumnarRoundTrip:
             sends_scheduled=250,
             last_send_time=999.5,
             virtual_now=1200.0,
-            vetting_kept=80,
-            vetting_removed_ttl=3,
-            vetting_removed_intercepted=2,
             wall_seconds=1.25,
         )
 

@@ -95,6 +95,18 @@ class TestDeterminismUnderFaults:
         assert result_digest(killed) == result_digest(serial_faulted)
         assert killed.timings["shard_respawns"] == 1.0
 
+    def test_respawn_counted_once(self, serial_faulted, killed_and_resumed):
+        """A respawned worker forks from the parent's registry; the
+        respawn must still be counted once, and every other counter must
+        merge to the serial total."""
+        killed, _ = killed_and_resumed
+        serial = serial_faulted.telemetry.metrics.snapshot()["counters"]
+        merged = killed.telemetry.metrics.snapshot()["counters"]
+        assert set(merged) == set(serial) | {"shard.respawns"}
+        for name, counter in serial.items():
+            assert merged[name]["value"] == counter["value"], name
+        assert merged["shard.respawns"]["value"] == 1
+
     def test_resume_equals_serial(self, serial_faulted, killed_and_resumed):
         _, resumed = killed_and_resumed
         assert result_digest(resumed) == result_digest(serial_faulted)

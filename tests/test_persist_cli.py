@@ -1,6 +1,8 @@
 """Tests for result persistence, the full report, and the CLI."""
 
 import json
+import multiprocessing
+import os
 import pathlib
 
 import pytest
@@ -144,6 +146,16 @@ class TestCli:
         assert load_bundle(copy).analysis.digest() == result.analysis.digest()
         assert main(["report", str(copy), "--output", str(rebuilt)]) == 0
         assert rebuilt.read_bytes() == with_state.read_bytes()
+
+    @pytest.mark.parametrize("scale", [["--tiny"], []],
+                             ids=["tiny", "default"])
+    def test_sharding_without_fork_exits_2(self, monkeypatch, capsys, scale):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        assert main(["run", *scale, "--workers", "2",
+                     "--output", os.devnull]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: workers:")
 
     def test_resume_from_non_checkpoint_exits_2(self, tmp_path, capsys):
         assert main(["run", "--resume", str(tmp_path)]) == 2

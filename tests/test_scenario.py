@@ -18,6 +18,7 @@ Pins the three guarantees the scenario subsystem makes:
 
 import dataclasses
 import json
+import multiprocessing
 
 import pytest
 
@@ -207,6 +208,15 @@ class TestConfigValidation:
         config.workers = 0
         with pytest.raises(ConfigError, match="workers:"):
             config.validate()
+
+    def test_sharding_needs_fork(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn", "forkserver"])
+        with pytest.raises(ConfigError) as excinfo:
+            ExperimentConfig(workers=2)
+        assert [p for p in excinfo.value.problems
+                if p.startswith("workers:") and "'fork'" in p]
+        ExperimentConfig(workers=1).validate()
 
 
 class TestLibrary:

@@ -9,11 +9,14 @@ pieces it rests on (keyed substreams, stable pair partition, log merge,
 O(1) pending counter).
 """
 
+import os
 import random
+import warnings
 
 import pytest
 
-from repro.core.campaign import pair_shard
+from repro.core import ecosystem, shard
+from repro.core.campaign import Campaign, pair_shard
 from repro.core.config import ExperimentConfig
 from repro.core.experiment import Experiment
 from repro.core.shard import (
@@ -98,6 +101,38 @@ class TestShardedRunEqualsSerial:
                 for o in result.eco.ground_truth.observations
             ]
         assert rows(serial) == rows(sharded)
+
+
+class TestWorkersForkFromVettedWorld:
+    def test_workers_neither_build_nor_vet(self, monkeypatch, serial):
+        """Workers start from the parent's built and vetted world: a
+        build or a vetting pass in any other process fails the run."""
+        parent_pid = os.getpid()
+
+        def parent_only(function, name):
+            def guarded(*args, **kwargs):
+                if os.getpid() != parent_pid:
+                    raise AssertionError(f"{name} ran in a shard worker")
+                return function(*args, **kwargs)
+            return guarded
+
+        for module in (ecosystem, shard):
+            monkeypatch.setattr(module, "build_ecosystem", parent_only(
+                module.build_ecosystem, "build_ecosystem"))
+        monkeypatch.setattr(Campaign, "vet_platform", parent_only(
+            Campaign.vet_platform, "vet_platform"))
+        assert result_digest(_run(2)) == result_digest(serial)
+
+    def test_parent_forks_single_threaded(self):
+        """A worker forked from a multi-threaded parent may inherit a lock
+        another thread held.  Python 3.12+ warns on such a fork, and
+        turning that warning into an error does not fail the run (the
+        interpreter clears it), so record it instead."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _run(2)
+        assert not [warning for warning in caught
+                    if "multi-threaded" in str(warning.message)]
 
 
 class TestPairShard:

@@ -138,9 +138,6 @@ def _phase1_payload(rng, size=None):
         sends_scheduled=rng.randint(0, 10000),
         last_send_time=rng.uniform(0, 1e5),
         virtual_now=rng.uniform(0, 1e5),
-        vetting_kept=rng.randint(0, 500),
-        vetting_removed_ttl=rng.randint(0, 50),
-        vetting_removed_intercepted=rng.randint(0, 50),
         wall_seconds=rng.uniform(0, 100),
     )
 
