@@ -10,7 +10,7 @@ Commands:
 * ``telemetry`` — render a telemetry capture written by ``run --telemetry``
   as human-readable tables (see docs/OBSERVABILITY.md).
 * ``serve``   — run the always-on measurement daemon: live ingest over a
-  socket feed, watermark checkpoints, HTTP report API (docs/SERVICE.md).
+  socket feed, journaled checkpoints, HTTP report API (docs/SERVICE.md).
 * ``feed``    — replay an exported bundle into a running daemon.
 * ``scenario`` — the declarative scenario layer: list/show/compile the
   named ecosystem library, run a campaign from a scenario spec, or fuzz
@@ -122,16 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--feed-port", type=int, default=0, metavar="PORT",
                        help="record-feed socket port (default 0 = ephemeral)")
     serve.add_argument("--checkpoint", metavar="DIR",
-                       help="continuously checkpoint campaign state to DIR "
-                            "and restore from it on startup")
-    serve.add_argument("--watermark-records", type=int, default=256,
-                       metavar="N",
-                       help="flush a campaign after N un-checkpointed log "
-                            "records (default 256)")
-    serve.add_argument("--watermark-seconds", type=float, default=5.0,
-                       metavar="S",
-                       help="flush a campaign whose un-checkpointed tail is "
-                            "older than S seconds (default 5)")
+                       help="journal every acknowledged batch to DIR and "
+                            "restore from it on startup")
     serve.add_argument("--ready-file", metavar="FILE",
                        help="write bound ports + pid to FILE once listening "
                             "(for harnesses using ephemeral ports)")
@@ -312,17 +304,20 @@ def _command_report(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
+    from repro.core.checkpoint import CheckpointError
     from repro.serve.daemon import ServeConfig, ServeDaemon
 
-    daemon = ServeDaemon(ServeConfig(
-        host=args.host,
-        http_port=args.port,
-        feed_port=args.feed_port,
-        checkpoint_dir=args.checkpoint,
-        watermark_records=args.watermark_records,
-        watermark_seconds=args.watermark_seconds,
-        ready_file=args.ready_file,
-    ))
+    try:
+        daemon = ServeDaemon(ServeConfig(
+            host=args.host,
+            http_port=args.port,
+            feed_port=args.feed_port,
+            checkpoint_dir=args.checkpoint,
+            ready_file=args.ready_file,
+        ))
+    except CheckpointError as error:
+        print(f"cannot restore: {error}", file=sys.stderr)
+        return 2
     print(f"repro serve: http on {args.host}:{daemon.http.port}, "
           f"feed on {args.host}:{daemon.feed.port}"
           + (f", checkpoints in {args.checkpoint}" if args.checkpoint else ""),

@@ -1,4 +1,4 @@
-"""Phase-boundary checkpoints for the sharded executor.
+"""Checkpoints: phase boundaries of sharded runs, feed journals of serve.
 
 The supervisor (:mod:`repro.core.shard`) flushes each shard's payload to
 disk the moment it arrives — Phase I payloads after the first round of
@@ -8,16 +8,21 @@ payload is on disk are never re-simulated, and shards that only reached
 Phase I skip nothing but re-derive their (deterministic) simulator state
 by replay.
 
-Every write is atomic (temp file + :func:`os.replace` in the same
-directory), so a crash mid-flush leaves either the previous checkpoint or
-none — never a torn file.  Shard payloads and the Phase II plan are
-stored as the same wire-format blobs that crossed the worker pipe
-(:mod:`repro.core.wire`) — the supervisor writes the received bytes
+Every run checkpoint write is atomic (temp file + :func:`os.replace` in
+the same directory), so a crash mid-flush leaves either the previous
+checkpoint or none — never a torn file.  Shard payloads and the Phase II
+plan are stored as the same wire-format blobs that crossed the worker
+pipe (:mod:`repro.core.wire`) — the supervisor writes the received bytes
 verbatim, so checkpointing costs one file write, not a re-serialization,
 and the blob checksum doubles as on-disk corruption detection.  Every
 blob decodes on its own.  ``meta.json`` carries the human-readable run
 identity (seed, shard count) used to reject resuming with a mismatched
 config.
+
+The serve store (:class:`ServeCheckpointStore`) keeps one append-only
+journal per campaign instead: the feed frames the daemon applied, in
+order, so a checkpoint costs one append of the batch just received and a
+restart replays the journal.
 """
 
 import json
@@ -27,7 +32,10 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.core.wire import (
+    FRAME_HEADER,
+    FeedBatch,
     WireError,
+    decode_feed_batch,
     decode_final_payload,
     decode_phase1_payload,
     decode_plan_slices,
@@ -38,16 +46,17 @@ _META = "meta.json"
 _CONFIG = "config.pkl"
 _PLAN = "phase2_plan.bin"
 
-CHECKPOINT_FORMAT = 6
-"""Format 6 stores wire v4 shard blobs (Phase I payloads without vetting
-counts).  Format 5 stored wire v3 shard blobs (final payloads no longer
-decode against their Phase I payload) and dropped the never-read
-``analysis.json``.  Format 4 added a ``kind`` discriminator to
-``meta.json`` (``"run"`` for phase-boundary shard checkpoints,
-``"serve"`` for the continuous watermark checkpoints of
-:mod:`repro.serve`) so the two layouts cannot be resumed into each
-other.  As with every bump, older directories are rejected up front
-instead of failing on a missing file later."""
+CHECKPOINT_FORMAT = 7
+"""Format 7 replaced the serve store's per-campaign context and state
+blobs with one append-only feed journal per campaign.  Format 6 stores
+wire v4 shard blobs (Phase I payloads without vetting counts).  Format 5
+stored wire v3 shard blobs (final payloads no longer decode against
+their Phase I payload) and dropped the never-read ``analysis.json``.
+Format 4 added a ``kind`` discriminator to ``meta.json`` (``"run"`` for
+phase-boundary shard checkpoints, ``"serve"`` for the continuous
+checkpoints of :mod:`repro.serve`) so the two layouts cannot be resumed
+into each other.  As with every bump, older directories are rejected up
+front instead of failing on a missing file later."""
 
 KIND_RUN = "run"
 KIND_SERVE = "serve"
@@ -85,6 +94,8 @@ class CheckpointStore:
     # -- run identity ------------------------------------------------------
 
     KIND = KIND_RUN
+    RESTART_HINT = "re-run the campaign instead of resuming"
+    """What to do instead when a directory cannot be read."""
 
     def save_run(self, config, shard_count: int) -> None:
         self._write_pickle(_CONFIG, config)
@@ -108,13 +119,13 @@ class CheckpointStore:
             raise CheckpointError(
                 f"{self.directory} is checkpoint format "
                 f"{meta.get('format')!r}; this build reads format "
-                f"{CHECKPOINT_FORMAT} — re-run the campaign instead of "
-                "resuming"
+                f"{CHECKPOINT_FORMAT} — {self.RESTART_HINT}"
             )
         if meta.get("kind", KIND_RUN) != self.KIND:
             raise CheckpointError(
                 f"{self.directory} holds {meta.get('kind')!r} checkpoints; "
-                f"this store reads {self.KIND!r} checkpoints"
+                f"this store reads {self.KIND!r} checkpoints — "
+                f"{self.RESTART_HINT}"
             )
         return meta
 
@@ -187,28 +198,33 @@ class CheckpointStore:
 
 
 class ServeCheckpointStore(CheckpointStore):
-    """Continuous watermark checkpoints for the always-on service.
+    """Append-only feed journals for the always-on service.
 
-    Layout under one directory (all writes atomic, same discipline as
-    the run store):
+    Layout under one directory:
 
     * ``meta.json`` — format + ``kind: "serve"``;
-    * ``campaign-<id>.context.bin`` — the campaign's registration
-      :class:`~repro.core.wire.FeedBatch` blob, stored **verbatim** as
-      received (written once, at registration);
-    * ``campaign-<id>.state.bin`` — the latest
-      :class:`~repro.core.wire.ServeCampaignState` blob, rewritten at
-      every record-count/wall-clock watermark and on graceful shutdown.
+    * ``campaign-<id>.journal.bin`` — the campaign's feed frames, each a
+      4-byte big-endian length prefix and a
+      :class:`~repro.core.wire.FeedBatch` blob, byte for byte as the feed
+      socket received them: the registration frame first (written
+      atomically when the campaign registers), then each applied data
+      batch, appended before the batch is acknowledged.
 
-    A kill between watermarks loses at most the un-flushed tail; the
-    feed protocol's idempotent sequence numbers let a feeder resend from
-    its last acknowledged batch (see docs/SERVICE.md).
+    A restart replays the journal, so a hard kill loses no acknowledged
+    batch.  A kill mid-append leaves a torn final frame, which
+    :meth:`load_journal` drops and truncates away: that batch was never
+    acknowledged, so the feeder resends it (see docs/SERVICE.md).
     """
 
     KIND = KIND_SERVE
+    RESTART_HINT = "start the daemon on a fresh checkpoint directory"
 
-    _CONTEXT_SUFFIX = ".context.bin"
-    _STATE_SUFFIX = ".state.bin"
+    _JOURNAL_SUFFIX = ".journal.bin"
+
+    def __init__(self, directory) -> None:
+        super().__init__(directory)
+        self._journal_bytes: Dict[str, int] = {}
+        """Campaign id -> journal length through its last whole frame."""
 
     def save_meta(self) -> None:
         self._write_bytes(_META, json.dumps({
@@ -216,46 +232,67 @@ class ServeCheckpointStore(CheckpointStore):
             "kind": self.KIND,
         }, indent=2).encode())
 
-    @staticmethod
-    def _campaign_file(campaign_id: str, suffix: str) -> str:
-        return f"campaign-{campaign_id}{suffix}"
+    def _journal(self, campaign_id: str) -> Path:
+        return self.directory / f"campaign-{campaign_id}{self._JOURNAL_SUFFIX}"
 
-    def save_context_blob(self, campaign_id: str, blob: bytes) -> None:
-        self._write_bytes(self._campaign_file(campaign_id,
-                                              self._CONTEXT_SUFFIX), blob)
-
-    def load_context(self, campaign_id: str):
-        from repro.core.wire import WireError, decode_feed_batch
-
-        name = self._campaign_file(campaign_id, self._CONTEXT_SUFFIX)
-        try:
-            return decode_feed_batch(self._read_bytes(name))
-        except FileNotFoundError as exc:
-            raise CheckpointError(
-                f"{self.directory} has no registration blob for campaign "
-                f"{campaign_id!r}"
-            ) from exc
-        except WireError as exc:
-            raise CheckpointError(f"{self.directory / name}: {exc}") from exc
+    def start_journal(self, campaign_id: str, frame: bytes) -> None:
+        """Begin ``campaign_id``'s journal with its registration frame."""
+        self._write_bytes(self._journal(campaign_id).name, frame)
+        self._journal_bytes[campaign_id] = len(frame)
 
     def save_state_blob(self, campaign_id: str, blob: bytes) -> None:
-        self._write_bytes(self._campaign_file(campaign_id,
-                                              self._STATE_SUFFIX), blob)
+        """Append ``blob``, one or more whole frames, to the journal.
 
-    def load_state(self, campaign_id: str):
-        from repro.core.wire import WireError, decode_serve_state
+        The write starts where the last whole frame ends, so bytes that
+        a failed append left behind are overwritten, never extended."""
+        size = self._journal_bytes[campaign_id]
+        with open(self._journal(campaign_id), "r+b") as handle:
+            handle.seek(size)
+            handle.write(blob)
+            handle.truncate()
+        self._journal_bytes[campaign_id] = size + len(blob)
 
-        name = self._campaign_file(campaign_id, self._STATE_SUFFIX)
-        try:
-            return decode_serve_state(self._read_bytes(name))
-        except FileNotFoundError:
-            return None
-        except WireError as exc:
-            raise CheckpointError(f"{self.directory / name}: {exc}") from exc
+    def journal_bytes(self, campaign_id: str) -> int:
+        return self._journal_bytes.get(campaign_id, 0)
+
+    def load_journal(self, campaign_id: str) -> List[FeedBatch]:
+        """The journaled batches, registration first.
+
+        A torn final frame is dropped and truncated away.  A whole frame
+        that does not decode (its checksum fails) raises
+        :class:`CheckpointError` naming the file and the frame's offset.
+        """
+        path = self._journal(campaign_id)
+        data = path.read_bytes()
+        batches: List[FeedBatch] = []
+        offset = 0
+        while offset + FRAME_HEADER.size <= len(data):
+            (length,) = FRAME_HEADER.unpack_from(data, offset)
+            start = offset + FRAME_HEADER.size
+            if start + length > len(data):
+                break
+            try:
+                batches.append(decode_feed_batch(data[start:start + length]))
+            except WireError as exc:
+                raise CheckpointError(
+                    f"{path}: frame at byte {offset} is corrupt ({exc}); "
+                    f"{self.RESTART_HINT}"
+                ) from exc
+            offset = start + length
+        if not batches or batches[0].context is None:
+            raise CheckpointError(
+                f"{path} does not begin with a registration frame; "
+                f"{self.RESTART_HINT}"
+            )
+        if offset < len(data):
+            with open(path, "r+b") as handle:
+                handle.truncate(offset)
+        self._journal_bytes[campaign_id] = offset
+        return batches
 
     def campaign_ids(self) -> List[str]:
-        """Registered campaigns, by context blob, sorted for determinism."""
-        prefix, suffix = "campaign-", self._CONTEXT_SUFFIX
+        """Journaled campaigns, sorted for determinism."""
+        prefix, suffix = "campaign-", self._JOURNAL_SUFFIX
         return sorted(
             path.name[len(prefix):-len(suffix)]
             for path in self.directory.glob(f"{prefix}*{suffix}")

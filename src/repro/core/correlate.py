@@ -339,11 +339,6 @@ class IncrementalCorrelator:
     and initial arrival, and :meth:`result` walks them in batch order.
     ``retain_events=False`` (the service default) keeps only the
     O(domains) classification state.
-
-    :meth:`state_snapshot` / :meth:`from_state_snapshot` round-trip that
-    classification state for daemon restarts; retained events are
-    deliberately not serialized (the analysis accumulators, not the
-    event list, are the durable product — see docs/SERVICE.md).
     """
 
     def __init__(self, ledger: DecoyLedger, zone: str,
@@ -368,7 +363,6 @@ class IncrementalCorrelator:
         self._events: Dict[str, List[ShadowingEvent]] = {}
         self._arrivals: Dict[str, LoggedRequest] = {}
         self._unknown: List[str] = []
-        self._log_index = 0
 
     def _recover_alias(self, domain: str) -> Optional[DecoyRecord]:
         """Map a mangled logged name back to its decoy, if possible.
@@ -423,7 +417,6 @@ class IncrementalCorrelator:
         unsolicited, or ``None`` when it is the decoy's own solicited
         initial arrival (rule iii) or undecodable noise.
         """
-        self._log_index += 1
         domain = entry.domain
         if self._retain and domain not in self._resolutions:
             self._domains.append(domain)
@@ -474,51 +467,6 @@ class IncrementalCorrelator:
             if arrival is not None:
                 result.initial_arrivals[domain] = arrival
         return result
-
-    # -- restart support ---------------------------------------------------
-
-    def state_snapshot(self) -> dict:
-        """Canonical JSON-able classification state (no events)."""
-        return {
-            "domains": sorted(
-                [domain, None if value is None else value[0],
-                 bool(value[1]) if value is not None else False,
-                 domain in self._initial_seen]
-                for domain, value in self._resolutions.items()
-            ),
-            "log_index": self._log_index,
-            "events": self.event_count,
-            "unknown": self.unknown_count,
-            "initial": self.initial_count,
-        }
-
-    @classmethod
-    def from_state_snapshot(cls, data: dict, ledger: DecoyLedger, zone: str,
-                            codec: Optional[IdentifierCodec] = None,
-                            ) -> "IncrementalCorrelator":
-        """Rebuild classification state against a restored ledger.
-
-        The restored instance continues classifying new entries exactly
-        as the uninterrupted one would; it never retains events (the
-        pre-restart event lists were not serialized)."""
-        correlator = cls(ledger, zone, codec=codec, retain_events=False)
-        for domain, canonical, aliased, initial_seen in data["domains"]:
-            if canonical is None:
-                correlator._resolutions[domain] = None
-            else:
-                if ledger.lookup(canonical) is None:
-                    raise ValueError(
-                        f"correlator state references decoy domain "
-                        f"{canonical!r} absent from the restored ledger"
-                    )
-                correlator._resolutions[domain] = (canonical, bool(aliased))
-            if initial_seen:
-                correlator._initial_seen.add(domain)
-        correlator._log_index = data["log_index"]
-        correlator.event_count = data["events"]
-        correlator.unknown_count = data["unknown"]
-        correlator.initial_count = data["initial"]
-        return correlator
 
 
 _UNRESOLVED = object()

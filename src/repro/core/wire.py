@@ -55,7 +55,6 @@ _KIND_PHASE1 = 1
 _KIND_FINAL = 2
 _KIND_PLAN = 3
 _KIND_FEED = 4
-_KIND_SERVE_STATE = 5
 
 _F64 = struct.Struct("<d")
 _U32 = struct.Struct("<I")
@@ -112,27 +111,6 @@ class FeedBatch:
     context: Optional[dict] = None
     """Registration context: ``{"zone", "directory", "blocklist",
     "meta"}`` — JSON, written once per campaign."""
-
-
-@dataclass
-class ServeCampaignState:
-    """One campaign's full serve-side state at a checkpoint watermark.
-
-    Everything a restarted daemon needs to keep ingesting and serving
-    byte-identical reports: the ledger (registration order), the
-    incremental correlator's classification state, the analysis
-    accumulator snapshot, and the feed/log watermarks.  The static
-    context is *not* repeated here — it rides the registration batch
-    blob the checkpoint stores verbatim next to this one.
-    """
-
-    campaign_id: str
-    seq: int
-    log_records: int
-    location_count: int
-    records: List[DecoyRecord]
-    correlator: dict
-    analysis: dict
 
 
 @dataclass
@@ -362,8 +340,8 @@ def _write_record(enc: _Encoder, key: LedgerKey, record: DecoyRecord) -> None:
 
 
 def _write_bare_record(enc: _Encoder, record: DecoyRecord) -> None:
-    """A :class:`DecoyRecord` without a ledger key — the feed/serve
-    payloads carry registration order implicitly."""
+    """A :class:`DecoyRecord` without a ledger key — feed batches carry
+    registration order implicitly."""
     w = enc.body
     identity = record.identity
     w.varint(identity.sent_at)
@@ -729,7 +707,16 @@ def decode_plan_slices(blob: bytes) -> List[List]:
     return slices
 
 
-# -- record feed / serve state ---------------------------------------------
+# -- record feed -----------------------------------------------------------
+
+FRAME_HEADER = struct.Struct(">I")
+"""The 4-byte big-endian length prefix that frames each feed batch blob,
+on the feed socket and in a serve checkpoint journal alike."""
+
+
+def framed(blob: bytes) -> bytes:
+    """``blob`` behind its length prefix: the bytes a feeder sends."""
+    return FRAME_HEADER.pack(len(blob)) + blob
 
 
 def _write_bare_records(enc: _Encoder, records: Sequence[DecoyRecord]) -> None:
@@ -768,39 +755,6 @@ def decode_feed_batch(blob: bytes) -> FeedBatch:
     return FeedBatch(campaign_id=campaign_id, seq=seq, records=records,
                      log_entries=log_entries, locations=locations,
                      context=context)
-
-
-def encode_serve_state(state: ServeCampaignState) -> bytes:
-    enc = _Encoder()
-    enc.ref(state.campaign_id)
-    enc.body.varint(state.seq)
-    enc.body.varint(state.log_records)
-    enc.body.varint(state.location_count)
-    _write_bare_records(enc, state.records)
-    _write_json(enc, state.correlator)
-    _write_json(enc, state.analysis)
-    return enc.frame(_KIND_SERVE_STATE)
-
-
-def decode_serve_state(blob: bytes) -> ServeCampaignState:
-    dec = _open(blob, _KIND_SERVE_STATE)
-    campaign_id = dec.ref()
-    seq = dec.varint()
-    log_records = dec.varint()
-    location_count = dec.varint()
-    records = _read_bare_records(dec)
-    correlator = _read_json(dec)
-    analysis = _read_json(dec)
-    if not dec.done():
-        raise WireError("trailing bytes after serve state")
-    if correlator is None or analysis is None:
-        raise WireError("serve state is missing its correlator/analysis "
-                        "sections")
-    return ServeCampaignState(
-        campaign_id=campaign_id, seq=seq, log_records=log_records,
-        location_count=location_count, records=records,
-        correlator=correlator, analysis=analysis,
-    )
 
 
 def encode_plan_slice(plan_slice: Sequence) -> bytes:

@@ -8,16 +8,16 @@ they arrive — over a local socket feed speaking the
 :mod:`repro.core.wire` codec, or from an in-process
 :class:`~repro.honeypot.logstore.LogStore` tail cursor — folds each
 record incrementally into per-campaign analysis accumulators with zero
-re-scans, checkpoints continuously at record-count/wall-clock
-watermarks, and serves versioned report artifacts plus telemetry over a
-small threaded HTTP API.  See docs/SERVICE.md.
+re-scans, appends each applied batch to a per-campaign checkpoint
+journal before acknowledging it, and serves versioned report artifacts
+plus telemetry over a small threaded HTTP API.  See docs/SERVICE.md.
 
 Layer map:
 
 * :mod:`repro.serve.session`  — one campaign's incremental state
   (ledger, correlator, analysis accumulators, report cache);
 * :mod:`repro.serve.service`  — the multi-tenant session registry with
-  watermark checkpointing and structured errors;
+  journaled checkpoints and structured errors;
 * :mod:`repro.serve.feed`     — record-feed framing, socket server and
   client, bundle replay;
 * :mod:`repro.serve.httpapi`  — the JSON/text report API;
@@ -38,7 +38,6 @@ from repro.serve.service import (
     MeasurementService,
     ServeError,
     UnknownCampaignError,
-    WatermarkPolicy,
 )
 from repro.serve.session import CampaignSession, ReportCache
 
@@ -52,7 +51,6 @@ __all__ = [
     "ReportCache",
     "ServeError",
     "UnknownCampaignError",
-    "WatermarkPolicy",
     "context_from_result",
     "feed_batches_from_bundle",
     "feed_batches_from_result",

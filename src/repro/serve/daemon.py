@@ -2,10 +2,10 @@
 
 The daemon is deliberately thin: construct (or restore) a
 :class:`~repro.serve.service.MeasurementService`, bind the feed socket
-and the HTTP API, then park until SIGTERM/SIGINT.  Shutdown is graceful
-by default — stop accepting, then flush every campaign's state blob —
-so a restart resumes from the final watermark and feeders only replay
-what arrived after it.
+and the HTTP API, then park until SIGTERM/SIGINT.  Every acknowledged
+batch is already in its campaign's journal, so a restart after a
+graceful stop or a hard kill alike resumes at the last ack; shutdown
+stops accepting, then retries any append that failed.
 
 ``ready_file`` solves the bound-port discovery race for harnesses (CI,
 tests) that start the daemon with ephemeral ports: once both servers are
@@ -24,7 +24,7 @@ from typing import Optional
 from repro.core.checkpoint import CheckpointError
 from repro.serve.feed import FeedServer
 from repro.serve.httpapi import ReportApiServer
-from repro.serve.service import MeasurementService, WatermarkPolicy
+from repro.serve.service import MeasurementService
 
 
 @dataclass
@@ -33,8 +33,6 @@ class ServeConfig:
     http_port: int = 0
     feed_port: int = 0
     checkpoint_dir: Optional[str] = None
-    watermark_records: int = 256
-    watermark_seconds: float = 5.0
     ready_file: Optional[str] = None
 
 
@@ -43,9 +41,7 @@ class ServeDaemon:
 
     def __init__(self, config: ServeConfig):
         self.config = config
-        watermark = WatermarkPolicy(records=config.watermark_records,
-                                    seconds=config.watermark_seconds)
-        self.service = self._build_service(config, watermark)
+        self.service = self._build_service(config)
         self.feed = FeedServer(self.service, host=config.host,
                                port=config.feed_port)
         self.http = ReportApiServer(self.service, host=config.host,
@@ -53,23 +49,19 @@ class ServeDaemon:
         self._shutdown = threading.Event()
 
     @staticmethod
-    def _build_service(config: ServeConfig,
-                       watermark: WatermarkPolicy) -> MeasurementService:
+    def _build_service(config: ServeConfig) -> MeasurementService:
         if config.checkpoint_dir is not None:
             try:
-                return MeasurementService.restore(config.checkpoint_dir,
-                                                  watermark=watermark)
+                return MeasurementService.restore(config.checkpoint_dir)
             except CheckpointError:
                 # Empty or brand-new directory: start fresh (the store
-                # writes its meta on construction).  A directory holding
-                # *incompatible* checkpoints also lands here only if it
-                # has no readable meta; mismatched formats/kinds raise
-                # from load_meta with a message worth surfacing, so
-                # re-raise when meta exists.
+                # writes its meta on construction).  A directory with a
+                # meta.json holds checkpoints this build cannot read (a
+                # mismatched format or kind, a corrupt journal): re-raise
+                # its message for the caller to surface.
                 if (Path(config.checkpoint_dir) / "meta.json").exists():
                     raise
-        return MeasurementService(checkpoint_dir=config.checkpoint_dir,
-                                  watermark=watermark)
+        return MeasurementService(checkpoint_dir=config.checkpoint_dir)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -92,7 +84,8 @@ class ServeDaemon:
         os.replace(temp, target)
 
     def stop(self) -> None:
-        """Graceful shutdown: quiesce transports, then flush state."""
+        """Graceful shutdown: quiesce transports, then retry any journal
+        append that failed."""
         self.feed.stop()
         self.http.stop()
         self.service.flush_all()

@@ -24,14 +24,19 @@ permanently.
 import dataclasses
 import json
 import socket
-import struct
 import threading
 from typing import Iterator, List, Optional
 
-from repro.core.wire import FeedBatch, WireError, decode_feed_batch, encode_feed_batch
+from repro.core.wire import (
+    FRAME_HEADER,
+    FeedBatch,
+    WireError,
+    decode_feed_batch,
+    encode_feed_batch,
+    framed,
+)
 from repro.serve.service import MeasurementService, ServeError
 
-_FRAME_HEADER = struct.Struct(">I")
 MAX_FRAME = 64 * 1024 * 1024
 """Upper bound on one frame — far above any sane batch, low enough that
 a corrupt length prefix cannot trigger a multi-gigabyte allocation."""
@@ -48,7 +53,7 @@ class FeedError(RuntimeError):
 def send_frame(sock: socket.socket, payload: bytes) -> None:
     if len(payload) > MAX_FRAME:
         raise FeedError(f"frame of {len(payload)} bytes exceeds {MAX_FRAME}")
-    sock.sendall(_FRAME_HEADER.pack(len(payload)) + payload)
+    sock.sendall(framed(payload))
 
 
 def _recv_exact(sock: socket.socket, count: int) -> Optional[bytes]:
@@ -65,10 +70,10 @@ def _recv_exact(sock: socket.socket, count: int) -> Optional[bytes]:
 
 def recv_frame(sock: socket.socket) -> Optional[bytes]:
     """One frame payload, or ``None`` on orderly EOF at a boundary."""
-    header = _recv_exact(sock, _FRAME_HEADER.size)
+    header = _recv_exact(sock, FRAME_HEADER.size)
     if header is None:
         return None
-    (length,) = _FRAME_HEADER.unpack(header)
+    (length,) = FRAME_HEADER.unpack(header)
     if length > MAX_FRAME:
         raise FeedError(f"incoming frame claims {length} bytes "
                         f"(max {MAX_FRAME}); stream corrupt?")
@@ -84,8 +89,9 @@ class FeedServer:
     """Threaded TCP acceptor feeding a :class:`MeasurementService`.
 
     One thread per connection; each decoded batch goes straight to
-    ``service.ingest`` and the resulting ack (or a structured error
-    payload) is framed back.  Errors never kill the daemon: a
+    ``service.ingest`` together with the blob it was decoded from (which
+    the journal stores verbatim), and the resulting ack (or a structured
+    error payload) is framed back.  Errors never kill the daemon: a
     :class:`~repro.serve.service.ServeError` is reported and the
     connection stays open (the feeder may switch campaigns); a wire
     decode failure is reported and the connection dropped (the stream
@@ -133,7 +139,7 @@ class FeedServer:
                         "code": "wire_error", "message": str(exc)}})
                     return
                 try:
-                    ack = self.service.ingest(batch)
+                    ack = self.service.ingest(batch, blob)
                 except ServeError as exc:
                     ack = exc.to_payload()
                 if not self._reply(conn, ack):

@@ -1,4 +1,4 @@
-"""Multi-tenant session registry with watermark checkpointing.
+"""Multi-tenant session registry with journaled checkpoints.
 
 The :class:`MeasurementService` is the daemon's core, independent of any
 transport: the socket feed (:mod:`repro.serve.feed`) and the HTTP API
@@ -10,23 +10,21 @@ transport: the socket feed (:mod:`repro.serve.feed`) and the HTTP API
 * the structured error vocabulary — ingest for an unregistered campaign
   raises :class:`UnknownCampaignError`, never a bare ``KeyError``, and
   transports render ``error.to_payload()`` verbatim;
-* continuous checkpointing: after each applied batch, a campaign whose
-  un-flushed tail crossed the :class:`WatermarkPolicy` record count *or*
-  wall-clock age is flushed to the
-  :class:`~repro.core.checkpoint.ServeCheckpointStore` (registration
-  context blobs are written once, state blobs rewritten per watermark).
-  There is no timer thread — an idle campaign has nothing to lose, so
-  watermarks are only evaluated on ingest and on shutdown.
+* checkpointing: with a
+  :class:`~repro.core.checkpoint.ServeCheckpointStore`, a campaign's
+  registration frame starts its journal and each applied data batch's
+  frame is appended under the session lock before the batch is
+  acknowledged, so an ack means the batch survives a hard kill.  A
+  restart replays the journals through the sessions' ingest.
 """
 
 import re
 import threading
 import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.checkpoint import ServeCheckpointStore
-from repro.core.wire import FeedBatch, encode_feed_batch
+from repro.core.wire import FeedBatch, encode_feed_batch, framed
 from repro.serve.session import CampaignSession
 from repro.telemetry.registry import MetricsRegistry
 
@@ -75,29 +73,25 @@ class RegistrationError(ServeError):
     code = "registration_error"
 
 
-@dataclass(frozen=True)
-class WatermarkPolicy:
-    """When to flush a campaign's state blob.
+class InvalidBatchError(ServeError):
+    """A data batch that cannot apply; none of it was applied."""
 
-    A flush happens when either threshold trips: ``records`` log entries
-    applied since the last flush, or ``seconds`` of wall-clock age on a
-    non-empty un-flushed tail.  Both are deliberately coarse — the state
-    blob is O(campaign), so flushing per batch would dominate ingest.
-    """
+    code = "invalid_batch"
 
-    records: int = 256
-    seconds: float = 5.0
+
+class JournalError(ServeError):
+    """An applied batch could not be appended to its campaign's journal."""
+
+    code = "journal_error"
 
 
 class MeasurementService:
-    """Campaign registry + ingest router + watermark checkpointer."""
+    """Campaign registry + ingest router + journaling checkpointer."""
 
     def __init__(self, checkpoint_dir=None,
-                 watermark: Optional[WatermarkPolicy] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  clock=time.monotonic):
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.watermark = watermark if watermark is not None else WatermarkPolicy()
         self._clock = clock
         self._sessions: Dict[str, CampaignSession] = {}
         self._registry_lock = threading.Lock()
@@ -105,40 +99,31 @@ class MeasurementService:
         if checkpoint_dir is not None:
             self._store = ServeCheckpointStore(checkpoint_dir)
             self._store.save_meta()
-        self._pending_records: Dict[str, int] = {}
-        """Log records applied since the campaign's last flush."""
-        self._tail_age_start: Dict[str, float] = {}
-        """Clock reading when the campaign's un-flushed tail began."""
         self.started_at = clock()
         self._m_checkpoints = self.metrics.counter("serve.checkpoints")
 
     # -- restore -----------------------------------------------------------
 
     @classmethod
-    def restore(cls, checkpoint_dir, watermark=None, metrics=None,
+    def restore(cls, checkpoint_dir, metrics=None,
                 clock=time.monotonic) -> "MeasurementService":
-        """Resume every campaign found in a serve checkpoint directory.
+        """Resume every campaign journaled in a serve checkpoint directory.
 
-        Campaigns with a registration blob but no state blob (killed
-        before their first watermark) restart empty from the context;
-        the feeder's idempotent resend replays what was lost.
+        Each journal replays through the session's ingest: its
+        registration frame builds the session and every data frame
+        applies again, so the restored session is at the last
+        acknowledged batch.
         """
-        store = ServeCheckpointStore(checkpoint_dir)
-        store.load_meta()
-        service = cls(checkpoint_dir=checkpoint_dir, watermark=watermark,
-                      metrics=metrics, clock=clock)
-        for campaign_id in store.campaign_ids():
-            registration = store.load_context(campaign_id)
-            state = store.load_state(campaign_id)
-            if state is None:
-                session = CampaignSession.from_context(
-                    campaign_id, registration.context,
-                    metrics=service.metrics)
-            else:
-                session = CampaignSession.restore(
-                    registration, state, metrics=service.metrics)
+        ServeCheckpointStore(checkpoint_dir).load_meta()
+        service = cls(checkpoint_dir=checkpoint_dir, metrics=metrics,
+                      clock=clock)
+        for campaign_id in service._store.campaign_ids():
+            registration, *batches = service._store.load_journal(campaign_id)
+            session = CampaignSession.from_context(
+                campaign_id, registration.context, metrics=service.metrics)
+            for batch in batches:
+                session.ingest_batch(batch)
             service._sessions[campaign_id] = session
-            service._pending_records[campaign_id] = 0
         return service
 
     # -- registry ----------------------------------------------------------
@@ -154,12 +139,13 @@ class MeasurementService:
             raise UnknownCampaignError(campaign_id, self.campaign_ids())
         return session
 
-    def register(self, batch: FeedBatch) -> dict:
+    def register(self, batch: FeedBatch, blob: Optional[bytes] = None) -> dict:
         """Create a session from a registration batch (idempotent).
 
         Re-registering an existing campaign is acknowledged without
         effect when the zone agrees (the normal feeder-restart case) and
-        rejected as a conflict when it does not.
+        rejected as a conflict when it does not.  With checkpointing, a
+        new campaign is registered only once its journal has begun.
         """
         if batch.context is None:
             raise RegistrationError(
@@ -183,53 +169,71 @@ class MeasurementService:
                         "applied": False, "registered": True}
             session = CampaignSession.from_context(
                 batch.campaign_id, batch.context, metrics=self.metrics)
+            if self._store is not None:
+                try:
+                    self._store.start_journal(batch.campaign_id,
+                                              _frame(batch, blob))
+                except OSError as exc:
+                    raise JournalError(
+                        f"campaign {batch.campaign_id!r} not registered: "
+                        f"cannot start its journal ({exc})"
+                    ) from exc
             self._sessions[batch.campaign_id] = session
-            self._pending_records[batch.campaign_id] = 0
-        if self._store is not None:
-            self._store.save_context_blob(batch.campaign_id,
-                                          encode_feed_batch(batch))
         return {"campaign": batch.campaign_id, "seq": 0, "applied": True,
                 "registered": True}
 
     # -- ingest ------------------------------------------------------------
 
-    def ingest(self, batch: FeedBatch) -> dict:
-        """Route one feed batch: registration or data."""
-        if batch.context is not None:
-            return self.register(batch)
-        session = self.session(batch.campaign_id)
-        ack = session.ingest_batch(batch)
-        if ack["applied"]:
-            self._note_progress(batch.campaign_id, len(batch.log_entries))
-        return ack
+    def ingest(self, batch: FeedBatch, blob: Optional[bytes] = None) -> dict:
+        """Route one feed batch: registration or data.
 
-    def _note_progress(self, campaign_id: str, log_records: int) -> None:
-        if self._store is None:
-            return
-        now = self._clock()
-        self._tail_age_start.setdefault(campaign_id, now)
-        pending = self._pending_records.get(campaign_id, 0) + log_records
-        self._pending_records[campaign_id] = pending
-        age = now - self._tail_age_start[campaign_id]
-        if (pending >= self.watermark.records
-                or age >= self.watermark.seconds):
-            self.checkpoint(campaign_id)
+        ``blob`` is the batch's wire encoding as the feed socket
+        received it, which the journal stores verbatim; without one the
+        batch is encoded.  A data batch is acknowledged only once its
+        frame, and any frame an earlier failed append left behind, is in
+        the journal.
+        """
+        if batch.context is not None:
+            return self.register(batch, blob)
+        session = self.session(batch.campaign_id)
+        with session.lock:
+            if batch.seq > session.seq:
+                _check_decoys(session, batch)
+            frame = _frame(batch, blob) if self._store is not None else None
+            ack = session.ingest_batch(batch, frame)
+            self.checkpoint(batch.campaign_id)
+        return ack
 
     # -- checkpointing -----------------------------------------------------
 
     def checkpoint(self, campaign_id: str) -> bool:
-        """Flush one campaign's state blob now; True if written."""
+        """Append the campaign's unjournaled frames; True if any were.
+
+        A failed append raises :class:`JournalError` and keeps the
+        frames, so the campaign's next ingest (a resend included) or
+        :meth:`flush_all` retries them.
+        """
         if self._store is None:
             return False
         session = self.session(campaign_id)
-        self._store.save_state_blob(campaign_id, session.state_blob())
-        self._pending_records[campaign_id] = 0
-        self._tail_age_start.pop(campaign_id, None)
+        with session.lock:
+            blob = session.state_blob()
+            if not blob:
+                return False
+            try:
+                self._store.save_state_blob(campaign_id, blob)
+            except OSError as exc:
+                raise JournalError(
+                    f"campaign {campaign_id!r} is at seq {session.seq} but "
+                    f"its journal append failed ({exc}); resend the batch "
+                    "to retry"
+                ) from exc
+            session.journaled()
         self._m_checkpoints.inc()
         return True
 
     def flush_all(self) -> int:
-        """Flush every campaign (graceful-shutdown path)."""
+        """Append every campaign's unjournaled frames (shutdown path)."""
         flushed = 0
         for campaign_id in self.campaign_ids():
             if self.checkpoint(campaign_id):
@@ -254,7 +258,33 @@ class MeasurementService:
         data = self.session(campaign_id).telemetry()
         data["checkpoint"] = {
             "enabled": self._store is not None,
-            "pending_records": self._pending_records.get(campaign_id, 0),
             "flushes": self._m_checkpoints.value,
+            "journal_bytes": (self._store.journal_bytes(campaign_id)
+                              if self._store is not None else 0),
         }
         return data
+
+
+def _frame(batch: FeedBatch, blob: Optional[bytes]) -> bytes:
+    """The journal frame of ``batch``: its received blob, length-prefixed."""
+    return framed(blob if blob is not None else encode_feed_batch(batch))
+
+
+def _check_decoys(session: CampaignSession, batch: FeedBatch) -> None:
+    """Reject a new data batch that would register a decoy twice, before
+    any of it applies (the ledger refuses a duplicate domain)."""
+    seen = set()
+    for record in batch.records:
+        domain = record.domain
+        if session.ledger.phase_of(domain) is not None:
+            raise InvalidBatchError(
+                f"batch seq {batch.seq} for campaign {batch.campaign_id!r} "
+                f"re-registers decoy {domain!r}, already in the ledger; "
+                "nothing was applied"
+            )
+        if domain in seen:
+            raise InvalidBatchError(
+                f"batch seq {batch.seq} for campaign {batch.campaign_id!r} "
+                f"registers decoy {domain!r} twice; nothing was applied"
+            )
+        seen.add(domain)

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.paperreport import full_report_from_state
 from repro.analysis.streaming import AnalysisState
 from repro.core.correlate import DecoyLedger, IncrementalCorrelator
-from repro.core.wire import FeedBatch, ServeCampaignState, encode_serve_state
+from repro.core.wire import FeedBatch
 from repro.intel.blocklist import Blocklist
 from repro.intel.directory import IpDirectory
 from repro.telemetry.registry import NULL_REGISTRY, labeled
@@ -89,8 +89,6 @@ class CampaignSession:
         self.zone = zone
         self.report_title = report_title
         self.ledger = DecoyLedger()
-        self._directory = directory
-        self._blocklist = blocklist
         self.state = AnalysisState(directory=directory, blocklist=blocklist)
         self.correlator = IncrementalCorrelator(self.ledger, zone)
         self.lock = threading.RLock()
@@ -102,6 +100,8 @@ class CampaignSession:
         self._digest: Optional[str] = None
         self._cache = ReportCache(metrics=metrics, campaign_id=campaign_id)
         self.ingest_seconds = 0.0
+        self._unjournaled: List[bytes] = []
+        """Frames of applied batches not yet appended to the journal."""
         metrics = metrics if metrics is not None else NULL_REGISTRY
         self._m_batches = metrics.counter(
             labeled("serve.ingest.batches", campaign=campaign_id))
@@ -130,42 +130,19 @@ class CampaignSession:
         return cls(campaign_id, context["zone"], directory, blocklist,
                    metrics=metrics)
 
-    @classmethod
-    def restore(cls, registration: FeedBatch, state: ServeCampaignState,
-                metrics=None) -> "CampaignSession":
-        """Rebuild a session from its checkpoint pair.
-
-        The restored session keeps ingesting and serving exactly where
-        the killed one left off: ledger records re-register (without
-        re-observing — the analysis snapshot already contains them),
-        the correlator resumes its classification state, and the
-        accumulators restore *with* the intel handles rebuilt from the
-        registration context, so they can keep observing new events.
-        """
-        session = cls.from_context(state.campaign_id,
-                                   registration.context, metrics=metrics)
-        for record in state.records:
-            session.ledger.register(record)
-        session.state = AnalysisState.from_snapshot(
-            state.analysis, directory=session._directory,
-            blocklist=session._blocklist)
-        session.correlator = IncrementalCorrelator.from_state_snapshot(
-            state.correlator, session.ledger, session.zone)
-        session.seq = state.seq
-        session.log_records = state.log_records
-        session.location_count = state.location_count
-        return session
-
     # -- ingest ------------------------------------------------------------
 
-    def ingest_batch(self, batch: FeedBatch) -> dict:
+    def ingest_batch(self, batch: FeedBatch,
+                     frame: Optional[bytes] = None) -> dict:
         """Fold one feed batch in; idempotent on ``seq``.
 
         A batch at or below the high-water mark is acknowledged without
         effect — that is what makes at-least-once feed delivery (resend
         after a daemon restart) safe.  Within a batch, decoys apply
         before log entries, so an entry never references an unregistered
-        decoy of the same batch.
+        decoy of the same batch.  ``frame`` is the batch as the journal
+        stores it; an applied batch's frame is held for
+        :meth:`state_blob` until :meth:`journaled` is called.
         """
         with self.lock:
             if batch.seq <= self.seq:
@@ -187,6 +164,8 @@ class CampaignSession:
             self.state.set_log_entries(self.log_records)
             self.seq = batch.seq
             self._dirty = True
+            if frame is not None:
+                self._unjournaled.append(frame)
             self.ingest_seconds += perf_counter() - started
             self._m_batches.inc()
             self._m_records.inc(len(batch.log_entries))
@@ -280,15 +259,12 @@ class CampaignSession:
     # -- checkpointing -----------------------------------------------------
 
     def state_blob(self) -> bytes:
-        """The campaign's current :class:`ServeCampaignState` as a wire
-        blob, consistent under the session lock."""
+        """The frames of applied batches not yet in the journal, in
+        apply order, consistent under the session lock."""
         with self.lock:
-            return encode_serve_state(ServeCampaignState(
-                campaign_id=self.campaign_id,
-                seq=self.seq,
-                log_records=self.log_records,
-                location_count=self.location_count,
-                records=self.ledger.records(),
-                correlator=self.correlator.state_snapshot(),
-                analysis=self.state.snapshot(),
-            ))
+            return b"".join(self._unjournaled)
+
+    def journaled(self) -> None:
+        """Mark every frame :meth:`state_blob` returned as appended."""
+        with self.lock:
+            self._unjournaled.clear()

@@ -162,3 +162,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("cannot resume: ")
         assert "meta.json" in err
+
+    @pytest.mark.parametrize("unreadable", ["old-format", "run-kind",
+                                            "corrupt-journal"])
+    def test_serve_unreadable_checkpoint_exits_2(self, tmp_path, capsys,
+                                                 monkeypatch, unreadable):
+        from repro.core.checkpoint import CHECKPOINT_FORMAT
+        from repro.serve.daemon import ServeDaemon
+
+        meta = {"format": CHECKPOINT_FORMAT, "kind": "serve"}
+        if unreadable == "old-format":
+            meta["format"] = 4
+        elif unreadable == "run-kind":
+            meta["kind"] = "run"
+        else:  # one whole frame whose blob is not a feed batch
+            (tmp_path / "campaign-x.journal.bin").write_bytes(
+                b"\x00\x00\x00\x0cnot-a-batch!")
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        monkeypatch.setattr(ServeDaemon, "run_forever", lambda self: None)
+        assert main(["serve", "--checkpoint", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot restore: ")
+        assert "fresh checkpoint directory" in err
+        assert "re-run the campaign" not in err

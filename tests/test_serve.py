@@ -7,6 +7,11 @@ restart-from-checkpoint.  This suite pins that contract:
 
 * three seeds x {batch, live-fed, killed-and-restarted}: equal digests
   and byte-identical rendered reports;
+* the checkpoint journal: every acknowledged batch survives a kill, a
+  torn final frame is dropped, a corrupt whole frame is an error, and a
+  failed append is retried by a resend;
+* a data batch that would register a decoy twice is rejected before
+  any of it applies, in-process and over the socket;
 * the incremental correlator emits the batch pass's exact event
   multiset, initial arrivals, and unknown domains;
 * ingest for an unknown campaign raises a structured error (never a
@@ -18,6 +23,7 @@ restart-from-checkpoint.  This suite pins that contract:
 """
 
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -27,10 +33,11 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.paperreport import full_report_from_state
+from repro.core.checkpoint import CheckpointError, ServeCheckpointStore
 from repro.core.config import ExperimentConfig
 from repro.core.correlate import IncrementalCorrelator
 from repro.core.experiment import Experiment
-from repro.core.wire import FeedBatch
+from repro.core.wire import FRAME_HEADER, FeedBatch, encode_feed_batch, framed
 from repro.serve.feed import (
     FeedClient,
     FeedError,
@@ -39,11 +46,11 @@ from repro.serve.feed import (
 )
 from repro.serve.httpapi import ReportApiServer
 from repro.serve.service import (
+    InvalidBatchError,
     InvalidCampaignError,
     MeasurementService,
     RegistrationError,
     UnknownCampaignError,
-    WatermarkPolicy,
 )
 from repro.serve.session import REPORT_TITLE
 
@@ -90,63 +97,168 @@ class TestLiveEqualsBatch:
         batches = list(feed_batches_from_result(result, campaign,
                                                 batch_size=BATCH_SIZE))
         half = len(batches) // 2
-        first = MeasurementService(
-            checkpoint_dir=tmp_path,
-            watermark=WatermarkPolicy(records=1, seconds=0.0))
+        first = MeasurementService(checkpoint_dir=tmp_path)
         for batch in batches[:half]:
             first.ingest(batch)
-        # No flush_all(): the "kill" relies on watermark flushes alone.
+        # No flush_all(): the "kill" relies on the journal alone.
 
         restored = MeasurementService.restore(tmp_path)
         acks = [restored.ingest(batch) for batch in batches]
-        assert not any(ack["applied"] for ack in acks[:half - 1])
+        assert not any(ack["applied"] for ack in acks[:half])
         session = restored.session(campaign)
         text, digest, _ = session.report()
         assert digest == result.analysis.digest()
         assert text == full_report_from_state(result.analysis,
                                               title=REPORT_TITLE)
 
-    def test_restore_without_state_blob_replays_from_empty(self, runs,
-                                                           tmp_path):
-        """Killed before the first watermark: context blob only, the
-        restored session starts at seq 0 and a full resend rebuilds."""
-        seed = SEEDS[0]
-        result = runs[seed]
-        campaign = _campaign(seed)
-        batches = list(feed_batches_from_result(result, campaign,
-                                                batch_size=BATCH_SIZE))
-        first = MeasurementService(
-            checkpoint_dir=tmp_path,
-            watermark=WatermarkPolicy(records=10**9, seconds=10**9))
-        first.ingest(batches[0])  # registration flushes the context blob
-        first.ingest(batches[1])  # never reaches a watermark
+
+class TestJournal:
+    """The serve checkpoint is an append-only journal of feed frames."""
+
+    @staticmethod
+    def _batches(result, campaign):
+        return list(feed_batches_from_result(result, campaign,
+                                             batch_size=BATCH_SIZE))
+
+    @staticmethod
+    def _journal(directory, campaign) -> Path:
+        return Path(directory) / f"campaign-{campaign}.journal.bin"
+
+    def test_acks_are_durable(self, runs, tmp_path):
+        """No flush_all(): the restored session is at the last ack."""
+        result = runs[SEEDS[0]]
+        campaign = _campaign(SEEDS[0])
+        batches = self._batches(result, campaign)
+        first = MeasurementService(checkpoint_dir=tmp_path)
+        acks = [first.ingest(batch) for batch in batches[:len(batches) // 2]]
 
         restored = MeasurementService.restore(tmp_path)
-        assert restored.session(campaign).seq == 0
+        session = restored.session(campaign)
+        assert session.seq == acks[-1]["seq"] > 0
+        assert session.log_records == acks[-1]["log_records"]
+        assert session.digest() == first.session(campaign).digest()
+
+    @pytest.mark.parametrize("cut", [2, 37], ids=["in-header", "in-blob"])
+    def test_torn_tail_is_dropped_and_truncated(self, runs, tmp_path, cut):
+        result = runs[SEEDS[0]]
+        campaign = _campaign(SEEDS[0])
+        batches = self._batches(result, campaign)
+        half = len(batches) // 2
+        first = MeasurementService(checkpoint_dir=tmp_path)
+        for batch in batches[:half]:
+            first.ingest(batch)
+        journal = self._journal(tmp_path, campaign)
+        whole = journal.stat().st_size
+        # Killed mid-append: only the next frame's first bytes landed.
+        with open(journal, "ab") as handle:
+            handle.write(framed(encode_feed_batch(batches[half]))[:cut])
+
+        restored = MeasurementService.restore(tmp_path)
+        assert journal.stat().st_size == whole
+        assert restored.session(campaign).seq == half - 1
         for batch in batches:
             restored.ingest(batch)
-        _, digest, _ = restored.session(campaign).report()
+        text, digest, _ = restored.session(campaign).report()
         assert digest == result.analysis.digest()
+        assert text == full_report_from_state(result.analysis,
+                                              title=REPORT_TITLE)
+        again = MeasurementService.restore(tmp_path).session(campaign)
+        assert again.digest() == result.analysis.digest()
+
+    def test_corrupt_frame_raises_checkpoint_error(self, runs, tmp_path):
+        result = runs[SEEDS[0]]
+        campaign = _campaign(SEEDS[0])
+        batches = self._batches(result, campaign)
+        first = MeasurementService(checkpoint_dir=tmp_path)
+        for batch in batches[:4]:
+            first.ingest(batch)
+        journal = self._journal(tmp_path, campaign)
+        data = bytearray(journal.read_bytes())
+        second = FRAME_HEADER.size + len(encode_feed_batch(batches[0]))
+        data[second + FRAME_HEADER.size + 20] ^= 0xFF
+        journal.write_bytes(bytes(data))
+
+        with pytest.raises(CheckpointError) as excinfo:
+            MeasurementService.restore(tmp_path)
+        message = str(excinfo.value)
+        assert journal.name in message
+        assert f"frame at byte {second} is corrupt" in message
+        assert journal.stat().st_size == len(data)  # nothing truncated
+
+    def test_concurrent_feeders_journal_in_apply_order(self, runs, tmp_path):
+        """Four feeders resending one campaign at once: each batch is
+        journaled once, in seq order, and the journal restores exactly."""
+        result = runs[SEEDS[0]]
+        campaign = _campaign(SEEDS[0])
+        batches = self._batches(result, campaign)
+        service = MeasurementService(checkpoint_dir=tmp_path)
+        service.ingest(batches[0])
+        errors = []
+
+        def feeder():
+            try:
+                for batch in batches:
+                    service.ingest(batch)
+            except Exception as error:  # noqa: BLE001
+                errors.append(repr(error))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=feeder) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        journaled = ServeCheckpointStore(tmp_path).load_journal(campaign)
+        assert [batch.seq for batch in journaled] == \
+            [batch.seq for batch in batches]
+        restored = MeasurementService.restore(tmp_path).session(campaign)
+        assert restored.digest() == result.analysis.digest()
+
+    def test_failed_append_is_an_error_ack_and_resend_retries(
+            self, runs, tmp_path, monkeypatch):
+        result = runs[SEEDS[0]]
+        campaign = _campaign(SEEDS[0])
+        batches = self._batches(result, campaign)
+        append = ServeCheckpointStore.save_state_blob
+        failures = []
+
+        def fail_once(store, campaign_id, blob):
+            if failures:
+                return append(store, campaign_id, blob)
+            failures.append(campaign_id)
+            # A partial write, then the error: the retry must overwrite it.
+            with open(self._journal(tmp_path, campaign_id), "ab") as handle:
+                handle.write(blob[:10])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(ServeCheckpointStore, "save_state_blob",
+                            fail_once)
+        service = MeasurementService(checkpoint_dir=tmp_path)
+        server = FeedServer(service)
+        server.start()
+        try:
+            with FeedClient(port=server.port) as client:
+                client.send(batches[0])
+                with pytest.raises(FeedError, match="journal_error"):
+                    client.send(batches[1])
+                ack = client.send(batches[1])  # the resend
+                assert ack["seq"] == 1 and not ack["applied"]
+                assert service.session(campaign).state_blob() == b""
+                for batch in batches[2:]:
+                    client.send(batch)
+        finally:
+            server.stop()
+        restored = MeasurementService.restore(tmp_path).session(campaign)
+        assert restored.digest() == result.analysis.digest()
 
 
 class TestIncrementalCorrelator:
-    def test_state_snapshot_roundtrip_continues_identically(self, runs):
-        result = runs[SEEDS[0]]
-        entries = list(result.log)
-        half = len(entries) // 2
-        full = IncrementalCorrelator(result.ledger, result.config.zone)
-        for entry in entries:
-            full.ingest(entry)
-
-        first = IncrementalCorrelator(result.ledger, result.config.zone)
-        for entry in entries[:half]:
-            first.ingest(entry)
-        resumed = IncrementalCorrelator.from_state_snapshot(
-            first.state_snapshot(), result.ledger, result.config.zone)
-        for entry in entries[half:]:
-            resumed.ingest(entry)
-        assert resumed.state_snapshot() == full.state_snapshot()
-
     def test_result_requires_retained_events(self, runs):
         result = runs[SEEDS[0]]
         correlator = IncrementalCorrelator(result.ledger, result.config.zone)
@@ -225,6 +337,67 @@ class TestMultiTenantGuard:
             assert payload["error"]["code"] == "unknown_campaign"
         finally:
             server.stop()
+
+
+class TestInvalidBatch:
+    """A data batch that would register a decoy twice is rejected whole,
+    before anything applies or is journaled."""
+
+    @staticmethod
+    def _bad_batch(batches, kind) -> FeedBatch:
+        fresh = batches[2].records[:2]
+        repeat = (batches[1].records[0] if kind == "in-ledger"
+                  else fresh[0])
+        return FeedBatch(campaign_id=batches[2].campaign_id, seq=2,
+                         records=fresh + [repeat],
+                         log_entries=batches[2].log_entries)
+
+    @pytest.mark.parametrize("kind", ["in-ledger", "within-batch"])
+    def test_rejected_in_process(self, runs, tmp_path, kind):
+        result = runs[SEEDS[0]]
+        campaign = _campaign(SEEDS[0])
+        batches = list(feed_batches_from_result(result, campaign,
+                                                batch_size=BATCH_SIZE))
+        service = MeasurementService(checkpoint_dir=tmp_path)
+        service.ingest(batches[0])
+        service.ingest(batches[1])
+        session = service.session(campaign)
+        before = (session.seq, len(session.ledger), session.digest())
+        journal = tmp_path / f"campaign-{campaign}.journal.bin"
+        journal_bytes = journal.stat().st_size
+
+        with pytest.raises(InvalidBatchError) as excinfo:
+            service.ingest(self._bad_batch(batches, kind))
+        assert excinfo.value.to_payload()["error"]["code"] == "invalid_batch"
+        assert (session.seq, len(session.ledger), session.digest()) == before
+        assert journal.stat().st_size == journal_bytes
+
+        for batch in batches[2:]:
+            service.ingest(batch)
+        assert session.digest() == result.analysis.digest()
+        restored = MeasurementService.restore(tmp_path).session(campaign)
+        assert restored.digest() == result.analysis.digest()
+
+    @pytest.mark.parametrize("kind", ["in-ledger", "within-batch"])
+    def test_rejected_over_socket_connection_stays_open(self, runs, kind):
+        result = runs[SEEDS[0]]
+        campaign = _campaign(SEEDS[0])
+        batches = list(feed_batches_from_result(result, campaign,
+                                                batch_size=BATCH_SIZE))
+        service = MeasurementService()
+        server = FeedServer(service)
+        server.start()
+        try:
+            with FeedClient(port=server.port) as client:
+                client.send(batches[0])
+                client.send(batches[1])
+                with pytest.raises(FeedError, match="invalid_batch"):
+                    client.send(self._bad_batch(batches, kind))
+                for batch in batches[2:]:
+                    client.send(batch)
+        finally:
+            server.stop()
+        assert service.session(campaign).digest() == result.analysis.digest()
 
 
 class TestFeedServerStop:
@@ -376,13 +549,8 @@ class TestCheckpointHygiene:
         with pytest.raises(CheckpointError, match="serve"):
             CheckpointStore(tmp_path).load_meta()
 
-    def test_wire_roundtrip_feed_and_state(self, runs):
-        from repro.core.wire import (
-            decode_feed_batch,
-            decode_serve_state,
-            encode_feed_batch,
-            encode_serve_state,
-        )
+    def test_wire_roundtrip_feed_and_state(self, runs, tmp_path):
+        from repro.core.wire import decode_feed_batch
 
         result = runs[SEEDS[0]]
         campaign = _campaign(SEEDS[0])
@@ -397,14 +565,14 @@ class TestCheckpointHygiene:
             assert decoded.locations == batch.locations
             assert decoded.context == batch.context
 
-        service = MeasurementService()
+        # The checkpoint state is the journal: every batch, in order.
+        service = MeasurementService(checkpoint_dir=tmp_path)
         _feed_all(service, result, campaign)
-        session = service.session(campaign)
-        state = decode_serve_state(session.state_blob())
-        assert state.campaign_id == campaign
-        assert state.seq == session.seq
-        assert state.records == result.ledger.records()
-        # JSON decode yields lists where the snapshot held tuples, so
-        # compare the canonical encodings.
-        assert json.dumps(state.analysis, sort_keys=True) == \
-            json.dumps(session.state.snapshot(), sort_keys=True)
+        journaled = ServeCheckpointStore(tmp_path).load_journal(campaign)
+        assert [encode_feed_batch(batch) for batch in journaled] == \
+            [encode_feed_batch(batch) for batch in batches]
+        assert service.session(campaign).state_blob() == b""
+        telemetry = service.telemetry(campaign)["checkpoint"]
+        assert "pending_records" not in telemetry
+        assert telemetry["journal_bytes"] == \
+            (tmp_path / f"campaign-{campaign}.journal.bin").stat().st_size
