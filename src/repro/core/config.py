@@ -9,8 +9,19 @@ qualitative shape; benches scale selected knobs up.
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro.core.identifier import LABEL_LENGTH
 from repro.faults.plan import FaultSpec
+from repro.protocols.dns.names import MAX_NAME_LENGTH, encode_name
 from repro.simkit.units import DAY, HOUR
+
+
+def _zone_fits_decoy_names(zone: str) -> bool:
+    """True when ``<identifier label>.<zone>`` is a valid DNS name."""
+    try:
+        encode_name(f"{'a' * LABEL_LENGTH}.{zone}")
+    except ValueError:  # DnsNameError, or UnicodeError for non-ASCII
+        return False
+    return True
 
 
 class ConfigError(ValueError):
@@ -208,6 +219,11 @@ class ExperimentConfig:
                     f"(got {getattr(self, field_name)!r})"
                 )
 
+        check(_zone_fits_decoy_names(self.zone), "zone",
+              f"every decoy name <{LABEL_LENGTH}-char identifier>.<zone> "
+              "must be a valid DNS name: labels of 1-63 ASCII bytes, at "
+              f"most {MAX_NAME_LENGTH} wire bytes, so a zone of at most "
+              f"{MAX_NAME_LENGTH - LABEL_LENGTH - 3} characters")
         check(self.vp_scale > 0.0, "vp_scale",
               "must be positive — a fraction of the paper's 4,364 VPs "
               "(values > 1 over-recruit for scale benchmarks)")

@@ -24,11 +24,11 @@ This codec sits on the per-decoy hot path — every send encodes one
 identifier and every logged request decodes up to one label per domain
 component — so the implementation is profile-driven: a table-driven CRC
 (one lookup per byte instead of eight shift/xor rounds), precompiled
-``struct.Struct`` instances, and a memoized label decoder.  Memoizing
-*failures* matters as much as successes: ``decode_domain`` tries every
-label of a multi-label name, so the common case for a candidate label is
-rejection, and campaign traffic repeats the same foreign labels
-("probe", "www") millions of times.
+``struct.Struct`` instances, memoized address parsing on encode and a
+memoized label decoder.  Memoizing *failures* matters as much as
+successes: ``decode_domain`` tries every label of a multi-label name, so
+the common case for a candidate label is rejection, and campaign traffic
+repeats the same foreign labels ("probe", "www") millions of times.
 """
 
 import base64
@@ -40,6 +40,10 @@ from repro.net.addr import ip_from_int, ip_to_int
 
 _BODY = struct.Struct("!III B")
 _CRC = struct.Struct("!H")
+
+LABEL_LENGTH = 29
+"""Characters in every encoded label: 24 base32 characters for the 15
+packed bytes, ``-`` and the 4-digit sequence."""
 
 
 class IdentifierError(ValueError):
@@ -129,14 +133,21 @@ def _decode_label(label: str):
         return exc
 
 
+@lru_cache(maxsize=65536)
+def _address_int(address: str) -> int:
+    """:func:`ip_to_int`, memoized: every send packs its VP and
+    destination addresses, and a campaign has few of either."""
+    return ip_to_int(address)
+
+
 class IdentifierCodec:
     """Encodes identities into DNS labels and back."""
 
     def encode(self, identity: DecoyIdentity) -> str:
         packed = _BODY.pack(
             identity.sent_at,
-            ip_to_int(identity.vp_address),
-            ip_to_int(identity.dst_address),
+            _address_int(identity.vp_address),
+            _address_int(identity.dst_address),
             identity.ttl,
         )
         packed += _CRC.pack(crc16_ccitt(packed))

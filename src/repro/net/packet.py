@@ -22,6 +22,8 @@ PROTO_UDP = 17
 _IPV4_FMT = "!BBHHHBBH4s4s"
 _UDP_FMT = "!HHHH"
 _TCP_FMT = "!HHIIBBHHH"
+_UDP_HEADER_LEN = 8
+_TCP_HEADER_LEN = 20  # no options
 
 
 def checksum16(data: bytes) -> int:
@@ -121,7 +123,7 @@ class UDPSegment:
                 raise ValueError(f"port out of range: {port}")
 
     def encode(self) -> bytes:
-        length = 8 + len(self.payload)
+        length = _UDP_HEADER_LEN + len(self.payload)
         # Checksum left zero (legal for UDP over IPv4); the IP checksum
         # already guards the fields the methodology depends on.
         return struct.pack(_UDP_FMT, self.src_port, self.dst_port, length, 0) + self.payload
@@ -220,7 +222,8 @@ class Packet:
         segment = UDPSegment(src_port=src_port, dst_port=dst_port, payload=payload)
         header = IPv4Header(
             src=src, dst=dst, ttl=ttl, protocol=PROTO_UDP,
-            identification=identification, payload_length=len(segment.encode()),
+            identification=identification,
+            payload_length=_UDP_HEADER_LEN + len(payload),
         )
         return cls(ip=header, transport=segment)
 
@@ -232,7 +235,8 @@ class Packet:
                              flags=flags, payload=payload)
         header = IPv4Header(
             src=src, dst=dst, ttl=ttl, protocol=PROTO_TCP,
-            identification=identification, payload_length=len(segment.encode()),
+            identification=identification,
+            payload_length=_TCP_HEADER_LEN + len(payload),
         )
         return cls(ip=header, transport=segment)
 

@@ -127,7 +127,13 @@ class Path:
             raise TransitError(f"tap position {position} outside path of length {len(self.hops)}")
         if (position, tap) in self._taps:
             return
-        self._taps.append((position, tap))
+        # Kept sorted by position, in attachment order within a position:
+        # the order taps fire in, and what lets transit stop at the first
+        # tap past the hop where the packet stopped.
+        index = len(self._taps)
+        while index and self._taps[index - 1][0] > position:
+            index -= 1
+        self._taps.insert(index, (position, tap))
 
     def transit(self, packet: Packet,
                 loss_at: Optional[int] = None) -> TransitResult:
@@ -138,41 +144,48 @@ class Path:
         still process the packet — and any sniffers tapped there still
         capture it — but no ICMP is generated and nothing is delivered.
         A ``loss_at`` beyond where the packet naturally stops is moot.
+
+        The TTL is walked as an integer: hop ``k`` receives the packet
+        with TTL ``t - k + 1``, and that copy is built only where it is
+        read — by the taps at hop ``k`` (which share one copy) or by the
+        ICMP quote at the expiry hop.
         """
         initial_ttl = packet.ip.ttl
         if initial_ttl < 1:
             raise TransitError(f"packet needs TTL >= 1 to leave the VP, got {initial_ttl}")
-        reach = min(initial_ttl, len(self.hops))
-        observed: List[Tuple[int, Hop]] = []
-        current = packet
-        for position in range(1, reach + 1):
-            if loss_at is not None and position == loss_at:
-                return TransitResult(
-                    outcome=TransitOutcome.LOST,
-                    final_position=position - 1,
-                    icmp=None,
-                    observed_by=observed,
-                )
-            hop = self.hops[position - 1]
-            observed.append((position, hop))
-            for tap_position, tap in self._taps:
-                if tap_position == position:
-                    tap(position, hop, current)
-            if position < reach:
-                current = current.decrement_ttl()
-        final_hop = self.hops[reach - 1]
-        if reach == len(self.hops) and initial_ttl >= len(self.hops):
+        hops = self.hops
+        reach = min(initial_ttl, len(hops))
+        lost = loss_at is not None and 1 <= loss_at <= reach
+        last = loss_at - 1 if lost else reach
+        observed = list(zip(range(1, last + 1), hops))
+        seen_at, seen = 1, packet
+        for position, tap in self._taps:
+            if position > last:
+                break
+            if position != seen_at:
+                seen_at = position
+                seen = packet.with_ttl(initial_ttl - position + 1)
+            tap(position, hops[position - 1], seen)
+        if lost:
+            return TransitResult(
+                outcome=TransitOutcome.LOST,
+                final_position=last,
+                icmp=None,
+                observed_by=observed,
+            )
+        if reach == len(hops):
             return TransitResult(
                 outcome=TransitOutcome.DELIVERED,
                 final_position=reach,
                 icmp=None,
                 observed_by=observed,
             )
-        icmp = (
-            IcmpTimeExceeded.for_packet(final_hop.address, current)
-            if final_hop.responds_icmp
-            else None
-        )
+        # Expired at hop ``reach == initial_ttl``, which got TTL 1.
+        final_hop = hops[reach - 1]
+        icmp = None
+        if final_hop.responds_icmp:
+            expired = seen if seen_at == reach else packet.with_ttl(1)
+            icmp = IcmpTimeExceeded.for_packet(final_hop.address, expired)
         return TransitResult(
             outcome=TransitOutcome.EXPIRED,
             final_position=reach,

@@ -8,15 +8,25 @@ authoritative server run on.
 """
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.addr import ip_from_int, ip_to_int
 from repro.net.errors import PacketDecodeError
-from repro.protocols.dns.names import DnsNameError, decode_name, encode_name, normalize_name
+from repro.protocols.dns.names import (
+    MAX_LABEL_LENGTH,
+    MAX_NAME_LENGTH,
+    DnsNameError,
+    decode_name,
+    encode_name,
+    normalize_name,
+)
 from repro.protocols.dns.types import QCLASS_IN, RCODE, QTYPE
 
-_HEADER_FMT = "!HHHHHH"
+_HEADER = struct.Struct("!HHHHHH")
+_QUESTION_TAIL = struct.Struct("!HH")
+_RECORD_TAIL = struct.Struct("!HHI")
+_RDLENGTH = struct.Struct("!H")
 
 FLAG_QR = 0x8000
 FLAG_AA = 0x0400
@@ -53,8 +63,8 @@ class DnsHeader:
         return bool(self.flags & FLAG_RD)
 
     def encode(self) -> bytes:
-        return struct.pack(
-            _HEADER_FMT, self.txid, self.flags,
+        return _HEADER.pack(
+            self.txid, self.flags,
             self.qdcount, self.ancount, self.nscount, self.arcount,
         )
 
@@ -62,7 +72,7 @@ class DnsHeader:
     def decode(cls, data: bytes) -> "DnsHeader":
         if len(data) < 12:
             raise PacketDecodeError(f"DNS header needs 12 bytes, got {len(data)}")
-        txid, flags, qdcount, ancount, nscount, arcount = struct.unpack(_HEADER_FMT, data[:12])
+        txid, flags, qdcount, ancount, nscount, arcount = _HEADER.unpack(data[:12])
         return cls(txid=txid, flags=flags, qdcount=qdcount,
                    ancount=ancount, nscount=nscount, arcount=arcount)
 
@@ -120,31 +130,44 @@ class _NameWriter:
         RFC 1035 4.1.4: a name may end in a pointer to a prior occurrence
         of its tail.  The writer emits leading labels until it finds a
         registered suffix within pointer range (14 bits), then a pointer;
-        every newly-written suffix is registered for later names.
+        every newly-written suffix is registered for later names.  The
+        name is walked by index: a suffix is the slice after a label
+        boundary.
         """
         name = normalize_name(name)
         if not name:
-            self.buffer.extend(b"\x00")
+            self.buffer.append(0)
             return
-        labels = name.split(".")
-        for index in range(len(labels)):
-            suffix = ".".join(labels[index:])
-            offset = self._offsets.get(suffix)
-            if offset is not None and offset <= 0x3FFF:
-                self.buffer.extend(struct.pack("!H", 0xC000 | offset))
+        # Uncompressed, a name takes one length byte per label plus the
+        # root byte: len(name) + 2.  A name over the limit, like a bad
+        # label below, gets the strict encoder's error.
+        if len(name) + 2 > MAX_NAME_LENGTH:
+            encode_name(name)
+        buffer = self.buffer
+        offsets = self._offsets
+        size = len(name)
+        start = 0
+        while start < size:
+            suffix = name[start:]
+            offset = offsets.get(suffix)
+            if offset is not None:
+                buffer.append(0xC0 | offset >> 8)
+                buffer.append(offset & 0xFF)
                 return
-            # Register this suffix at the position its first label starts,
-            # then emit that label.
-            position = len(self.buffer)
-            if position <= 0x3FFF:
-                self._offsets[suffix] = position
-            raw = labels[index].encode("ascii")
-            if not raw or len(raw) > 63:
-                # Delegate limit errors to the strict encoder.
+            end = name.find(".", start)
+            if end < 0:
+                end = size
+            if not 0 < end - start <= MAX_LABEL_LENGTH:
                 encode_name(name)
-            self.buffer.append(len(raw))
-            self.buffer.extend(raw)
-        self.buffer.extend(b"\x00")
+            # Register this suffix at the position its first label starts
+            # (only where a pointer can reach it), then emit that label.
+            position = len(buffer)
+            if position <= 0x3FFF:
+                offsets[suffix] = position
+            buffer.append(end - start)
+            buffer.extend(name[start:end].encode("ascii"))
+            start = end + 1
+        buffer.append(0)
 
 
 def _encode_rdata(writer: _NameWriter, record: ResourceRecord) -> None:
@@ -152,14 +175,13 @@ def _encode_rdata(writer: _NameWriter, record: ResourceRecord) -> None:
         # Domain-name rdata may be compressed against earlier names
         # (RFC 1035 permits it for these classic types).  The length field
         # is backpatched once the possibly-pointered name is written.
-        encode_name(record.rdata)  # enforce label/name limits up front
         length_position = len(writer.buffer)
         writer.write(b"\x00\x00")
         start = len(writer.buffer)
         writer.write_name(record.rdata)
         rdlength = len(writer.buffer) - start
         writer.buffer[length_position:length_position + 2] = \
-            struct.pack("!H", rdlength)
+            _RDLENGTH.pack(rdlength)
         return
     if record.rtype == QTYPE.A:
         rdata = ip_to_int(record.rdata).to_bytes(4, "big")
@@ -184,7 +206,7 @@ def _encode_rdata(writer: _NameWriter, record: ResourceRecord) -> None:
             raise DnsNameError(
                 f"cannot encode rdata for record type {record.rtype}"
             ) from exc
-    writer.write(struct.pack("!H", len(rdata)))
+    writer.write(_RDLENGTH.pack(len(rdata)))
     writer.write(rdata)
 
 
@@ -226,21 +248,19 @@ class DnsMessage:
         return self.questions[0].qname if self.questions else None
 
     def encode(self) -> bytes:
-        header = replace(
-            self.header,
-            qdcount=len(self.questions),
-            ancount=len(self.answers),
-            nscount=len(self.authorities),
-            arcount=len(self.additionals),
-        )
+        """Wire bytes; the header's section counts are the tuple sizes."""
         writer = _NameWriter()
-        writer.write(header.encode())
+        writer.write(_HEADER.pack(
+            self.header.txid, self.header.flags,
+            len(self.questions), len(self.answers),
+            len(self.authorities), len(self.additionals),
+        ))
         for question in self.questions:
             writer.write_name(question.qname)
-            writer.write(struct.pack("!HH", question.qtype, question.qclass))
+            writer.write(_QUESTION_TAIL.pack(question.qtype, question.qclass))
         for record in self.answers + self.authorities + self.additionals:
             writer.write_name(record.name)
-            writer.write(struct.pack("!HHI", record.rtype, record.rclass, record.ttl))
+            writer.write(_RECORD_TAIL.pack(record.rtype, record.rclass, record.ttl))
             _encode_rdata(writer, record)
         return bytes(writer.buffer)
 

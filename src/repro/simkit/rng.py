@@ -23,6 +23,10 @@ class RandomRouter:
     def seed(self) -> int:
         return self._seed
 
+    def _stream_seed(self, name: str) -> int:
+        digest = hashlib.sha256(f"{self._seed}:{name}".encode()).digest()
+        return int.from_bytes(digest[:8], "big")
+
     def stream(self, name: str) -> random.Random:
         """Return the stream for ``name``, creating it on first use.
 
@@ -31,9 +35,19 @@ class RandomRouter:
         insensitive to creation order.
         """
         if name not in self._streams:
-            digest = hashlib.sha256(f"{self._seed}:{name}".encode()).digest()
-            self._streams[name] = random.Random(int.from_bytes(digest[:8], "big"))
+            self._streams[name] = random.Random(self._stream_seed(name))
         return self._streams[name]
+
+    def fresh_stream(self, name: str) -> random.Random:
+        """A new generator seeded exactly as ``stream(name)`` is, not kept.
+
+        For consumers that draw a few values once and never come back
+        (one per router, say): the router keeps no 2.5 KB Mersenne
+        Twister state per name for the rest of the run.  Every call
+        starts the sequence over, so a name must not be drawn from
+        through both this and :meth:`stream`.
+        """
+        return random.Random(self._stream_seed(name))
 
     def fork(self, name: str) -> "RandomRouter":
         """Derive a child router whose streams are independent of the parent's.

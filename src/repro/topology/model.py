@@ -118,7 +118,9 @@ class TopologyModel:
             offset = (offset + 1) % _ROUTER_SPACE_SIZE
         self._addresses_in_use.add(offset)
         address = ip_from_int(_ROUTER_SPACE_BASE + offset)
-        rng = self._router.stream(f"router:{asn}:{index}")
+        # Two draws, once per router (routers are cached below), so the
+        # generator is not kept for the rest of the run.
+        rng = self._router.fresh_stream(f"router:{asn}:{index}")
         responds_icmp = rng.random() >= self.config.icmp_silent_fraction
         open_ports: Tuple[int, ...] = ()
         if rng.random() < self.config.bgp_port_fraction:

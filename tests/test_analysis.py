@@ -404,3 +404,36 @@ class TestDigestNeutrality:
 
     def test_default_snapshot_has_no_matrix_key(self, result):
         assert "matrix" not in result.analysis.snapshot()
+
+
+class TestWirePathDigests:
+    """Result digests of the campaigns a change to the per-decoy wire
+    path (packet transit, TTL handling, DNS encoding) would move first.
+
+    * medium serial: the campaign ``benchmarks/out/BENCH_campaign.json``
+      pins as ``result_digest`` (about 2 s);
+    * tiny seed 7 under the fault knobs of CI's ``fault-smoke`` job,
+      whose link loss drops decoys mid-path (``Path.transit``'s
+      ``loss_at``).
+    """
+
+    MEDIUM_SERIAL = "181c6929befc66c41ce34f714945dc0986d656f0285744fb2f7051e638c19158"
+    FAULTED_TINY_SEED_7 = "04211b859be5f72273fff17e341198b67bad46fa1effa49468bd809a59a06c9f"
+
+    def test_medium_serial_digest(self):
+        from repro.core.shard import result_digest
+        result = Experiment(ExperimentConfig.medium(seed=20240301)).run()
+        assert result_digest(result) == self.MEDIUM_SERIAL
+
+    def test_faulted_tiny_digest(self):
+        from repro.core.shard import result_digest
+        from repro.faults import FaultSpec
+        config = ExperimentConfig.tiny(seed=7)
+        config.faults = FaultSpec(
+            seed=3, link_loss_rate=0.05, vp_churn_rate=0.2,
+            honeypot_outages_per_site=2, log_delay_rate=0.1,
+            log_duplicate_rate=0.05,
+        )
+        config.validate()
+        result = Experiment(config).run()
+        assert result_digest(result) == self.FAULTED_TINY_SEED_7

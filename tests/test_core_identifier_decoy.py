@@ -6,11 +6,13 @@ import pytest
 
 from repro.core.decoy import Decoy, DecoyFactory
 from repro.core.identifier import (
+    LABEL_LENGTH,
     DecoyIdentity,
     IdentifierCodec,
     IdentifierError,
     crc16_ccitt,
 )
+from repro.net.addr import InvalidAddressError
 from repro.net.packet import PROTO_TCP, PROTO_UDP, Packet
 from repro.observers.onpath import extract_domain
 from repro.protocols.dns import DnsMessage
@@ -52,8 +54,17 @@ class TestIdentifierCodec:
             assert self.codec.decode(self.codec.encode(identity)) == identity
 
     def test_label_fits_dns_limit(self):
-        label = self.codec.encode(make_identity(sequence=9999))
-        assert len(label) <= MAX_LABEL_LENGTH
+        for identity in (make_identity(sequence=0), make_identity(sequence=9999)):
+            label = self.codec.encode(identity)
+            assert len(label) == LABEL_LENGTH <= MAX_LABEL_LENGTH
+
+    def test_encode_rejects_malformed_addresses(self):
+        # Twice: the memoized address parse must not cache a failure away.
+        for _ in range(2):
+            with pytest.raises(InvalidAddressError):
+                self.codec.encode(make_identity(vp_address="10.0.0.01"))
+            with pytest.raises(InvalidAddressError):
+                self.codec.encode(make_identity(dst_address="8.8.8"))
 
     def test_label_is_valid_dns_label_charset(self):
         label = self.codec.encode(make_identity())

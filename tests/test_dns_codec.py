@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.identifier import DecoyIdentity, IdentifierCodec
 from repro.net.errors import PacketDecodeError
 from repro.protocols.dns import (
     DnsHeader,
@@ -18,6 +19,7 @@ from repro.protocols.dns import (
     make_response,
     normalize_name,
 )
+from repro.protocols.dns.edns import EdnsOptions, with_edns
 from repro.protocols.dns.message import FLAG_AA, FLAG_QR
 
 
@@ -211,3 +213,140 @@ class TestSuffixCompression:
         decoded = DnsMessage.decode(response.encode())
         assert [record.name for record in decoded.answers] == names
         assert response.encode().count(b"\x04zone\x07example\x03com") == 1
+
+    def test_message_rejects_name_over_255_wire_bytes(self):
+        name = ".".join(["a" * 63] * 4 + ["b" * 11])
+        assert len(name) == 267
+        with pytest.raises(DnsNameError):
+            make_query(name, txid=3).encode()
+        # The longest legal name (253 characters, 255 wire bytes) encodes.
+        longest = ".".join(["a" * 63] * 3 + ["b" * 61])
+        wire = make_query(longest, txid=3).encode()
+        assert DnsMessage.decode(wire).qname == longest
+
+    def test_message_rejects_bad_labels(self):
+        for name in ("a..example.com", "a" * 64 + ".example.com"):
+            with pytest.raises(DnsNameError):
+                make_query(name, txid=4).encode()
+
+
+def _decoy_query() -> DnsMessage:
+    label = IdentifierCodec().encode(DecoyIdentity(
+        sent_at=86_461, vp_address="100.96.0.7", dst_address="8.8.8.8",
+        ttl=9, sequence=42))
+    return make_query(f"{label}.www.experiment.domain", txid=0x1A2B)
+
+
+def _authoritative_a() -> DnsMessage:
+    query = _decoy_query()
+    return make_response(query, answers=(ResourceRecord(
+        name=query.qname, rtype=QTYPE.A, ttl=60, rdata="198.51.100.7"),),
+        authoritative=True)
+
+
+def _cname_ns_chain() -> DnsMessage:
+    return DnsMessage(
+        header=DnsHeader(txid=0x0102, flags=FLAG_QR | 0x0180),
+        questions=(DnsQuestion(qname="www.example.com"),),
+        answers=(
+            ResourceRecord("www.example.com", QTYPE.CNAME, 300,
+                           "edge.cdn.example.com"),
+            ResourceRecord("edge.cdn.example.com", QTYPE.CNAME, 300,
+                           "edge.cdn.example.net"),
+            ResourceRecord("edge.cdn.example.net", QTYPE.A, 30, "203.0.113.9"),
+        ),
+        authorities=(
+            ResourceRecord("example.net", QTYPE.NS, 86400, "ns1.example.net"),
+            ResourceRecord("example.net", QTYPE.NS, 86400, "ns2.example.net"),
+        ),
+        additionals=(
+            ResourceRecord("ns1.example.net", QTYPE.A, 86400, "192.0.2.53"),
+            ResourceRecord("NS2.Example.NET.", QTYPE.A, 86400, "192.0.2.54"),
+        ),
+    )
+
+
+def _soa_nxdomain() -> DnsMessage:
+    query = make_query("missing.www.experiment.domain", txid=0xBEEF,
+                       recursion_desired=False)
+    response = make_response(query, rcode=RCODE.NXDOMAIN, authoritative=True)
+    return DnsMessage(
+        header=response.header, questions=response.questions,
+        authorities=(ResourceRecord(
+            "www.experiment.domain", QTYPE.SOA, 300,
+            "ns1.experiment.domain hostmaster.experiment.domain "
+            "2024030101 7200 3600 1209600 300"),),
+    )
+
+
+def _txt() -> DnsMessage:
+    query = make_query("_probe.www.experiment.domain", txid=0x7777,
+                       qtype=QTYPE.TXT)
+    return make_response(query, answers=(ResourceRecord(
+        "_probe.www.experiment.domain", QTYPE.TXT, 120,
+        "v=shadow1; seen=2024-03-01"),))
+
+
+def _opt_and_hex_rdata() -> DnsMessage:
+    query = with_edns(make_query("www.example.org", txid=0xFFFF,
+                                 qtype=QTYPE.AAAA),
+                      EdnsOptions(udp_payload_size=4096, dnssec_ok=True))
+    return DnsMessage(
+        header=query.header, questions=query.questions,
+        additionals=query.additionals + (ResourceRecord(
+            "www.example.org", QTYPE.AAAA, 3600,
+            "20010db8000000000000000000000001"),),
+    )
+
+
+class TestGoldenBytes:
+    """Wire bytes pinned byte for byte, so a change to compression,
+    section counts or rdata layout shows up as a diff rather than as a
+    round trip that still succeeds."""
+
+    GOLDEN = {
+        _decoy_query: (
+            "1a2b010000010000000000001d6161617664706c656d6161616f63616962"
+            "616561736e66712d30303432037777770a6578706572696d656e7406646f"
+            "6d61696e0000010001"
+        ),
+        _authoritative_a: (
+            "1a2b858000010001000000001d6161617664706c656d6161616f63616962"
+            "616561736e66712d30303432037777770a6578706572696d656e7406646f"
+            "6d61696e0000010001c00c000100010000003c0004c6336407"
+        ),
+        _cname_ns_chain: (
+            "01028180000100030002000203777777076578616d706c6503636f6d0000"
+            "010001c00c000500010000012c000b04656467650363646ec010c02d0005"
+            "00010000012c001604656467650363646e076578616d706c65036e657400"
+            "c044000100010000001e0004cb007109c04d00020001000151800006036e"
+            "7331c04dc04d00020001000151800006036e7332c04dc076000100010001"
+            "51800004c0000235c08800010001000151800004c0000236"
+        ),
+        _soa_nxdomain: (
+            "beef84830001000000010000076d697373696e67037777770a6578706572"
+            "696d656e7406646f6d61696e0000010001c014000600010000012c004903"
+            "6e73310a6578706572696d656e7406646f6d61696e000a686f73746d6173"
+            "7465720a6578706572696d656e7406646f6d61696e0078a43f9500001c20"
+            "00000e10001275000000012c"
+        ),
+        _txt: (
+            "777781800001000100000000065f70726f6265037777770a657870657269"
+            "6d656e7406646f6d61696e0000100001c00c0010000100000078001b1a76"
+            "3d736861646f77313b207365656e3d323032342d30332d3031"
+        ),
+        _opt_and_hex_rdata: (
+            "ffff0100000100000000000203777777076578616d706c65036f72670000"
+            "1c00010000291000000080000000c00c001c000100000e10001020010db8"
+            "000000000000000000000001"
+        ),
+    }
+
+    @pytest.mark.parametrize("build", list(GOLDEN), ids=lambda b: b.__name__[1:])
+    def test_encode_matches_golden_bytes(self, build):
+        assert build().encode().hex() == self.GOLDEN[build]
+
+    @pytest.mark.parametrize("build", list(GOLDEN), ids=lambda b: b.__name__[1:])
+    def test_golden_bytes_decode_and_reencode(self, build):
+        wire = bytes.fromhex(self.GOLDEN[build])
+        assert DnsMessage.decode(wire).encode() == wire

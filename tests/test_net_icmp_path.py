@@ -162,3 +162,81 @@ class TestTaps:
         path = make_path(3)
         with pytest.raises(TransitError):
             path.add_tap(9, lambda position, hop, packet: None)
+
+
+class TestTransitBytes:
+    """What each hop reads is the sent packet with only the TTL lowered."""
+
+    HOPS = 6
+
+    @staticmethod
+    def without_ttl(packet: Packet) -> bytes:
+        """Wire bytes minus the TTL byte and the header checksum it moves."""
+        wire = packet.encode()
+        return wire[:8] + wire[9:10] + wire[12:]
+
+    def test_tap_at_every_hop_sees_ttl_minus_hops_crossed(self):
+        for ttl in range(1, self.HOPS + 2):
+            sent = decoy_packet(ttl=ttl)
+            for position in range(1, self.HOPS + 1):
+                path = make_path(self.HOPS)
+                captured = []
+                path.add_tap(position, lambda p, hop, packet: captured.append(packet))
+                path.transit(sent)
+                if position > ttl:
+                    assert captured == []
+                    continue
+                (seen,) = captured
+                assert seen.ip.ttl == ttl - position + 1
+                assert self.without_ttl(seen) == self.without_ttl(sent)
+                assert Packet.decode(seen.encode()) == seen
+
+    def test_taps_fire_in_path_order_and_attachment_order(self):
+        path = make_path(self.HOPS)
+        fired = []
+        for position, name in ((4, "d"), (2, "b1"), (5, "e"), (2, "b2"), (1, "a")):
+            path.add_tap(position, lambda p, hop, packet, name=name:
+                         fired.append((name, p, hop.address, packet.ip.ttl)))
+        path.transit(decoy_packet(ttl=64))
+        assert fired == [
+            ("a", 1, "10.0.0.1", 64),
+            ("b1", 2, "10.0.0.2", 63),
+            ("b2", 2, "10.0.0.2", 63),
+            ("d", 4, "10.0.0.4", 61),
+            ("e", 5, "10.0.0.5", 60),
+        ]
+
+    def test_icmp_quotes_ttl_one_and_first_transport_bytes(self):
+        for ttl in range(1, self.HOPS):
+            sent = decoy_packet(ttl=ttl)
+            result = make_path(self.HOPS).transit(sent)
+            assert result.outcome is TransitOutcome.EXPIRED
+            quoted = result.icmp.quoted_header
+            assert quoted.ttl == 1
+            assert (quoted.src, quoted.dst, quoted.protocol, quoted.payload_length) == (
+                sent.ip.src, sent.ip.dst, sent.ip.protocol, sent.ip.payload_length)
+            assert result.icmp.quoted_payload == sent.transport.encode()[:8]
+            decoded = IcmpTimeExceeded.decode(result.icmp.reporter, result.icmp.encode())
+            assert decoded.quoted_header == quoted
+
+    def test_loss_fires_taps_before_the_lost_link_only(self):
+        for loss_at in range(1, self.HOPS + 1):
+            path = make_path(self.HOPS)
+            fired = []
+            for position in range(1, self.HOPS + 1):
+                path.add_tap(position, lambda p, hop, packet: fired.append(p))
+            for ttl in (loss_at, self.HOPS, 64):
+                fired.clear()
+                result = path.transit(decoy_packet(ttl=ttl), loss_at=loss_at)
+                assert result.outcome is TransitOutcome.LOST
+                assert result.icmp is None
+                assert result.final_position == loss_at - 1
+                assert fired == list(range(1, loss_at))
+                assert [p for p, _ in result.observed_by] == fired
+
+    def test_loss_beyond_expiry_is_moot(self):
+        path = make_path(self.HOPS)
+        result = path.transit(decoy_packet(ttl=3), loss_at=4)
+        assert result.outcome is TransitOutcome.EXPIRED
+        assert result.icmp is not None
+        assert result.icmp.reporter == "10.0.0.3"

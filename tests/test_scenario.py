@@ -218,6 +218,43 @@ class TestConfigValidation:
                 if p.startswith("workers:") and "'fork'" in p]
         ExperimentConfig(workers=1).validate()
 
+    # <29-char identifier>.<zone> fills the 255 wire bytes exactly.
+    LONGEST_ZONE = ".".join(["z" * 63] * 3 + ["w" * 31])
+
+    def test_zone_must_fit_decoy_names(self):
+        assert len(self.LONGEST_ZONE) == 223
+        ExperimentConfig(zone=self.LONGEST_ZONE).validate()
+        for zone in (self.LONGEST_ZONE + "w", "a..example", "x" * 64 + ".example",
+                     "bücher.example"):
+            with pytest.raises(ConfigError) as excinfo:
+                ExperimentConfig(zone=zone)
+            assert [p for p in excinfo.value.problems if p.startswith("zone:")]
+
+    def test_longest_zone_runs(self):
+        from repro.core.experiment import Experiment
+
+        config = ExperimentConfig.tiny(seed=7)
+        config.zone = self.LONGEST_ZONE
+        result = Experiment(config).run()
+        assert result.phase1.events
+        assert all(record.domain.endswith("." + self.LONGEST_ZONE)
+                   for record in result.ledger.records())
+
+    def test_scenario_run_rejects_overlong_zone_before_running(self, tmp_path,
+                                                              capsys):
+        from repro.cli import main
+
+        zone = self.LONGEST_ZONE + "wwwwww"
+        assert len(zone) == 229
+        path = tmp_path / "long-zone.json"
+        path.write_text(serialize_scenario(Scenario(name="long-zone",
+                                                    zone=zone)))
+        report = tmp_path / "report.txt"
+        assert main(["scenario", "run", str(path),
+                     "--output", str(report)]) == 2
+        assert "zone:" in capsys.readouterr().err
+        assert not report.exists()
+
 
 class TestLibrary:
     def test_expected_names_present(self):
