@@ -1,9 +1,13 @@
 """One campaign_scale measurement point, run in its own process.
 
 ``ru_maxrss`` is a per-process high-water mark that never comes back
-down, so every scale point must be its own interpreter — the parent
-bench (``bench_perf_campaign.py::test_perf_campaign_scale``) launches
-this script once per VP count and reads one JSON object from stdout.
+down, so every scale point must be its own interpreter.  The script
+prints one JSON object: VPs, decoys, wall clock, peak RSS and the result
+digest.  CI's ``campaign-scale-smoke`` job runs it at 1,000 and 10,000
+VPs (through ``tests/make_pins.py``'s ``scale_point``) and checks both
+digests against ``tests/pins.json``, the 384 MB RSS budget and the
+10x-per-decade growth bound.  perfbench's ``scale`` workloads run a
+copy of ``scale_config`` at 2,000 VPs.
 
 Usage: python benchmarks/_scale_point.py <vp_count>
 """

@@ -73,29 +73,6 @@ def decoy_breakdown(
     return rows
 
 
-def decoy_breakdown_from_accumulator(accumulator,
-                                     protocol: str = "dns") -> List[BreakdownRow]:
-    """Figure 5 from a :class:`~repro.analysis.streaming.ComboAccumulator`.
-
-    Cells arrive sorted by (destination, combo, bucket) — the same order
-    the batch path produces — and the decoy sets merged exactly, so rows
-    are bit-identical.
-    """
-    rows: List[BreakdownRow] = []
-    for (destination_name, combo, bucket), decoys in accumulator.cells(protocol):
-        total_sent = accumulator.sent(protocol, destination_name)
-        rows.append(
-            BreakdownRow(
-                destination_name=destination_name,
-                combo=combo,
-                latency_bucket=bucket,
-                decoys=len(decoys),
-                share_of_sent=(len(decoys) / total_sent) if total_sent else 0.0,
-            )
-        )
-    return rows
-
-
 def shadowed_share(ledger: DecoyLedger, events: Sequence[ShadowingEvent],
                    destination_name: str, protocol: str = "dns") -> float:
     """Fraction of decoys to one destination that triggered anything

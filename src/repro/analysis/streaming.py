@@ -174,14 +174,6 @@ class ComboAccumulator:
     def sent(self, protocol: str, destination_name: str) -> int:
         return self._sent.get((protocol, destination_name), 0)
 
-    def cells(self, protocol: str) -> List[Tuple[Tuple[str, str, str], Set[str]]]:
-        """((destination, combo, bucket), decoy set) for one decoy
-        protocol, sorted by key — the Figure 5 row order."""
-        return sorted(
-            ((key[1], key[2], key[3]), decoys)
-            for key, decoys in self._decoys.items() if key[0] == protocol
-        )
-
     def decoy_union(self, protocol: str, destination_name: str,
                     combos: Optional[Sequence[str]] = None) -> Set[str]:
         """Distinct decoys to one destination across matching cells."""

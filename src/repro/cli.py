@@ -296,9 +296,13 @@ def _command_report(args: argparse.Namespace) -> int:
     title = args.title or f"Report (reloaded from {args.bundle})"
     # The bundle's analysis.json when present; else the state rebuilt
     # from its records, which renders the same bytes.
-    state = load_analysis_state(args.bundle)
-    if state is None:
-        state = load_bundle(args.bundle).analysis
+    try:
+        state = load_analysis_state(args.bundle)
+        if state is None:
+            state = load_bundle(args.bundle).analysis
+    except (OSError, ValueError) as error:
+        print(f"cannot read {args.bundle}: {error}", file=sys.stderr)
+        return 2
     _emit(full_report_from_state(state, title=title), args.output)
     return 0
 
@@ -329,18 +333,27 @@ def _command_serve(args: argparse.Namespace) -> int:
 def _command_feed(args: argparse.Namespace) -> int:
     from repro.serve.feed import FeedClient, FeedError, feed_batches_from_bundle
 
+    if args.batch_size < 1:
+        print("--batch-size must be >= 1", file=sys.stderr)
+        return 2
+    # Read the whole bundle before connecting: a bad one sends nothing.
+    try:
+        batches = feed_batches_from_bundle(args.bundle, args.campaign,
+                                           batch_size=args.batch_size)
+    except (OSError, ValueError) as error:
+        print(f"cannot read {args.bundle}: {error}", file=sys.stderr)
+        return 2
     try:
         with FeedClient(host=args.host, port=args.port) as client:
             ack = None
-            batches = 0
-            for batch in feed_batches_from_bundle(
-                    args.bundle, args.campaign, batch_size=args.batch_size):
+            sent = 0
+            for batch in batches:
                 ack = client.send(batch)
-                batches += 1
+                sent += 1
     except (FeedError, OSError) as error:
         print(f"feed failed: {error}", file=sys.stderr)
         return 2
-    summary = (f"fed {batches} batches as campaign {args.campaign!r}"
+    summary = (f"fed {sent} batches as campaign {args.campaign!r}"
                + (f"; daemon at seq {ack['seq']} with "
                   f"{ack['log_records']} log records" if ack
                   and "log_records" in ack else ""))
@@ -480,7 +493,11 @@ def _scenario_fuzz(args: argparse.Namespace) -> int:
 
 
 def _command_platform(args: argparse.Namespace) -> int:
-    platform = VpnPlatform(RandomRouter(args.seed), vp_scale=args.vp_scale)
+    try:
+        platform = VpnPlatform(RandomRouter(args.seed), vp_scale=args.vp_scale)
+    except ValueError as error:
+        print(f"invalid configuration: {error}", file=sys.stderr)
+        return 2
     print(render_table(
         ("segment", "providers", "VPs", "ASes", "locations"),
         [(row.label, row.providers, row.vps, row.ases, row.countries)
@@ -493,9 +510,8 @@ def _command_platform(args: argparse.Namespace) -> int:
 def _command_telemetry(args: argparse.Namespace) -> int:
     try:
         telemetry = load_telemetry(args.capture)
-    except FileNotFoundError as error:
-        print(f"no telemetry capture at {args.capture}: {error}",
-              file=sys.stderr)
+    except (OSError, ValueError) as error:
+        print(f"cannot read {args.capture}: {error}", file=sys.stderr)
         return 2
     _emit(render_telemetry(telemetry), args.output)
     return 0

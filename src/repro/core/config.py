@@ -51,8 +51,8 @@ class ExperimentConfig:
     vp_scale: float = 0.02
     """Fraction of the paper's 4,364 VPs to recruit (0.02 -> ~90 VPs).
     Values above 1.0 over-recruit past the paper's platform — the
-    streaming planner and columnar stores make super-paper-scale sweeps
-    (the ``campaign_scale`` benchmark runs up to ~23x) affordable."""
+    streaming planner and columnar stores make super-paper-scale runs
+    (``benchmarks/_scale_point.py 10000`` is ~2.3x) affordable."""
 
     # -- destination pools ------------------------------------------------
     web_site_count: int = 120
@@ -322,7 +322,7 @@ class ExperimentConfig:
 
     @classmethod
     def medium(cls, seed: int = 20240301, workers: int = 1) -> "ExperimentConfig":
-        """Between tiny and default scale — the campaign-benchmark config."""
+        """Between tiny and default scale — the ``medium`` pin's config."""
         return cls(
             seed=seed,
             vp_scale=0.01,

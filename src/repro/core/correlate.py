@@ -271,9 +271,6 @@ class CorrelationResult:
     unknown_domains: List[str] = field(default_factory=list)
     """Logged domains whose identifier failed to decode (noise)."""
 
-    def events_for(self, domain: str) -> List[ShadowingEvent]:
-        return [event for event in self.events if event.decoy.domain == domain]
-
     def shadowed_domains(self) -> List[str]:
         seen = []
         observed = set()

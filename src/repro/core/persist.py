@@ -67,12 +67,19 @@ def _write_jsonl(path: pathlib.Path, rows) -> None:
             handle.write(json.dumps(row, sort_keys=True) + "\n")
 
 
+def _json(text: str, where) -> object:
+    """``json.loads``; a parse error is a ValueError naming ``where``."""
+    try:
+        return json.loads(text)
+    except ValueError as error:
+        raise ValueError(f"{where}: {error}") from None
+
+
 def _read_jsonl(path: pathlib.Path):
     with path.open() as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+        for number, line in enumerate(handle, 1):
+            if line.strip():
+                yield _json(line, f"{path} line {number}")
 
 
 def export_result(result: ExperimentResult, directory: Union[str, pathlib.Path]) -> pathlib.Path:
@@ -143,7 +150,7 @@ def load_analysis_state(directory: Union[str, pathlib.Path]):
     path = pathlib.Path(directory) / _PATHS["analysis"]
     if not path.exists():
         return None
-    payload = json.loads(path.read_text())
+    payload = _json(path.read_text(), path)
     state = AnalysisState.from_snapshot(payload["state"])
     if state.digest() != payload["digest"]:
         raise ValueError(
@@ -155,7 +162,7 @@ def load_analysis_state(directory: Union[str, pathlib.Path]):
 def load_bundle(directory: Union[str, pathlib.Path]) -> AnalysisBundle:
     """Reload a bundle and re-run correlation over the stored log."""
     src = pathlib.Path(directory)
-    meta = json.loads((src / _PATHS["meta"]).read_text())
+    meta = _json((src / _PATHS["meta"]).read_text(), src / _PATHS["meta"])
     if meta.get("format_version") != BUNDLE_FORMAT_VERSION:
         raise ValueError(
             f"unsupported bundle format {meta.get('format_version')!r}"

@@ -348,9 +348,6 @@ class CiphertextDeployment:
         self._observers[hop.address] = observer
         return observer
 
-    def deployed_observers(self) -> List[CiphertextObserver]:
-        return [obs for obs in self._observers.values() if obs is not None]
-
     def _report(self, hop_address: str, src: str, dst: str,
                 classified: bool) -> None:
         if self.flow_sink is not None:

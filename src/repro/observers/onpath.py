@@ -171,6 +171,3 @@ class ObserverDeployment:
                 break
         self._decisions[hop.address] = sniffer
         return sniffer
-
-    def deployed_sniffers(self) -> List[WireSniffer]:
-        return [sniffer for sniffer in self._decisions.values() if sniffer is not None]

@@ -273,10 +273,16 @@ def _timeline_batches(campaign_id: str, context: dict, records, entries,
                         locations=location_list[start:start + batch_size])
 
 
+def _check_batch_size(batch_size: int) -> None:
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+
+
 def feed_batches_from_result(result, campaign_id: str,
                              batch_size: int = DEFAULT_BATCH_SIZE,
                              ) -> Iterator[FeedBatch]:
     """Replay an in-memory experiment result as a live feed."""
+    _check_batch_size(batch_size)
     return _timeline_batches(campaign_id, context_from_result(result),
                              result.ledger.records(), result.log,
                              result.locations, batch_size)
@@ -288,6 +294,7 @@ def feed_batches_from_bundle(bundle_dir, campaign_id: str,
     """Replay an exported bundle directory as a live feed."""
     from repro.core.persist import load_bundle
 
+    _check_batch_size(batch_size)
     bundle = load_bundle(bundle_dir)
     return _timeline_batches(campaign_id, context_from_bundle(bundle),
                              bundle.ledger.records(), bundle.log.all(),

@@ -78,9 +78,17 @@ def load_telemetry(path: Union[str, pathlib.Path]) -> RunTelemetry:
         raise FileNotFoundError(f"no telemetry file at {target}")
     if target.suffix == ".jsonl":
         spans = [
-            Span.from_dict(json.loads(line))
-            for line in target.read_text().splitlines()
+            Span.from_dict(_json(line, f"{target} line {number}"))
+            for number, line in enumerate(target.read_text().splitlines(), 1)
             if line.strip()
         ]
         return RunTelemetry(spans=spans, enabled=True)
-    return RunTelemetry.from_dict(json.loads(target.read_text()))
+    return RunTelemetry.from_dict(_json(target.read_text(), target))
+
+
+def _json(text: str, where) -> object:
+    """``json.loads``; a parse error is a ValueError naming ``where``."""
+    try:
+        return json.loads(text)
+    except ValueError as error:
+        raise ValueError(f"{where}: {error}") from None

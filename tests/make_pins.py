@@ -1,0 +1,191 @@
+"""Regenerate ``tests/pins.json``: every digest tests and CI compare against.
+
+The pins are the repository's results contract: a change that moves one
+changes what the reproduction computes.  Each pin is computed by one
+function, ``result_digest`` or one of the ``*_pin`` functions below, on
+a config built here.  The tier-1 tests call the same function on their
+own runs and compare with :func:`check`, so the writer and the checker
+cannot drift:
+
+* ``tiny-<seed>-result`` and ``tiny-<seed>-report`` for the three tiny
+  seeds, serial and on 4 workers (``tests/test_streaming_analysis.py``);
+* ``fig4``, ``table2``, ``table3`` and ``matrix``, the golden artifacts
+  of tiny seed 20240301, and ``medium`` (serial and 2 workers) and
+  ``faulted-tiny-7`` (``tests/test_analysis.py``);
+* ``scale-1000`` and ``scale-10000``, the digests
+  ``benchmarks/_scale_point.py`` prints, are checked by CI's
+  ``campaign-scale-smoke`` job only (the 10,000-VP point takes about
+  20 s on a 2-vCPU VM).
+
+The benchmark keeps its own per-seed pins in ``perfbench/pins.json``
+(``perfbench/make_pins.py``).  Re-run this script only when a change is
+meant to alter results, and say so in the change:
+
+    PYTHONPATH=src python3 tests/make_pins.py
+"""
+
+import hashlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import time
+from typing import Dict
+
+from repro.analysis.landscape import observer_location_table
+from repro.analysis.origins import top_observer_ases
+from repro.analysis.paperreport import full_report
+from repro.analysis.temporal import DEFAULT_THRESHOLDS, dns_delay_cdfs
+from repro.core.config import ExperimentConfig
+from repro.core.experiment import Experiment
+from repro.core.shard import result_digest
+from repro.faults import FaultSpec
+
+PINS_FILE = pathlib.Path(__file__).resolve().with_name("pins.json")
+ROOT = PINS_FILE.parent.parent
+
+TINY_SEEDS = (20240301, 7, 1234)
+GOLDEN_SEED = 20240301
+"""The seed of the golden artifacts, ``medium`` and ``matrix``."""
+SCALE_POINTS = (1000, 10000)
+
+
+# -- configs ---------------------------------------------------------------
+
+def medium_config(workers: int = 1) -> ExperimentConfig:
+    return ExperimentConfig.medium(seed=GOLDEN_SEED, workers=workers)
+
+
+def faulted_config() -> ExperimentConfig:
+    """Tiny seed 7 under the fault knobs of CI's ``fault-smoke`` job, whose
+    link loss drops decoys mid-path."""
+    config = ExperimentConfig.tiny(seed=7)
+    config.faults = FaultSpec(
+        seed=3, link_loss_rate=0.05, vp_churn_rate=0.2,
+        honeypot_outages_per_site=2, log_delay_rate=0.1,
+        log_duplicate_rate=0.05,
+    )
+    config.validate()
+    return config
+
+
+def ciphertext_config(seed: int = GOLDEN_SEED,
+                      workers: int = 1) -> ExperimentConfig:
+    """The encrypted-transport reference config: DoH and ECH adopted,
+    ciphertext observers deployed, scanner noise on."""
+    config = ExperimentConfig.tiny(seed=seed)
+    config.doh_adoption = 0.4
+    config.ech_adoption = 0.5
+    config.ciphertext_observer_share = 0.6
+    config.ciphertext_fpr = 0.02
+    config.nod_noise_rate = 0.2
+    config.workers = workers
+    return config
+
+
+# -- one function per pin --------------------------------------------------
+
+def _sha256_json(value) -> str:
+    canonical = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def report_pin(result) -> str:
+    return hashlib.sha256(full_report(result).encode()).hexdigest()
+
+
+def fig4_pin(cdfs) -> str:
+    """Figure 4: each resolver's retention CDF series."""
+    return _sha256_json(sorted((name, cdf.series(DEFAULT_THRESHOLDS))
+                               for name, cdf in cdfs.items()))
+
+
+def table2_pin(table) -> str:
+    """Table 2: the normalized observer-hop distribution."""
+    return _sha256_json(sorted((protocol, sorted(per_hop.items()))
+                               for protocol, per_hop in table.items()))
+
+
+def table3_pin(rows) -> str:
+    """Table 3: the top observer ASes."""
+    return _sha256_json([[row.protocol, row.asn, row.as_name, row.observers,
+                          row.share] for row in rows])
+
+
+def matrix_pin(matrix) -> str:
+    """The mitigation-vs-observer matrix: per-mitigation sent and
+    classified domain counts for every observer class, and the visit
+    provenance counts."""
+    return _sha256_json({
+        "rows": [[mitigation, sent, sorted(cells.items())]
+                 for mitigation, sent, cells in matrix.rows()],
+        "provenance": sorted(
+            [list(key), count]
+            for key, count in matrix.provenance_counts().items()),
+    })
+
+
+def scale_point(vp_count: int) -> dict:
+    """Run ``benchmarks/_scale_point.py`` in its own process, as CI does,
+    and return the JSON object it prints."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    output = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "_scale_point.py"),
+         str(vp_count)],
+        check=True, capture_output=True, text=True, env=env,
+    ).stdout
+    return json.loads(output.strip().splitlines()[-1])
+
+
+# -- the registry ----------------------------------------------------------
+
+def pinned(name: str) -> str:
+    pins = json.loads(PINS_FILE.read_text())
+    if name not in pins:
+        raise KeyError(f"no pin {name!r} in tests/pins.json; "
+                       "re-run tests/make_pins.py")
+    return pins[name]
+
+
+def check(name: str, computed: str) -> None:
+    """Fail unless ``computed`` is the pin ``name``, naming the pin."""
+    expected = pinned(name)
+    if computed != expected:
+        raise AssertionError(
+            f"pin {name!r} moved: computed {computed}, tests/pins.json has "
+            f"{expected}.  If the change is meant to alter results, re-run "
+            "tests/make_pins.py and say so.")
+
+
+def compute() -> Dict[str, str]:
+    pins = {}
+    for seed in TINY_SEEDS:
+        result = Experiment(ExperimentConfig.tiny(seed=seed)).run()
+        pins[f"tiny-{seed}-result"] = result_digest(result)
+        pins[f"tiny-{seed}-report"] = report_pin(result)
+        if seed == GOLDEN_SEED:
+            pins["fig4"] = fig4_pin(dns_delay_cdfs(result.phase1.events))
+            pins["table2"] = table2_pin(
+                observer_location_table(result.locations))
+            pins["table3"] = table3_pin(top_observer_ases(result.locations))
+    pins["medium"] = result_digest(Experiment(medium_config()).run())
+    pins["faulted-tiny-7"] = result_digest(
+        Experiment(faulted_config()).run())
+    pins["matrix"] = matrix_pin(
+        Experiment(ciphertext_config()).run().analysis.matrix)
+    for vp_count in SCALE_POINTS:
+        pins[f"scale-{vp_count}"] = scale_point(vp_count)["digest"]
+    return pins
+
+
+def main() -> None:
+    started = time.monotonic()
+    pins = compute()
+    PINS_FILE.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
+    print(f"pinned {len(pins)} digests in {time.monotonic() - started:.0f} s"
+          f" -> {PINS_FILE}")
+
+
+if __name__ == "__main__":
+    main()

@@ -36,7 +36,19 @@ from repro.analysis.temporal import (
 )
 from repro.core.config import ExperimentConfig
 from repro.core.experiment import Experiment
+from repro.core.shard import result_digest
 from repro.simkit.units import DAY, HOUR, MINUTE
+from tests.make_pins import (
+    check,
+    ciphertext_config,
+    faulted_config,
+    fig4_pin,
+    matrix_pin,
+    medium_config,
+    report_pin,
+    table2_pin,
+    table3_pin,
+)
 
 
 @pytest.fixture(scope="module")
@@ -241,56 +253,23 @@ class TestReportHelpers:
 
 
 class TestGoldenDigests:
-    """Pinned content hashes of the headline artifacts on the default seed.
+    """The golden artifacts of ``ExperimentConfig.tiny(seed=20240301)``.
 
-    These digests freeze Figure 4 (per-resolver retention CDF series),
-    Table 2 (normalized observer-hop distribution), and Table 3 (top
-    observer ASes) for ``ExperimentConfig.tiny(seed=20240301)``.  Any
-    change to the simulation, correlation, or analysis pipeline that
-    shifts these artifacts — intentionally or not — must update the
-    constants below, making the drift explicit in review.  The streaming
-    accumulators must reproduce the same bytes (see
-    tests/test_streaming_analysis.py for the full equivalence suite).
+    Figure 4 (per-resolver retention CDF series), Table 2 (normalized
+    observer-hop distribution) and Table 3 (top observer ASes) are pinned
+    in ``tests/pins.json``.  The streaming accumulators must reproduce
+    the same bytes (see tests/test_streaming_analysis.py for the full
+    equivalence suite).
     """
 
-    FIG4_DIGEST = "b8e49f720a9e93913bc1c9b9a72e3211acdf7269f22cd1d278d14d1b1b8cef68"
-    TABLE2_DIGEST = "cb2ba3c81eecb8d9caf66633b9f77036cba1aa83b36c14a97ce94cb49bafd071"
-    TABLE3_DIGEST = "3ff80cf33f14a9dea78c2f221232715f0b1d1e31a4c5fc90529eb5458aaf7051"
-
-    @staticmethod
-    def digest(value) -> str:
-        import hashlib
-        import json
-        canonical = json.dumps(value, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
-
-    @classmethod
-    def canonical_fig4(cls, cdfs):
-        from repro.analysis.temporal import DEFAULT_THRESHOLDS
-        return sorted((name, cdf.series(DEFAULT_THRESHOLDS))
-                      for name, cdf in cdfs.items())
-
-    @staticmethod
-    def canonical_table2(table):
-        return sorted((protocol, sorted(per_hop.items()))
-                      for protocol, per_hop in table.items())
-
-    @staticmethod
-    def canonical_table3(rows):
-        return [[row.protocol, row.asn, row.as_name, row.observers, row.share]
-                for row in rows]
-
     def test_fig4_cdf_series(self, result):
-        cdfs = dns_delay_cdfs(result.phase1.events)
-        assert self.digest(self.canonical_fig4(cdfs)) == self.FIG4_DIGEST
+        check("fig4", fig4_pin(dns_delay_cdfs(result.phase1.events)))
 
     def test_table2_hop_table(self, result):
-        table = observer_location_table(result.locations)
-        assert self.digest(self.canonical_table2(table)) == self.TABLE2_DIGEST
+        check("table2", table2_pin(observer_location_table(result.locations)))
 
     def test_table3_as_table(self, result):
-        rows = top_observer_ases(result.locations)
-        assert self.digest(self.canonical_table3(rows)) == self.TABLE3_DIGEST
+        check("table3", table3_pin(top_observer_ases(result.locations)))
 
     def test_streaming_reproduces_golden_digests(self, result):
         from repro.analysis.landscape import (
@@ -299,58 +278,31 @@ class TestGoldenDigests:
         from repro.analysis.origins import top_observer_ases_from_accumulator
         from repro.analysis.temporal import dns_delay_cdfs_from_accumulator
         state = result.analysis
-        assert self.digest(self.canonical_fig4(
-            dns_delay_cdfs_from_accumulator(state.cdf))) == self.FIG4_DIGEST
-        assert self.digest(self.canonical_table2(
-            observer_location_table_from_accumulator(
-                state.landscape))) == self.TABLE2_DIGEST
-        assert self.digest(self.canonical_table3(
-            top_observer_ases_from_accumulator(
-                state.origins))) == self.TABLE3_DIGEST
+        check("fig4", fig4_pin(dns_delay_cdfs_from_accumulator(state.cdf)))
+        check("table2", table2_pin(
+            observer_location_table_from_accumulator(state.landscape)))
+        check("table3", table3_pin(
+            top_observer_ases_from_accumulator(state.origins)))
 
 
 class TestMitigationMatrixGolden:
-    """Pinned matrix table for the encrypted-transport reference config.
+    """The mitigation-vs-observer matrix of the encrypted-transport
+    reference config, pinned as ``matrix`` in ``tests/pins.json``.
 
-    The mitigation-vs-observer matrix is the deliverable of the
-    ciphertext-observer subsystem; this digest freezes its cell values
-    (per-mitigation sent/classified domain counts across all three
-    observer classes, plus visit-provenance counts) for the tiny seed.
-    Any drift in decoy mitigation adoption, observer placement, the
-    size/timing classifier, or destination-IP linkage shows up here.
+    The matrix is the deliverable of the ciphertext-observer subsystem;
+    the pin freezes its cell values (per-mitigation sent/classified
+    domain counts across all three observer classes, plus
+    visit-provenance counts) for the tiny seed.  Any drift in decoy
+    mitigation adoption, observer placement, the size/timing classifier,
+    or destination-IP linkage shows up here.
     """
-
-    MATRIX_DIGEST = "e94f8603a3744348ad465435f5e0739c1df8fc57fc7f9c3f8967897ec4023960"
-
-    @staticmethod
-    def ciphertext_config(seed: int, workers: int = 1) -> ExperimentConfig:
-        config = ExperimentConfig.tiny(seed=seed)
-        config.doh_adoption = 0.4
-        config.ech_adoption = 0.5
-        config.ciphertext_observer_share = 0.6
-        config.ciphertext_fpr = 0.02
-        config.nod_noise_rate = 0.2
-        config.workers = workers
-        return config
-
-    @staticmethod
-    def canonical_matrix(matrix):
-        return {
-            "rows": [[mitigation, sent, sorted(cells.items())]
-                     for mitigation, sent, cells in matrix.rows()],
-            "provenance": sorted(
-                [list(key), count]
-                for key, count in matrix.provenance_counts().items()),
-        }
 
     @pytest.fixture(scope="class")
     def ciphertext_result(self):
-        return Experiment(self.ciphertext_config(seed=20240301)).run()
+        return Experiment(ciphertext_config()).run()
 
     def test_matrix_table_digest(self, ciphertext_result):
-        matrix = ciphertext_result.analysis.matrix
-        assert TestGoldenDigests.digest(
-            self.canonical_matrix(matrix)) == self.MATRIX_DIGEST
+        check("matrix", matrix_pin(ciphertext_result.analysis.matrix))
 
     def test_matrix_tells_the_mitigation_story(self, ciphertext_result):
         """ECH/DoH blind SNI DPI; metadata observers keep classifying."""
@@ -388,19 +340,13 @@ class TestDigestNeutrality:
     supposedly opt-in knob leaked into the default pipeline.
     """
 
-    RESULT_DIGEST = "7f8388dd184e6158c5de823d21b832efe1ccb46213fe59c5804930044f88e84c"
-    REPORT_DIGEST = "4b4412db87e6baeaa0006d1b017211ed3468427f668faba2f04c78ecf071af93"
-
     def test_default_result_digest_unchanged(self, result):
-        from repro.core.shard import result_digest
-        assert result_digest(result) == self.RESULT_DIGEST
+        check("tiny-20240301-result", result_digest(result))
 
     def test_default_report_unchanged_and_matrixless(self, result):
-        import hashlib
         from repro.analysis.paperreport import full_report
-        text = full_report(result)
-        assert hashlib.sha256(text.encode()).hexdigest() == self.REPORT_DIGEST
-        assert "Mitigation vs observer class" not in text
+        check("tiny-20240301-report", report_pin(result))
+        assert "Mitigation vs observer class" not in full_report(result)
 
     def test_default_snapshot_has_no_matrix_key(self, result):
         assert "matrix" not in result.analysis.snapshot()
@@ -408,32 +354,20 @@ class TestDigestNeutrality:
 
 class TestWirePathDigests:
     """Result digests of the campaigns a change to the per-decoy wire
-    path (packet transit, TTL handling, DNS encoding) would move first.
-
-    * medium serial: the campaign ``benchmarks/out/BENCH_campaign.json``
-      pins as ``result_digest`` (about 2 s);
-    * tiny seed 7 under the fault knobs of CI's ``fault-smoke`` job,
-      whose link loss drops decoys mid-path (``Path.transit``'s
-      ``loss_at``).
+    path (packet transit, TTL handling, DNS encoding) would move first:
+    medium (about 2 s), serial and on 2 workers, and tiny seed 7 under
+    the fault knobs of CI's ``fault-smoke`` job, whose link loss drops
+    decoys mid-path (``Path.transit``'s ``loss_at``).
     """
 
-    MEDIUM_SERIAL = "181c6929befc66c41ce34f714945dc0986d656f0285744fb2f7051e638c19158"
-    FAULTED_TINY_SEED_7 = "04211b859be5f72273fff17e341198b67bad46fa1effa49468bd809a59a06c9f"
-
     def test_medium_serial_digest(self):
-        from repro.core.shard import result_digest
-        result = Experiment(ExperimentConfig.medium(seed=20240301)).run()
-        assert result_digest(result) == self.MEDIUM_SERIAL
+        result = Experiment(medium_config()).run()
+        check("medium", result_digest(result))
+
+    def test_medium_two_workers_digest(self):
+        result = Experiment(medium_config(workers=2)).run()
+        check("medium", result_digest(result))
 
     def test_faulted_tiny_digest(self):
-        from repro.core.shard import result_digest
-        from repro.faults import FaultSpec
-        config = ExperimentConfig.tiny(seed=7)
-        config.faults = FaultSpec(
-            seed=3, link_loss_rate=0.05, vp_churn_rate=0.2,
-            honeypot_outages_per_site=2, log_delay_rate=0.1,
-            log_duplicate_rate=0.05,
-        )
-        config.validate()
-        result = Experiment(config).run()
-        assert result_digest(result) == self.FAULTED_TINY_SEED_7
+        result = Experiment(faulted_config()).run()
+        check("faulted-tiny-7", result_digest(result))

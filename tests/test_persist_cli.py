@@ -1,5 +1,6 @@
 """Tests for result persistence, the full report, and the CLI."""
 
+import contextlib
 import json
 import multiprocessing
 import os
@@ -24,6 +25,48 @@ def bundle_dir(result, tmp_path_factory):
     directory = tmp_path_factory.mktemp("bundle")
     export_result(result, directory)
     return directory
+
+
+BUNDLE_DAMAGE = ["missing", "analysis-cut", "analysis-digest", "ledger-cut"]
+
+
+def damaged_bundle(bundle_dir, tmp_path, damage):
+    """A copy of ``bundle_dir`` with one kind of damage, and the file the
+    loader must name for it."""
+    if damage == "missing":
+        return tmp_path / "absent", "meta.json"
+    copy = tmp_path / "damaged"
+    copy.mkdir()
+    for path in bundle_dir.iterdir():
+        (copy / path.name).write_bytes(path.read_bytes())
+    analysis = copy / "analysis.json"
+    if damage == "analysis-cut":
+        analysis.write_bytes(analysis.read_bytes()[:100])
+        return copy, "analysis.json"
+    if damage == "analysis-digest":
+        payload = json.loads(analysis.read_text())
+        payload["digest"] = "0" * 64
+        analysis.write_text(json.dumps(payload))
+        return copy, "analysis.json"
+    analysis.unlink()
+    ledger = copy / "ledger.jsonl"
+    ledger.write_bytes(ledger.read_bytes()[:300])
+    return copy, "ledger.jsonl line 1"
+
+
+@contextlib.contextmanager
+def feed_server():
+    """An in-process daemon feed: yields (service, port)."""
+    from repro.serve.feed import FeedServer
+    from repro.serve.service import MeasurementService
+
+    service = MeasurementService()
+    server = FeedServer(service)
+    server.start()
+    try:
+        yield service, server.port
+    finally:
+        server.stop()
 
 
 class TestExport:
@@ -146,6 +189,76 @@ class TestCli:
         assert load_bundle(copy).analysis.digest() == result.analysis.digest()
         assert main(["report", str(copy), "--output", str(rebuilt)]) == 0
         assert rebuilt.read_bytes() == with_state.read_bytes()
+
+    def test_report_from_analysis_json_rebuilds_nothing(self, bundle_dir,
+                                                        tmp_path,
+                                                        monkeypatch):
+        """With analysis.json present, the report neither reloads the
+        bundle's records nor re-correlates its log: that is why the stored
+        path is the fast one.  The test above shows both paths write the
+        same bytes."""
+        import repro.cli
+        import repro.core.persist
+        from repro.core.correlate import Correlator
+
+        def rebuild(*args, **kwargs):
+            raise AssertionError("the stored-state report rebuilt the state")
+
+        monkeypatch.setattr(repro.cli, "load_bundle", rebuild)
+        monkeypatch.setattr(repro.core.persist, "load_bundle", rebuild)
+        monkeypatch.setattr(Correlator, "correlate", rebuild)
+        report = tmp_path / "report.txt"
+        assert main(["report", str(bundle_dir), "--output", str(report)]) == 0
+        assert "Figure 4" in report.read_text()
+
+    @pytest.mark.parametrize("damage", BUNDLE_DAMAGE)
+    def test_report_unreadable_bundle_exits_2(self, bundle_dir, tmp_path,
+                                              capsys, damage):
+        bundle, named = damaged_bundle(bundle_dir, tmp_path, damage)
+        assert main(["report", str(bundle)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot read {bundle}: ")
+        assert named in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("damage", BUNDLE_DAMAGE)
+    def test_feed_unreadable_bundle_exits_2_and_sends_nothing(
+            self, bundle_dir, tmp_path, capsys, damage):
+        bundle, named = damaged_bundle(bundle_dir, tmp_path, damage)
+        with feed_server() as (service, port):
+            assert main(["feed", str(bundle), "--port", str(port)]) == 2
+            assert service.campaign_ids() == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot read {bundle}: ")
+        assert named in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("batch_size", ["0", "-5"])
+    def test_feed_bad_batch_size_exits_2_and_sends_nothing(
+            self, bundle_dir, capsys, batch_size):
+        with feed_server() as (service, port):
+            assert main(["feed", str(bundle_dir), "--port", str(port),
+                         "--batch-size", batch_size]) == 2
+            assert service.campaign_ids() == []
+        assert capsys.readouterr().err == "--batch-size must be >= 1\n"
+
+    @pytest.mark.parametrize("batch_size", [0, -5])
+    def test_feed_sources_reject_bad_batch_size(self, result, bundle_dir,
+                                                batch_size):
+        from repro.serve.feed import (
+            feed_batches_from_bundle,
+            feed_batches_from_result,
+        )
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            feed_batches_from_result(result, "c", batch_size=batch_size)
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            feed_batches_from_bundle(bundle_dir, "c", batch_size=batch_size)
+
+    def test_platform_bad_vp_scale_exits_2(self, capsys):
+        assert main(["platform", "--vp-scale", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: vp_scale must be "
+                              "positive")
 
     @pytest.mark.parametrize("scale", [["--tiny"], []],
                              ids=["tiny", "default"])

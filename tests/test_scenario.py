@@ -19,6 +19,7 @@ Pins the three guarantees the scenario subsystem makes:
 import dataclasses
 import json
 import multiprocessing
+import time
 
 import pytest
 
@@ -267,6 +268,18 @@ class TestLibrary:
             assert set(trace) == {f.name for f in
                                   dataclasses.fields(ExperimentConfig)}
 
+    def test_library_compiles_in_under_10ms_per_spec(self):
+        """Launch overhead stays invisible next to a multi-second
+        campaign (tens of microseconds per spec, far under the bound)."""
+        library = list(load_library().values())
+        passes = 20
+        started = time.perf_counter()
+        for _ in range(passes):
+            for spec in library:
+                compile_with_trace(spec)
+        mean = (time.perf_counter() - started) / (passes * len(library))
+        assert mean < 0.01, f"mean compile {mean * 1e3:.2f} ms"
+
     def test_encrypted_transport_pack_lowers_ciphertext_knobs(self):
         """The two ciphertext-observer scenarios drive the new config
         surface: full mitigation adoption plus metadata observers."""
@@ -309,6 +322,11 @@ class TestFuzzer:
             assert generate_scenario(7, index) == generate_scenario(7, index)
         assert generate_scenario(7, 0) != generate_scenario(8, 0)
         assert generate_scenario(7, 0) != generate_scenario(7, 1)
+
+    def test_500_generated_specs_are_distinct(self):
+        digests = {generate_scenario(7, index).digest()
+                   for index in range(500)}
+        assert len(digests) == 500
 
     def test_generated_specs_compile_and_respect_retention_rule(self):
         saw_retention = False

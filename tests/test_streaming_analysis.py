@@ -5,14 +5,13 @@ equality with the batch analyses — not approximate agreement — on any
 seed and any shard layout.  This suite pins that contract:
 
 * three seeds x {serial, 4-worker}: every accumulator-derived artifact
-  is bit-identical to batch, and the rendered report matches its pinned
-  bytes;
+  is bit-identical to batch, and the result and rendered report match
+  their pins in ``tests/pins.json``;
 * ``AnalysisState.merge`` is associative and commutative over arbitrary
   partitions of a run's feed;
 * snapshots round-trip through canonical JSON with equal digests.
 """
 
-import hashlib
 import itertools
 import json
 
@@ -29,21 +28,14 @@ from repro.core.config import ExperimentConfig
 from repro.core.experiment import Experiment
 from repro.core.shard import result_digest
 from repro.simkit.units import HOUR
+from tests.make_pins import (
+    TINY_SEEDS as SEEDS,
+    check,
+    ciphertext_config,
+    report_pin,
+)
 
-SEEDS = (20240301, 7, 1234)
 WORKERS = 4
-
-REPORT_PINS = {
-    20240301: "4b4412db87e6baeaa0006d1b017211ed3468427f668faba2f04c78ecf071af93",
-    7: "44f3379f3439ba348fb94dbd1be111ee2daacaa41ef7a71e3e01a037d0e7f8bd",
-    1234: "825890c600c5e8da08c0305c8c84cdb9d4788100230f3eaaf2fbfac315b01c01",
-}
-"""sha256 of ``full_report`` for ``ExperimentConfig.tiny(seed)``, recorded
-from the batch-artifact render; serial and sharded runs must keep it."""
-
-
-def _sha256(text):
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -61,14 +53,19 @@ def runs():
 
 class TestStreamingEqualsBatch:
     @pytest.mark.parametrize("seed", SEEDS)
+    def test_serial_result_digest_pinned(self, runs, seed):
+        serial, _ = runs[seed]
+        check(f"tiny-{seed}-result", result_digest(serial))
+
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_serial_report_bit_identical(self, runs, seed):
         serial, _ = runs[seed]
-        assert _sha256(full_report(serial)) == REPORT_PINS[seed]
+        check(f"tiny-{seed}-report", report_pin(serial))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_sharded_report_bit_identical(self, runs, seed):
         _, sharded = runs[seed]
-        assert _sha256(full_report(sharded)) == REPORT_PINS[seed]
+        check(f"tiny-{seed}-report", report_pin(sharded))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_every_artifact_equal(self, runs, seed):
@@ -178,24 +175,12 @@ class TestSnapshotRoundTrip:
             AnalysisState.from_snapshot(snapshot)
 
 
-def _ciphertext_config(seed, workers=1):
-    """The encrypted-transport reference shape (mirrors test_analysis)."""
-    config = ExperimentConfig.tiny(seed=seed)
-    config.doh_adoption = 0.4
-    config.ech_adoption = 0.5
-    config.ciphertext_observer_share = 0.6
-    config.ciphertext_fpr = 0.02
-    config.nod_noise_rate = 0.2
-    config.workers = workers
-    return config
-
-
 @pytest.fixture(scope="module")
 def ciphertext_runs():
     """seed -> (serial result, 4-worker result), matrix enabled."""
     return {
-        seed: (Experiment(_ciphertext_config(seed)).run(),
-               Experiment(_ciphertext_config(seed, workers=WORKERS)).run())
+        seed: (Experiment(ciphertext_config(seed)).run(),
+               Experiment(ciphertext_config(seed, workers=WORKERS)).run())
         for seed in SEEDS
     }
 

@@ -344,3 +344,16 @@ class TestCli:
     def test_missing_capture_fails_cleanly(self, tmp_path):
         from repro.cli import main
         assert main(["telemetry", str(tmp_path / "absent")]) == 2
+
+    @pytest.mark.parametrize("name, where", [
+        ("telemetry.json", ": "), ("spans.jsonl", " line 1: ")])
+    def test_unreadable_capture_exits_2(self, serial, tmp_path, capsys,
+                                        name, where):
+        from repro.cli import main
+        write_telemetry(serial.telemetry, tmp_path)
+        capture = tmp_path / name
+        capture.write_bytes(capture.read_bytes()[:50])
+        assert main(["telemetry", str(capture)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot read {capture}: {capture}{where}")
+        assert err.count("\n") == 1
