@@ -24,7 +24,7 @@ from repro.net.tcpconn import TcpClient
 from repro.telemetry.registry import MERGE_SAME, NULL_REGISTRY, labeled
 from repro.topology.model import Endpoint
 from repro.vpn.vantage import VantagePoint
-from repro.vpn.vetting import VettingReport, full_vetting, vet_providers
+from repro.vpn.vetting import VettingReport, full_vetting
 
 
 _PATH_CACHE_LIMIT = 8192
@@ -159,6 +159,12 @@ class Campaign:
         self._m_retry_backoff = metrics.histogram(
             "campaign.retry_backoff_virtual", (2, 8, 32, 128))
         self._m_abandoned = metrics.counter("faults.sends_abandoned")
+        # Vetting runs before shard workers fork, so they inherit these
+        # (merge="same", like VettingReport.record's counters).
+        self._m_pair_probes = metrics.counter(
+            "vetting.pair_probes", merge=MERGE_SAME)
+        self._m_probe_paths_built = metrics.counter(
+            "vetting.probe_paths_built", merge=MERGE_SAME)
         self._pcap = None
         self._pcap_stream = None
         if eco.config.capture_pcap:
@@ -207,7 +213,7 @@ class Campaign:
 
     def path_info(self, vp: VantagePoint, destination_address: str,
                   destination_asn: int, destination_country: str,
-                  service_name: str = "", attach_observers: bool = True) -> PathInfo:
+                  service_name: str = "") -> PathInfo:
         """Materialize (or fetch) the path from ``vp`` to a destination."""
         key = (vp.address, destination_address)
         info = self._paths.get(key)
@@ -225,26 +231,23 @@ class Campaign:
                      country=destination_country),
             destination_country_override=override,
         )
-        has_interceptor = False
-        if attach_observers:
-            ciphertext = self.eco.ciphertext_deployment
-            for position in range(1, path.length):  # destination excluded
-                hop = path.hop_at(position)
-                sniffer = self.eco.observer_deployment.sniffer_for(hop)
-                if sniffer is not None:
-                    path.add_tap(position, sniffer.tap)
-                if ciphertext is not None:
-                    observer = ciphertext.observer_for(hop)
-                    if observer is not None:
-                        path.add_tap(position, observer.tap)
-            first_hop = path.hop_at(1)
-            has_interceptor = self.eco.interceptor_at(first_hop.address) is not None
+        ciphertext = self.eco.ciphertext_deployment
+        for position in range(1, path.length):  # destination excluded
+            hop = path.hop_at(position)
+            sniffer = self.eco.observer_deployment.sniffer_for(hop)
+            if sniffer is not None:
+                path.add_tap(position, sniffer.tap)
+            if ciphertext is not None:
+                observer = ciphertext.observer_for(hop)
+                if observer is not None:
+                    path.add_tap(position, observer.tap)
+        first_hop = path.hop_at(1)
         info = PathInfo(
             path=path,
             vp=vp,
             destination_address=destination_address,
             instance_country=instance_country,
-            has_interceptor=has_interceptor,
+            has_interceptor=self.eco.interceptor_at(first_hop.address) is not None,
         )
         self._paths[key] = info
         if len(self._paths) > _PATH_CACHE_LIMIT:
@@ -263,13 +266,10 @@ class Campaign:
 
     def vet_platform(self) -> VettingReport:
         """Appendix C/E: drop TTL-resetting providers and intercepted VPs."""
-        vps = self.eco.platform.vantage_points
-        if self.config.exclude_ttl_reset_providers and self.config.pair_resolver_filter:
-            report = full_vetting(vps, PUBLIC_RESOLVERS, self._pair_probe)
-        elif self.config.exclude_ttl_reset_providers:
-            report = vet_providers(vps)
-        else:
-            report = VettingReport(kept=list(vps))
+        report = full_vetting(
+            self.eco.platform.vantage_points, PUBLIC_RESOLVERS, self._pair_probe,
+            exclude_ttl_reset=self.config.exclude_ttl_reset_providers,
+            pair_filter=self.config.pair_resolver_filter)
         report.record(self._metrics)
         self.eco.platform.replace_vps(report.kept)
         self.vetting = report
@@ -279,18 +279,27 @@ class Campaign:
         """Does a DNS query from ``vp`` to ``pair_address`` draw a response?
 
         Pair resolvers run no DNS service, so the only possible responder
-        is an on-path interceptor.  Paths out of a VP share their first
-        (access) hop, so probing any pair address exercises the same
-        client-side segment the real decoys will cross.
+        is an interceptor, and interceptors sit at access routers and
+        answer any address.  Every path out of a VP leaves through its
+        pinned first hop, so the answer is whether that router intercepts;
+        no packet is sent.
+
+        The path to the pair address is still built when building it
+        would create a router.  Until the router fabric is order-free, a
+        router's address and country depend on the order routers are
+        created in, so dropping such a path would move later routers.  A
+        path that would only revisit existing routers is skipped, which
+        changes nothing: the path itself was never used.
         """
-        info = self.path_info(
-            vp, pair_address,
-            destination_asn=self.eco.topology.backbone_asn("US", 0),
-            destination_country="US",
-            attach_observers=False,
-        )
-        first_hop = info.path.hop_at(1)
-        interceptor = self.eco.interceptor_at(first_hop.address)
+        topology = self.eco.topology
+        source = vp.endpoint()
+        self._m_pair_probes.inc()
+        pair = Endpoint(address=pair_address, asn=topology.backbone_asn("US", 0),
+                        country="US")
+        if topology.creates_routers(source, pair):
+            self._m_probe_paths_built.inc()
+            topology.build_path(source, pair, cache=False)
+        interceptor = self.eco.interceptor_at(topology.first_hop(source).address)
         return interceptor is not None and interceptor.answers_pair_probe()
 
     # -- decoy emission -------------------------------------------------------

@@ -102,9 +102,15 @@ class TopologyModel:
         self._router = router
         self.config = config if config is not None else TopologyConfig()
         self._hops: Dict[Tuple[int, int], Hop] = {}
+        self._filled: Dict[int, int] = {}
+        """ASN -> how many of its router indices, counted up from 0, exist.
+        A pool ``(asn, size)`` is full once this reaches ``size``; routers
+        are never dropped, so a full pool stays full."""
         self._addresses_in_use: set = set()
         self._paths: "OrderedDict[Tuple[str, str, Optional[str]], Path]" = \
             OrderedDict()
+        self._backbone_asns: Dict[Tuple[str, int], int] = {}
+        self._transit_asns: Dict[Tuple[str, str], int] = {}
 
     # -- router fabric -------------------------------------------------------
 
@@ -133,7 +139,24 @@ class TopologyModel:
             open_ports=open_ports,
         )
         self._hops[key] = hop
+        filled = self._filled.get(asn, 0)
+        if index == filled:
+            while (asn, filled) in self._hops:
+                filled += 1
+            self._filled[asn] = filled
         return hop
+
+    def first_hop(self, vp: Endpoint) -> Hop:
+        """The access router every path out of ``vp`` leaves through.
+
+        Pinned per VP, so a VP's query to a target and to its pair
+        resolver share the client-side hop where interception devices
+        sit.  This is what makes the Appendix E pair-resolver heuristic
+        sound.
+        """
+        index = (_stable_hash(f"firsthop:{vp.address}")
+                 % self.config.routers_per_access_as)
+        return self.router_hop(vp.asn, index, vp.country)
 
     def known_router(self, address: str) -> Optional[Hop]:
         """Reverse lookup by address (used by observer port scans)."""
@@ -149,19 +172,33 @@ class TopologyModel:
 
         Mainland China routes through the real Chinanet backbones; other
         countries get one synthetic backbone each unless the config names
-        one (e.g. Rogers for CA).
+        one (e.g. Rogers for CA).  Memoized: it is a pure function of its
+        arguments and the config, asked for on every path and probe.
         """
-        named = self.config.named_backbones.get(country)
-        if named:
-            return named[selector % len(named)]
-        if country == "CN":
-            return CN_BACKBONE_ASNS[selector % len(CN_BACKBONE_ASNS)]
-        return synthetic_asn(10_000 + (_stable_hash(f"backbone:{country}") % 4096))
+        key = (country, selector)
+        asn = self._backbone_asns.get(key)
+        if asn is None:
+            named = self.config.named_backbones.get(country)
+            if named:
+                asn = named[selector % len(named)]
+            elif country == "CN":
+                asn = CN_BACKBONE_ASNS[selector % len(CN_BACKBONE_ASNS)]
+            else:
+                asn = synthetic_asn(
+                    10_000 + (_stable_hash(f"backbone:{country}") % 4096))
+            self._backbone_asns[key] = asn
+        return asn
 
     def transit_asn(self, src_country: str, dst_country: str) -> int:
-        """A synthetic international transit AS between two countries."""
-        pair = "|".join(sorted((src_country, dst_country)))
-        return synthetic_asn(20_000 + (_stable_hash(f"transit:{pair}") % 4096))
+        """A synthetic international transit AS between two countries
+        (memoized, like :meth:`backbone_asn`)."""
+        key = (src_country, dst_country)
+        asn = self._transit_asns.get(key)
+        if asn is None:
+            pair = "|".join(sorted(key))
+            asn = synthetic_asn(20_000 + (_stable_hash(f"transit:{pair}") % 4096))
+            self._transit_asns[key] = asn
+        return asn
 
     # -- anycast -------------------------------------------------------------
 
@@ -179,9 +216,50 @@ class TopologyModel:
 
     # -- path construction ---------------------------------------------------
 
+    def _segments(self, vp: Endpoint, destination: Endpoint,
+                  dest_country: str) -> List[Tuple[int, str, int, Tuple[int, int]]]:
+        """The router segments of a path after its pinned first hop.
+
+        One ``(asn, country, pool size, hop-count range)`` row per segment,
+        in path order.  A segment draws its hop count from the range, then
+        one index in ``range(pool size)`` per hop.  The first hop counts
+        toward the access range, so the access row draws one hop fewer:
+        ``randint(low - 1, high - 1)`` is the draw ``randint(low, high) - 1``.
+        """
+        config = self.config
+        low, high = config.access_hops
+        rows = [
+            (vp.asn, vp.country, config.routers_per_access_as, (low - 1, high - 1)),
+            (self.backbone_asn(vp.country, 0), vp.country,
+             config.routers_per_backbone_as, config.backbone_hops),
+        ]
+        if vp.country != dest_country:
+            rows.append((self.transit_asn(vp.country, dest_country), vp.country,
+                         config.routers_per_transit_as, config.transit_hops))
+            rows.append((self.backbone_asn(dest_country, 1), dest_country,
+                         config.routers_per_backbone_as, config.backbone_hops))
+        upstream_asn = config.upstream_as_overrides.get(
+            destination.address, destination.asn)
+        rows.append((upstream_asn, dest_country, config.routers_per_transit_as,
+                     config.destination_as_hops))
+        return rows
+
+    def creates_routers(self, vp: Endpoint, destination: Endpoint) -> bool:
+        """Would :meth:`build_path` from ``vp`` to ``destination`` create a router?
+
+        Only while some pool it draws from is not yet full.  Every index a
+        path asks for (the first hop's, each segment's draw and its re-pick
+        ``(index + 1) % pool``) lies inside its segment's pool, and the
+        first hop's pool is the access row's.
+        """
+        filled = self._filled
+        return any(filled.get(asn, 0) < pool for asn, _, pool, _
+                   in self._segments(vp, destination, destination.country))
+
     def build_path(self, vp: Endpoint, destination: Endpoint,
                    destination_country_override: Optional[str] = None,
-                   destination_open_ports: Tuple[int, ...] = ()) -> Path:
+                   destination_open_ports: Tuple[int, ...] = (),
+                   cache: bool = True) -> Path:
         """The hop list from ``vp`` to ``destination``.
 
         Deterministic per (vp.address, destination.address) pair; repeated
@@ -189,56 +267,30 @@ class TopologyModel:
         by the campaign survive re-lookup.
         ``destination_country_override`` places the terminal segment in an
         anycast instance's country rather than the service's home.
+        ``cache=False`` neither reads nor fills the path cache, for a
+        caller that wants only the routers the path creates.
         """
         cache_key = (vp.address, destination.address, destination_country_override)
-        cached = self._paths.get(cache_key)
-        if cached is not None:
-            self._paths.move_to_end(cache_key)
-            return cached
+        if cache:
+            cached = self._paths.get(cache_key)
+            if cached is not None:
+                self._paths.move_to_end(cache_key)
+                return cached
         dest_country = destination_country_override or destination.country
         pair_rng = self._router.fork(
             f"path:{vp.address}->{destination.address}"
         ).stream("hops")
-        config = self.config
-
-        def pick(count_range: Tuple[int, int]) -> int:
-            low, high = count_range
-            return pair_rng.randint(low, high)
-
-        def segment(asn: int, country: str, pool: int, hops: int) -> List[Hop]:
-            chosen = []
-            for _ in range(hops):
+        hops = [self.first_hop(vp)]
+        for asn, country, pool, (low, high) in self._segments(
+                vp, destination, dest_country):
+            chosen: List[Hop] = []
+            for _ in range(pair_rng.randint(low, high)):
                 index = pair_rng.randrange(pool)
                 hop = self.router_hop(asn, index, country)
                 if chosen and hop.address == chosen[-1].address:
                     hop = self.router_hop(asn, (index + 1) % pool, country)
                 chosen.append(hop)
-            return chosen
-
-        hops: List[Hop] = []
-        # The first hop is pinned per VP: every path out of a vantage point
-        # leaves through the same access router.  This is what makes the
-        # Appendix E pair-resolver heuristic sound — a VP's query to a
-        # target and to its pair resolver share the client-side hops where
-        # interception devices sit.
-        first_index = _stable_hash(f"firsthop:{vp.address}") % config.routers_per_access_as
-        hops.append(self.router_hop(vp.asn, first_index, vp.country))
-        access_extra = pick(config.access_hops) - 1
-        if access_extra > 0:
-            hops += segment(vp.asn, vp.country,
-                            config.routers_per_access_as, access_extra)
-        hops += segment(self.backbone_asn(vp.country, 0), vp.country,
-                        config.routers_per_backbone_as, pick(config.backbone_hops))
-        if vp.country != dest_country:
-            hops += segment(self.transit_asn(vp.country, dest_country), vp.country,
-                            config.routers_per_transit_as, pick(config.transit_hops))
-            hops += segment(self.backbone_asn(dest_country, 1), dest_country,
-                            config.routers_per_backbone_as, pick(config.backbone_hops))
-        upstream_asn = config.upstream_as_overrides.get(
-            destination.address, destination.asn
-        )
-        hops += segment(upstream_asn, dest_country,
-                        config.routers_per_transit_as, pick(config.destination_as_hops))
+            hops += chosen
         hops.append(
             Hop(
                 address=destination.address,
@@ -249,9 +301,10 @@ class TopologyModel:
             )
         )
         path = Path(hops)
-        self._paths[cache_key] = path
-        if len(self._paths) > _PATH_CACHE_LIMIT:
-            self._paths.popitem(last=False)
+        if cache:
+            self._paths[cache_key] = path
+            if len(self._paths) > _PATH_CACHE_LIMIT:
+                self._paths.popitem(last=False)
         return path
 
     @staticmethod

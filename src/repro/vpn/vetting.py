@@ -70,10 +70,12 @@ def pair_resolver_filter(
 ) -> VettingReport:
     """Remove VPs behind DNS interceptors.
 
-    ``probe(vp, address)`` must actually send a DNS query from the VP to
-    ``address`` and report whether any response arrived.  Pair resolvers
-    offer no DNS service, so any response implies interception on the path
-    (Appendix E), and the VP is discarded.
+    ``probe(vp, address)`` reports whether a DNS query from the VP to
+    ``address`` would draw a response.  Pair resolvers offer no DNS
+    service, so any response implies interception on the path
+    (Appendix E), and the VP is discarded.  The campaign's probe
+    (``Campaign._pair_probe``) sends no packet: it asks whether the VP's
+    pinned first hop intercepts, the hop every path out of the VP shares.
     """
     report = VettingReport()
     pair_addresses: List[Tuple[str, str]] = [
@@ -92,12 +94,17 @@ def full_vetting(
     vps: Sequence[VantagePoint],
     destinations: Sequence[DnsDestination],
     probe: PairProbe,
+    exclude_ttl_reset: bool = True,
+    pair_filter: bool = True,
 ) -> VettingReport:
-    """TTL-reset exclusion followed by the pair-resolver filter."""
-    first = vet_providers(vps)
-    second = pair_resolver_filter(first.kept, destinations, probe)
-    return VettingReport(
-        kept=second.kept,
-        removed_ttl_reset=first.removed_ttl_reset,
-        removed_intercepted=second.removed_intercepted,
-    )
+    """TTL-reset exclusion, then the pair-resolver filter on what remains.
+
+    Each filter runs only when its flag is on.
+    """
+    report = (vet_providers(vps) if exclude_ttl_reset
+              else VettingReport(kept=list(vps)))
+    if pair_filter:
+        second = pair_resolver_filter(report.kept, destinations, probe)
+        report.kept = second.kept
+        report.removed_intercepted = second.removed_intercepted
+    return report

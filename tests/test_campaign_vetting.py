@@ -1,0 +1,112 @@
+"""Platform vetting on a built world: the pair probe and the two filters.
+
+The pair probe reads the VP's pinned first hop and builds the path to
+the pair address only when that path would create a router.  Router
+addresses and countries depend on creation order, so the skip is exact
+only if it never drops a path that creates one: vetting must leave the
+same router table, interceptors and verdicts as building every probe
+path does.
+"""
+
+import dataclasses
+
+import pytest
+
+from repro.core.campaign import Campaign
+from repro.core.config import ExperimentConfig
+from repro.core.ecosystem import build_ecosystem
+from repro.datasets.resolvers import PUBLIC_RESOLVERS
+from repro.topology.model import TopologyModel
+
+
+def scale_shaped(vps: int = 300) -> ExperimentConfig:
+    """perfbench's ``scale`` config at ``vps`` VPs: tiny per-VP work and
+    two DNS destinations, so most VPs share their routers."""
+    config = ExperimentConfig.tiny(seed=1)
+    config.vp_scale = vps / 4364
+    config.dns_destination_count = 2
+    config.telemetry = True
+    return config
+
+
+def vet(config: ExperimentConfig):
+    eco = build_ecosystem(config)
+    campaign = Campaign(eco)
+    report = campaign.vet_platform()
+    return eco, campaign, report
+
+
+def fingerprint(eco, report) -> dict:
+    """Everything vetting leaves behind that later results can read."""
+    return {
+        "routers": [
+            (key, hop.address, hop.country, hop.responds_icmp, hop.open_ports)
+            for key, hop in eco.topology._hops.items()
+        ],
+        "interceptors": [
+            (address, None if found is None else found.alt_resolver_address)
+            for address, found in eco.interceptors.items()
+        ],
+        "kept": [vp.vp_id for vp in report.kept],
+        "removed_intercepted": [vp.vp_id for vp in report.removed_intercepted],
+        "removed_ttl_reset": [vp.vp_id for vp in report.removed_ttl_reset],
+    }
+
+
+def probe_counts(eco):
+    counters = eco.telemetry.counter_values()
+    return counters["vetting.pair_probes"], counters["vetting.probe_paths_built"]
+
+
+class TestProbeSkipIsExact:
+    @pytest.fixture(scope="class")
+    def shipped(self):
+        return vet(scale_shaped())
+
+    @pytest.fixture(scope="class")
+    def always_built(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(TopologyModel, "creates_routers",
+                          lambda self, vp, destination: True)
+            return vet(scale_shaped())
+
+    def test_same_world_as_building_every_probe_path(self, shipped, always_built):
+        eco, _, report = shipped
+        reference_eco, _, reference_report = always_built
+        assert fingerprint(eco, report) == fingerprint(reference_eco, reference_report)
+        assert report.removed_intercepted
+
+    def test_both_branches_run(self, shipped, always_built):
+        probes, built = probe_counts(shipped[0])
+        assert 0 < built < probes
+        assert probe_counts(always_built[0]) == (probes, probes)
+
+    def test_no_path_cached(self, shipped):
+        eco, campaign, _ = shipped
+        assert campaign.known_paths() == []
+        assert len(eco.topology._paths) == 0
+
+
+class TestVettingFlags:
+    def test_pair_filter_runs_without_ttl_exclusion(self):
+        config = scale_shaped()
+        config.exclude_ttl_reset_providers = False
+        eco = build_ecosystem(config)
+        # Plant TTL-resetting VPs: with the exclusion off they stay unless
+        # the pair filter removes them.
+        vps = [dataclasses.replace(vp, resets_ttl=True) if position % 10 == 0
+               else vp for position, vp in enumerate(eco.platform.vantage_points)]
+        eco.platform.replace_vps(vps)
+        campaign = Campaign(eco)
+        report = campaign.vet_platform()
+        answering = {
+            vp.vp_id for vp in vps
+            if any(campaign._pair_probe(vp, destination.pair_address)
+                   for destination in PUBLIC_RESOLVERS)
+        }
+        assert answering
+        assert {vp.vp_id for vp in report.removed_intercepted} == answering
+        assert report.removed_ttl_reset == []
+        assert [vp.vp_id for vp in report.kept] == [
+            vp.vp_id for vp in vps if vp.vp_id not in answering]
+        assert any(vp.resets_ttl for vp in report.kept)

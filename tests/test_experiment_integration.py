@@ -46,9 +46,10 @@ class TestCampaignMechanics:
         """Every kept VP's first hop must be interception-free."""
         campaign = result.campaign
         eco = result.eco
+        assert campaign.known_paths()
         for info in campaign.known_paths():
-            assert eco.interceptor_at(info.path.hop_at(1).address) is None or \
-                not info.has_interceptor or True  # paths built pre-vetting may linger
+            assert not info.has_interceptor
+            assert eco.interceptor_at(info.path.hop_at(1).address) is None
         # The stronger check: no alt-resolver source addresses in the log.
         alt_sources = {
             entry.src_address

@@ -265,6 +265,15 @@ class TestTelemetryMergeEqualsSerial:
                        "emitter.emitted", "vetting.kept"):
             assert any(name.startswith(prefix) for name in counters), prefix
 
+    def test_vetting_probe_counters(self, serial):
+        two_workers = _run(2).telemetry.metrics.counter_values()
+        counters = serial.telemetry.metrics.counter_values()
+        probes = counters["vetting.pair_probes"]
+        built = counters["vetting.probe_paths_built"]
+        assert 0 < built <= probes
+        assert two_workers["vetting.pair_probes"] == probes
+        assert two_workers["vetting.probe_paths_built"] == built
+
     def test_consistency_across_layers(self, serial):
         counters = serial.telemetry.metrics.counter_values()
         sent = sum(value for name, value in counters.items()

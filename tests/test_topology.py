@@ -124,6 +124,34 @@ class TestPathConstruction:
         to_google = model.build_path(VP, DEST)
         to_other = model.build_path(VP, Endpoint("9.9.9.9", 19281, "US"))
         assert to_google.hop_at(1).address == to_other.hop_at(1).address
+        assert to_google.hop_at(1) is model.first_hop(VP)
+
+    def test_uncached_build_is_not_kept(self):
+        model = make_model()
+        uncached = model.build_path(VP, DEST, cache=False)
+        cached = model.build_path(VP, DEST)
+        assert cached is not uncached
+        assert [hop.address for hop in cached.hops] == [
+            hop.address for hop in uncached.hops]
+
+    def test_creates_routers_predicts_every_new_router(self):
+        # Pools small enough to fill within the sweep; the transit pool is
+        # larger than the access and backbone ones, so it stays open after
+        # a VP's own pools are full.
+        model = make_model(routers_per_access_as=2, routers_per_backbone_as=2,
+                           routers_per_transit_as=6)
+        vps = (VP, VP_CN, Endpoint("100.96.0.3", 64512, "DE"))
+        skipped = 0
+        for index in range(60):
+            destination = Endpoint(f"198.18.0.{index}", 64600 + index % 3,
+                                   ("US", "DE", "JP")[index % 3])
+            for vp in vps:
+                predicted = model.creates_routers(vp, destination)
+                before = len(model._hops)
+                model.build_path(vp, destination, cache=False)
+                assert predicted or len(model._hops) == before
+                skipped += not predicted
+        assert skipped
 
     def test_cross_country_path_includes_both_backbones(self):
         model = make_model()

@@ -171,6 +171,28 @@ class TestVetting:
         assert [vp.vp_id for vp in report.kept] == ["clean"]
         assert report.removed == 2
 
+    def test_full_vetting_flags_are_independent(self):
+        vps = [
+            self.make_vp("clean"),
+            self.make_vp("resetter", resets_ttl=True),
+            self.make_vp("intercepted"),
+        ]
+
+        def run(**flags):
+            report = full_vetting(vps, PUBLIC_RESOLVERS,
+                                  lambda vp, address: vp.vp_id == "intercepted",
+                                  **flags)
+            return ([vp.vp_id for vp in report.kept],
+                    [vp.vp_id for vp in report.removed_ttl_reset],
+                    [vp.vp_id for vp in report.removed_intercepted])
+
+        assert run(exclude_ttl_reset=False) == (
+            ["clean", "resetter"], [], ["intercepted"])
+        assert run(pair_filter=False) == (
+            ["clean", "intercepted"], ["resetter"], [])
+        assert run(exclude_ttl_reset=False, pair_filter=False) == (
+            ["clean", "resetter", "intercepted"], [], [])
+
 
 class TestSurvey:
     def test_only_this_work_and_similar_meet_requirements(self):
