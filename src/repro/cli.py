@@ -215,12 +215,30 @@ def _emit(text: str, output: Optional[str]) -> None:
         print(text)
 
 
+def _destinations_writable(args: argparse.Namespace) -> bool:
+    """Check a run's outputs before the campaign starts: ``--export`` and
+    ``--telemetry`` name directories, ``--digest`` and ``--output`` files.
+    Prints ``cannot write <path>: <reason>`` for the first that is not."""
+    for option, directory in (("export", True), ("telemetry", True),
+                              ("digest", False), ("output", False)):
+        path = getattr(args, option, None)
+        if path and pathlib.Path(path).exists() \
+                and pathlib.Path(path).is_dir() != directory:
+            reason = ("exists and is not a directory" if directory
+                      else "is a directory")
+            print(f"cannot write {path}: {reason}", file=sys.stderr)
+            return False
+    return True
+
+
 def _command_run(args: argparse.Namespace) -> int:
     if args.workers < 1:
         print("--workers must be >= 1", file=sys.stderr)
         return 2
     if args.inject_worker_kill is not None and args.workers < 2 and not args.resume:
         print("--inject-worker-kill requires --workers >= 2", file=sys.stderr)
+        return 2
+    if not _destinations_writable(args):
         return 2
     if args.resume:
         from repro.core.checkpoint import CheckpointError
@@ -416,6 +434,8 @@ def _scenario_compile(args: argparse.Namespace) -> int:
 def _scenario_run(args: argparse.Namespace) -> int:
     from repro.scenario import compile_scenario, resolve_scenario
 
+    if not _destinations_writable(args):
+        return 2
     spec = resolve_scenario(args.scenario)
     config = compile_scenario(spec)
     if args.workers is not None:

@@ -62,9 +62,17 @@ class AnalysisBundle:
 
 
 def _write_jsonl(path: pathlib.Path, rows) -> None:
+    # One encoder per file, not per row; a fresh row cannot hold a cycle.
+    encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
     with path.open("w") as handle:
         for row in rows:
-            handle.write(json.dumps(row, sort_keys=True) + "\n")
+            handle.write(encode(row) + "\n")
+
+
+def _row(record) -> dict:
+    """``dataclasses.asdict`` without its deep copy, for a dataclass of
+    plain values whose instance dict holds exactly its fields."""
+    return dict(vars(record))
 
 
 def _json(text: str, where) -> object:
@@ -75,11 +83,27 @@ def _json(text: str, where) -> object:
         raise ValueError(f"{where}: {error}") from None
 
 
-def _read_jsonl(path: pathlib.Path):
+def _read_jsonl(path: pathlib.Path, build):
+    """``build(**row)`` for each row of a JSONL file.  A line that is not
+    JSON, or a row ``build`` rejects (not an object, a field missing or
+    unknown), is a ValueError naming the file and line."""
     with path.open() as handle:
         for number, line in enumerate(handle, 1):
-            if line.strip():
-                yield _json(line, f"{path} line {number}")
+            if not line.strip():
+                continue
+            where = f"{path} line {number}"
+            row = _json(line, where)
+            if not isinstance(row, dict):
+                raise ValueError(f"{where}: not a JSON object")
+            try:
+                built = build(**row)
+            except (TypeError, ValueError) as error:
+                raise ValueError(f"{where}: {error}") from None
+            yield built
+
+
+def _decoy_record(identity, **fields) -> DecoyRecord:
+    return DecoyRecord(identity=DecoyIdentity(**identity), **fields)
 
 
 def export_result(result: ExperimentResult, directory: Union[str, pathlib.Path]) -> pathlib.Path:
@@ -87,10 +111,9 @@ def export_result(result: ExperimentResult, directory: Union[str, pathlib.Path])
     out = pathlib.Path(directory)
     out.mkdir(parents=True, exist_ok=True)
 
-    config = dataclasses.asdict(result.config)
     meta = {
         "format_version": BUNDLE_FORMAT_VERSION,
-        "config": config,
+        "config": dataclasses.asdict(result.config),
         "vantage_points": len(result.eco.platform),
         "decoys": len(result.ledger),
         "log_entries": len(result.log),
@@ -102,20 +125,12 @@ def export_result(result: ExperimentResult, directory: Union[str, pathlib.Path])
     (out / _PATHS["meta"]).write_text(json.dumps(meta, indent=2, sort_keys=True))
 
     _write_jsonl(out / _PATHS["ledger"], (
-        {
-            "identity": dataclasses.asdict(record.identity),
-            **{key: value for key, value in dataclasses.asdict(record).items()
-               if key != "identity"},
-        }
-        for record in result.ledger.records()
+        {**_row(record), "identity": _row(record.identity)}
+        for record in result.ledger.records_from(0)
     ))
-    _write_jsonl(out / _PATHS["log"],
-                 (dataclasses.asdict(entry) for entry in result.log))
-    _write_jsonl(out / _PATHS["locations"],
-                 (dataclasses.asdict(location) for location in result.locations))
-    _write_jsonl(out / _PATHS["directory"], (
-        dataclasses.asdict(record) for record in result.eco.directory
-    ))
+    _write_jsonl(out / _PATHS["log"], map(_row, result.log))
+    _write_jsonl(out / _PATHS["locations"], map(_row, result.locations))
+    _write_jsonl(out / _PATHS["directory"], map(_row, result.eco.directory))
     listed = sorted(
         record.address for record in result.eco.directory
         if record.address in result.eco.blocklist
@@ -131,8 +146,9 @@ def export_result(result: ExperimentResult, directory: Union[str, pathlib.Path])
     ))
     analysis = getattr(result, "analysis", None)
     if analysis is not None:
+        # Digest first, so export never holds two snapshots at once.
         (out / _PATHS["analysis"]).write_text(json.dumps(
-            {"state": analysis.snapshot(), "digest": analysis.digest()},
+            {"digest": analysis.digest(), "state": analysis.snapshot()},
             sort_keys=True,
         ))
     return out
@@ -169,21 +185,18 @@ def load_bundle(directory: Union[str, pathlib.Path]) -> AnalysisBundle:
         )
 
     ledger = DecoyLedger()
-    for row in _read_jsonl(src / _PATHS["ledger"]):
-        identity = DecoyIdentity(**row.pop("identity"))
-        ledger.register(DecoyRecord(identity=identity, **row))
+    for record in _read_jsonl(src / _PATHS["ledger"], _decoy_record):
+        ledger.register(record)
 
     log = LogStore()
-    for row in _read_jsonl(src / _PATHS["log"]):
-        log.append(LoggedRequest(**row))
+    for entry in _read_jsonl(src / _PATHS["log"], LoggedRequest):
+        log.append(entry)
 
-    locations = [
-        ObserverLocation(**row) for row in _read_jsonl(src / _PATHS["locations"])
-    ]
+    locations = list(_read_jsonl(src / _PATHS["locations"], ObserverLocation))
 
     directory_obj = IpDirectory()
-    for row in _read_jsonl(src / _PATHS["directory"]):
-        directory_obj.register(**row)
+    for _ in _read_jsonl(src / _PATHS["directory"], directory_obj.register):
+        pass
 
     blocklist = Blocklist()
     blocklist_path = src / _PATHS["blocklist"]
@@ -196,7 +209,7 @@ def load_bundle(directory: Union[str, pathlib.Path]) -> AnalysisBundle:
     phase1 = split_correlation(full, ledger, 1)
     phase2 = split_correlation(full, ledger, 2)
 
-    stored_events = sum(1 for _ in _read_jsonl(src / _PATHS["events"]))
+    stored_events = sum(1 for _ in _read_jsonl(src / _PATHS["events"], dict))
     recomputed = len(phase1.events) + len(phase2.events)
     if stored_events != recomputed:
         raise ValueError(

@@ -12,6 +12,8 @@ cannot drift:
 * ``fig4``, ``table2``, ``table3`` and ``matrix``, the golden artifacts
   of tiny seed 20240301, and ``medium`` (serial and 2 workers) and
   ``faulted-tiny-7`` (``tests/test_analysis.py``);
+* ``bundle-tiny-20240301``, the bytes of the bundle ``export_result``
+  writes for tiny seed 20240301 (``tests/test_persist_cli.py``);
 * ``scale-1000`` and ``scale-10000``, the digests
   ``benchmarks/_scale_point.py`` prints, are checked by CI's
   ``campaign-scale-smoke`` job only (the 10,000-VP point takes about
@@ -30,6 +32,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import time
 from typing import Dict
 
@@ -39,6 +42,7 @@ from repro.analysis.paperreport import full_report
 from repro.analysis.temporal import DEFAULT_THRESHOLDS, dns_delay_cdfs
 from repro.core.config import ExperimentConfig
 from repro.core.experiment import Experiment
+from repro.core.persist import export_result
 from repro.core.shard import result_digest
 from repro.faults import FaultSpec
 
@@ -126,6 +130,23 @@ def matrix_pin(matrix) -> str:
     })
 
 
+def bundle_pin(directory) -> str:
+    """An exported bundle's bytes: sha256 over its files in name order,
+    each entered as its name, its length and its bytes.  ``meta.json``
+    enters without its wall-clock ``timings``, re-serialized as
+    ``export_result`` writes it."""
+    digest = hashlib.sha256()
+    for path in sorted(pathlib.Path(directory).iterdir()):
+        data = path.read_bytes()
+        if path.name == "meta.json":
+            meta = json.loads(data)
+            del meta["timings"]
+            data = json.dumps(meta, indent=2, sort_keys=True).encode()
+        digest.update(f"{path.name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def scale_point(vp_count: int) -> dict:
     """Run ``benchmarks/_scale_point.py`` in its own process, as CI does,
     and return the JSON object it prints."""
@@ -169,6 +190,9 @@ def compute() -> Dict[str, str]:
             pins["table2"] = table2_pin(
                 observer_location_table(result.locations))
             pins["table3"] = table3_pin(top_observer_ases(result.locations))
+            with tempfile.TemporaryDirectory() as bundle:
+                pins[f"bundle-tiny-{seed}"] = bundle_pin(
+                    export_result(result, bundle))
     pins["medium"] = result_digest(Experiment(medium_config()).run())
     pins["faulted-tiny-7"] = result_digest(
         Experiment(faulted_config()).run())

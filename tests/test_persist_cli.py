@@ -13,6 +13,7 @@ from repro.cli import main
 from repro.core.config import ExperimentConfig
 from repro.core.experiment import Experiment
 from repro.core.persist import AnalysisBundle, export_result, load_bundle
+from tests.make_pins import bundle_pin, check
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +28,26 @@ def bundle_dir(result, tmp_path_factory):
     return directory
 
 
-BUNDLE_DAMAGE = ["missing", "analysis-cut", "analysis-digest", "ledger-cut"]
+ROW_DAMAGE = {
+    # damage: (file, line, the row written there instead, what the
+    # loader's message must say)
+    "ledger-field-missing": (
+        "ledger.jsonl", 2,
+        lambda row: {k: v for k, v in row.items() if k != "protocol"},
+        "'protocol'"),
+    "ledger-identity-missing": (
+        "ledger.jsonl", 1,
+        lambda row: {k: v for k, v in row.items() if k != "identity"},
+        "'identity'"),
+    "log-field-unknown": (
+        "honeypot_log.jsonl", 3, lambda row: {**row, "bogus": 1}, "'bogus'"),
+    "locations-not-object": (
+        "locations.jsonl", 1, lambda row: list(row), "not a JSON object"),
+    "directory-field-unknown": (
+        "ip_directory.jsonl", 2, lambda row: {**row, "bogus": 1}, "'bogus'"),
+}
+BUNDLE_DAMAGE = ["missing", "analysis-cut", "analysis-digest", "ledger-cut",
+                 *ROW_DAMAGE]
 
 
 def damaged_bundle(bundle_dir, tmp_path, damage):
@@ -49,6 +69,13 @@ def damaged_bundle(bundle_dir, tmp_path, damage):
         analysis.write_text(json.dumps(payload))
         return copy, "analysis.json"
     analysis.unlink()
+    if damage in ROW_DAMAGE:
+        name, number, rewrite, _ = ROW_DAMAGE[damage]
+        lines = (copy / name).read_text().splitlines(keepends=True)
+        row = rewrite(json.loads(lines[number - 1]))
+        lines[number - 1] = json.dumps(row) + "\n"
+        (copy / name).write_text("".join(lines))
+        return copy, f"{name} line {number}"
     ledger = copy / "ledger.jsonl"
     ledger.write_bytes(ledger.read_bytes()[:300])
     return copy, "ledger.jsonl line 1"
@@ -91,6 +118,41 @@ class TestExport:
         assert len(log_lines) == len(result.log)
 
 
+class TestBundleBytes:
+    """Every byte of an exported bundle is part of the results contract."""
+
+    def test_serial_bundle_pinned(self, bundle_dir):
+        check("bundle-tiny-20240301", bundle_pin(bundle_dir))
+
+    def test_two_worker_bundle_equals_serial(self, bundle_dir, tmp_path):
+        """Only meta.json may differ: it records the config's workers."""
+        config = ExperimentConfig.tiny(seed=20240301)
+        config.workers = 2
+        sharded = export_result(Experiment(config).run(), tmp_path / "w2")
+        names = sorted(path.name for path in bundle_dir.iterdir())
+        assert sorted(path.name for path in sharded.iterdir()) == names
+        for name in names:
+            if name != "meta.json":
+                assert (sharded / name).read_bytes() == \
+                    (bundle_dir / name).read_bytes(), name
+
+    @pytest.mark.parametrize("name,fields", [
+        ("ledger.jsonl", ["vp_province"]),
+        ("honeypot_log.jsonl", ["path", "qtype", "user_agent"]),
+        ("locations.jsonl", ["observer_address", "observer_asn",
+                             "observer_country", "trigger_ttl"]),
+    ])
+    def test_optional_fields_both_null_and_set(self, bundle_dir, name,
+                                               fields):
+        """The pin covers how the exporter writes both a null and a value
+        of every optional field."""
+        rows = [json.loads(line)
+                for line in (bundle_dir / name).read_text().splitlines()]
+        for field in fields:
+            nulls = sum(row[field] is None for row in rows)
+            assert 0 < nulls < len(rows), field
+
+
 class TestLoad:
     def test_roundtrip_counts(self, result, bundle_dir):
         bundle = load_bundle(bundle_dir)
@@ -128,6 +190,16 @@ class TestLoad:
         (broken / "meta.json").write_text(json.dumps(meta))
         with pytest.raises(ValueError):
             load_bundle(broken)
+
+    @pytest.mark.parametrize("damage", list(ROW_DAMAGE))
+    def test_rejects_malformed_row_naming_line(self, bundle_dir, tmp_path,
+                                               damage):
+        bundle, named = damaged_bundle(bundle_dir, tmp_path, damage)
+        with pytest.raises(ValueError) as caught:
+            load_bundle(bundle)
+        message = str(caught.value)
+        assert named in message
+        assert ROW_DAMAGE[damage][3] in message
 
     def test_detects_tampered_log(self, bundle_dir, tmp_path):
         tampered = tmp_path / "tampered"
@@ -253,6 +325,33 @@ class TestCli:
             feed_batches_from_result(result, "c", batch_size=batch_size)
         with pytest.raises(ValueError, match="batch_size must be >= 1"):
             feed_batches_from_bundle(bundle_dir, "c", batch_size=batch_size)
+
+    @pytest.mark.parametrize("command,option,kind", [
+        ("run", "--export", "file"),
+        ("run", "--telemetry", "file"),
+        ("run", "--digest", "directory"),
+        ("run", "--output", "directory"),
+        ("scenario-run", "--export", "file"),
+        ("scenario-run", "--digest", "directory"),
+        ("scenario-run", "--output", "directory"),
+    ])
+    def test_unwritable_destination_exits_2_before_running(
+            self, tmp_path, capsys, monkeypatch, command, option, kind):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the campaign ran")
+
+        monkeypatch.setattr(Experiment, "run", refuse)
+        target = tmp_path / kind
+        if kind == "file":
+            target.write_text("")
+            reason = "exists and is not a directory"
+        else:
+            target.mkdir()
+            reason = "is a directory"
+        argv = {"run": ["run", "--tiny", "--seed", "7"],
+                "scenario-run": ["scenario", "run", "minimal-smoke"]}[command]
+        assert main([*argv, option, str(target)]) == 2
+        assert capsys.readouterr().err == f"cannot write {target}: {reason}\n"
 
     def test_platform_bad_vp_scale_exits_2(self, capsys):
         assert main(["platform", "--vp-scale", "0"]) == 2
