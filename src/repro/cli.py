@@ -19,6 +19,7 @@ Commands:
 """
 
 import argparse
+import os
 import pathlib
 import sys
 from typing import List, Optional
@@ -548,7 +549,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         "platform": _command_platform,
         "telemetry": _command_telemetry,
     }
-    return handlers[args.command](args)
+    try:
+        status = handlers[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Whoever read stdout stopped (``repro scenario list | head``):
+        # end quietly, and point stdout at devnull so that the
+        # interpreter's own flush at exit cannot fail again.
+        try:
+            descriptor = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), descriptor)
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -137,6 +137,8 @@ class Campaign:
         destination order, so the draws never depend on feed timing."""
         self._web_sampler = None
         self.vetting: Optional[VettingReport] = None
+        self._probe_context: Optional[Tuple[VantagePoint, Endpoint, bool]] = None
+        """(VP, its endpoint, its verdict) of the VP vetting last probed."""
         self.sends_planned = 0
         self.sends_scheduled = 0
         self.last_send_time = 0.0
@@ -290,17 +292,28 @@ class Campaign:
         created in, so dropping such a path would move later routers.  A
         path that would only revisit existing routers is skipped, which
         changes nothing: the path itself was never used.
+
+        A VP's probes share its endpoint and verdict, computed once,
+        after its first probe's build.  Looking the first hop up before
+        that build would create the first-hop router early, and then
+        skip the paths that would have created only it.
         """
         topology = self.eco.topology
-        source = vp.endpoint()
         self._m_pair_probes.inc()
+        context = self._probe_context
+        known = context is not None and context[0] is vp
+        source = context[1] if known else vp.endpoint()
         pair = Endpoint(address=pair_address, asn=topology.backbone_asn("US", 0),
                         country="US")
         if topology.creates_routers(source, pair):
             self._m_probe_paths_built.inc()
             topology.build_path(source, pair, cache=False)
+        if known:
+            return context[2]
         interceptor = self.eco.interceptor_at(topology.first_hop(source).address)
-        return interceptor is not None and interceptor.answers_pair_probe()
+        verdict = interceptor is not None and interceptor.answers_pair_probe()
+        self._probe_context = (vp, source, verdict)
+        return verdict
 
     # -- decoy emission -------------------------------------------------------
 

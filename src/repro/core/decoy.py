@@ -15,6 +15,7 @@ from repro.net.packet import Packet
 from repro.protocols.dns import make_query
 from repro.protocols.http import make_get
 from repro.protocols.tls import ClientHello, wrap_handshake
+from repro.simkit.rng import random_bytes, randrange
 
 DECOY_PROTOCOLS = ("dns", "http", "tls")
 
@@ -106,9 +107,11 @@ class DecoyFactory:
         if protocol not in DECOY_PROTOCOLS:
             raise ValueError(f"unknown decoy protocol {protocol!r}")
         domain = self.domain_for(identity)
-        src_port = src_port if src_port is not None else self._rng.randrange(20000, 60000)
+        rng = self._rng
+        if src_port is None:
+            src_port = 20000 + randrange(rng, 40000)  # rng.randrange(20000, 60000)
         dst_port = _DEFAULT_PORTS[protocol]
-        identification = self._rng.randrange(0x10000)
+        identification = randrange(rng, 0x10000)
         mitigation = "none"
         if protocol == "dns":
             doh_draw = None
@@ -124,7 +127,7 @@ class DecoyFactory:
                 from repro.mitigations.doh import DOH_RESOLVER_HOST
                 hello = ClientHello(
                     server_name=DOH_RESOLVER_HOST,
-                    random=bytes(self._rng.randrange(256) for _ in range(32)),
+                    random=random_bytes(rng, 32),
                 )
                 payload = wrap_handshake(hello.encode())
                 packet = Packet.tcp(
@@ -135,7 +138,7 @@ class DecoyFactory:
                 mitigation = "doh"
                 self.doh_built += 1
             else:
-                payload = make_query(domain, txid=self._rng.randrange(0x10000)).encode()
+                payload = make_query(domain, txid=randrange(rng, 0x10000)).encode()
                 packet = Packet.udp(
                     src=identity.vp_address, dst=identity.dst_address,
                     ttl=identity.ttl, src_port=src_port, dst_port=dst_port,
@@ -161,7 +164,7 @@ class DecoyFactory:
             else:
                 hello = ClientHello(
                     server_name=domain,
-                    random=bytes(self._rng.randrange(256) for _ in range(32)),
+                    random=random_bytes(rng, 32),
                 )
             payload = wrap_handshake(hello.encode())
             packet = Packet.tcp(

@@ -22,16 +22,17 @@ label limit.
 
 This codec sits on the per-decoy hot path — every send encodes one
 identifier and every logged request decodes up to one label per domain
-component — so the implementation is profile-driven: a table-driven CRC
-(one lookup per byte instead of eight shift/xor rounds), precompiled
-``struct.Struct`` instances, memoized address parsing on encode and a
-memoized label decoder.  Memoizing *failures* matters as much as
-successes: ``decode_domain`` tries every label of a multi-label name, so
-the common case for a candidate label is rejection, and campaign traffic
-repeats the same foreign labels ("probe", "www") millions of times.
+component — so the implementation is profile-driven: the C CRC of
+``binascii``, precompiled ``struct.Struct`` instances, memoized address
+parsing and a pair-table base32 encoder on encode, and a memoized label
+decoder.  Memoizing *failures* matters as much as successes:
+``decode_domain`` tries every label of a multi-label name, so the common
+case for a candidate label is rejection, and campaign traffic repeats the
+same foreign labels ("probe", "www") millions of times.
 """
 
 import base64
+import binascii
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -50,26 +51,29 @@ class IdentifierError(ValueError):
     """Raised for labels that do not decode to a valid identity."""
 
 
-def _crc16_table() -> tuple:
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            crc = ((crc << 1) ^ 0x1021 if crc & 0x8000 else crc << 1) & 0xFFFF
-        table.append(crc)
-    return tuple(table)
-
-
-_CRC16_TABLE = _crc16_table()
-
-
 def crc16_ccitt(data: bytes) -> int:
-    """CRC-16/CCITT-FALSE — compact integrity check for identifiers."""
-    crc = 0xFFFF
-    table = _CRC16_TABLE
-    for byte in data:
-        crc = ((crc << 8) & 0xFFFF) ^ table[(crc >> 8) ^ byte]
-    return crc
+    """CRC-16/CCITT-FALSE — compact integrity check for identifiers
+    (``binascii.crc_hqx`` is this CRC, poly 0x1021, from 0xFFFF)."""
+    return binascii.crc_hqx(data, 0xFFFF)
+
+
+_BASE32_PAIRS = tuple(
+    first + second
+    for first in "abcdefghijklmnopqrstuvwxyz234567"
+    for second in "abcdefghijklmnopqrstuvwxyz234567"
+)
+"""Two lower-case base32 characters for each 10-bit value."""
+
+_PAIR_SHIFTS = tuple(range(110, -1, -10))
+
+
+def _base32(packed: bytes) -> str:
+    """``base64.b32encode(packed).decode().lower().rstrip("=")`` for the
+    15 packed bytes: 120 bits are exactly 24 characters, no padding, taken
+    two at a time from the top of the bytes read as one integer."""
+    value = int.from_bytes(packed, "big")
+    pairs = _BASE32_PAIRS
+    return "".join([pairs[value >> shift & 0x3FF] for shift in _PAIR_SHIFTS])
 
 
 @dataclass(frozen=True)
@@ -151,8 +155,7 @@ class IdentifierCodec:
             identity.ttl,
         )
         packed += _CRC.pack(crc16_ccitt(packed))
-        token = base64.b32encode(packed).decode("ascii").lower().rstrip("=")
-        return f"{token}-{identity.sequence:04d}"
+        return f"{_base32(packed)}-{identity.sequence:04d}"
 
     def decode(self, label: str) -> DecoyIdentity:
         """Parse one label back into an identity.

@@ -12,8 +12,10 @@ directory, blocklist, metadata, and the run's analysis state) and
 import dataclasses
 import json
 import pathlib
+import typing
 from dataclasses import dataclass
-from typing import Dict, List, Union
+from functools import lru_cache
+from typing import Dict, List, Tuple, Union
 
 from repro.core.correlate import (
     CorrelationResult,
@@ -83,10 +85,54 @@ def _json(text: str, where) -> object:
         raise ValueError(f"{where}: {error}") from None
 
 
-def _read_jsonl(path: pathlib.Path, build):
+def _admitted(annotation) -> Tuple[type, ...]:
+    """The JSON value types a field of type ``annotation`` admits: a float
+    field also an int, a nested dataclass an object, any other exactly its
+    own type (so ``true`` is no int)."""
+    if annotation is float:
+        return (float, int)
+    if dataclasses.is_dataclass(annotation):
+        return (dict,)
+    return (annotation,)
+
+
+@lru_cache(maxsize=None)
+def _schema(target) -> Dict[str, Tuple[type, ...]]:
+    """Field name -> the JSON value types it admits, from the annotations
+    of a dataclass or of a function's parameters (``Optional`` admits
+    null)."""
+    schema = {}
+    for name, annotation in typing.get_type_hints(target).items():
+        if name == "return":
+            continue
+        options = (typing.get_args(annotation)
+                   if typing.get_origin(annotation) is Union else (annotation,))
+        schema[name] = tuple(kind for option in options
+                             for kind in _admitted(option))
+    return schema
+
+
+def _check_types(row: dict, target, prefix: str = "") -> None:
+    """A ValueError for the first value of ``row`` whose type its field
+    in ``target`` does not admit.  Unknown fields pass: the function that
+    builds the record rejects them by name."""
+    schema = _schema(target)
+    for name, value in row.items():
+        admitted = schema.get(name)
+        if admitted is not None and type(value) not in admitted:
+            expected = " or ".join(
+                "null" if kind is type(None) else
+                "object" if kind is dict else kind.__name__ for kind in admitted)
+            raise ValueError(f"{prefix}{name} must be {expected}, got {value!r}")
+
+
+def _read_jsonl(path: pathlib.Path, build, record_type=None):
     """``build(**row)`` for each row of a JSONL file.  A line that is not
     JSON, or a row ``build`` rejects (not an object, a field missing or
-    unknown), is a ValueError naming the file and line."""
+    unknown) or with a value whose type its field does not admit, is a
+    ValueError naming the file and line.  The field types are those of
+    ``record_type``, or of ``build``'s parameters when that is None."""
+    target = build if record_type is None else record_type
     with path.open() as handle:
         for number, line in enumerate(handle, 1):
             if not line.strip():
@@ -96,6 +142,7 @@ def _read_jsonl(path: pathlib.Path, build):
             if not isinstance(row, dict):
                 raise ValueError(f"{where}: not a JSON object")
             try:
+                _check_types(row, target)
                 built = build(**row)
             except (TypeError, ValueError) as error:
                 raise ValueError(f"{where}: {error}") from None
@@ -103,6 +150,7 @@ def _read_jsonl(path: pathlib.Path, build):
 
 
 def _decoy_record(identity, **fields) -> DecoyRecord:
+    _check_types(identity, DecoyIdentity, "identity.")
     return DecoyRecord(identity=DecoyIdentity(**identity), **fields)
 
 
@@ -185,7 +233,7 @@ def load_bundle(directory: Union[str, pathlib.Path]) -> AnalysisBundle:
         )
 
     ledger = DecoyLedger()
-    for record in _read_jsonl(src / _PATHS["ledger"], _decoy_record):
+    for record in _read_jsonl(src / _PATHS["ledger"], _decoy_record, DecoyRecord):
         ledger.register(record)
 
     log = LogStore()

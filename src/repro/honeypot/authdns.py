@@ -15,7 +15,6 @@ from repro.protocols.dns import (
     QTYPE,
     RCODE,
     ResourceRecord,
-    is_subdomain_of,
     make_response,
     normalize_name,
 )
@@ -37,6 +36,7 @@ class AuthoritativeServer:
         if not web_addresses:
             raise ValueError("need at least one honey web address")
         self.zone = normalize_name(zone)
+        self._zone_suffix = "." + self.zone
         self.web_addresses = tuple(web_addresses)
         self.record_ttl = record_ttl
         self._log = log
@@ -45,8 +45,11 @@ class AuthoritativeServer:
         self.refused = 0
 
     def covers(self, name: str) -> bool:
-        """True when ``name`` falls inside the experiment zone."""
-        return is_subdomain_of(name, self.zone)
+        """True when ``name`` falls inside the experiment zone
+        (:func:`~repro.protocols.dns.names.is_subdomain_of`, with the
+        zone normalized once)."""
+        name = normalize_name(name)
+        return name == self.zone or name.endswith(self._zone_suffix)
 
     def resolve_address(self, name: str) -> str:
         """Wildcard resolution: deterministic honey web address per name."""
@@ -58,16 +61,14 @@ class AuthoritativeServer:
 
         Queries outside the zone are REFUSED (and not logged as experiment
         traffic); in-zone queries are logged and answered from the
-        wildcard.
+        wildcard.  A query without a question comes back unchanged.
         """
         query = DnsMessage.decode(wire)
         qname = query.qname
         if qname is None:
+            # Nothing to answer or log: the query comes back as it came.
             self.refused += 1
-            return make_response(
-                DnsMessage(header=query.header, questions=query.questions or ()),
-                rcode=RCODE.FORMERR,
-            ).encode() if query.questions else wire
+            return wire
         if not self.covers(qname):
             self.refused += 1
             return make_response(query, rcode=RCODE.REFUSED).encode()

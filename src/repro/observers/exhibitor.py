@@ -4,7 +4,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.simkit.rng import SubstreamFactory
+from repro.simkit.rng import SubstreamFactory, random_bytes, randrange
 
 from repro.honeypot.deployment import HoneypotDeployment
 from repro.intel.exploitdb import ENUMERATION_PATHS
@@ -82,7 +82,7 @@ class UnsolicitedEmitter:
              path: str = "/") -> None:
         now = self._sim.now()
         if protocol == "dns":
-            wire = make_query(domain, txid=self._rng.randrange(0x10000)).encode()
+            wire = make_query(domain, txid=randrange(self._rng, 0x10000)).encode()
             server = self._deployment.authoritative_for(origin_address)
             server.handle_query(wire, origin_address, now)
         elif protocol == "http":
@@ -99,7 +99,7 @@ class UnsolicitedEmitter:
             site = self._deployment.web_site_by_address(web_address)
             hello = ClientHello(
                 server_name=domain,
-                random=bytes(self._rng.randrange(256) for _ in range(32)),
+                random=random_bytes(self._rng, 32),
             )
             request = make_get(domain, path=path, user_agent="shadow-probe/1.0")
             site.tls.handle_connection(

@@ -24,7 +24,7 @@ from repro.honeypot.deployment import HoneypotDeployment
 from repro.observers.exhibitor import ShadowExhibitor
 from repro.protocols.dns import make_query
 from repro.simkit.events import Simulator
-from repro.simkit.rng import SubstreamFactory
+from repro.simkit.rng import SubstreamFactory, randrange
 from repro.telemetry.registry import NULL_REGISTRY, labeled
 
 
@@ -145,6 +145,6 @@ class ResolverModel:
             )
 
     def _query_authoritative(self, domain: str) -> None:
-        wire = make_query(domain, txid=self._rng.randrange(0x10000)).encode()
+        wire = make_query(domain, txid=randrange(self._rng, 0x10000)).encode()
         server = self._deployment.authoritative_for(self.egress_address)
         server.handle_query(wire, self.egress_address, self._sim.now())

@@ -9,6 +9,7 @@ authoritative server run on.
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.addr import ip_from_int, ip_to_int
@@ -26,6 +27,8 @@ from repro.protocols.dns.types import QCLASS_IN, RCODE, QTYPE
 _HEADER = struct.Struct("!HHHHHH")
 _QUESTION_TAIL = struct.Struct("!HH")
 _RECORD_TAIL = struct.Struct("!HHI")
+_RECORD_HEAD = struct.Struct("!HHIH")
+"""Type, class, TTL and rdlength: the 10 bytes after a record's name."""
 _RDLENGTH = struct.Struct("!H")
 
 FLAG_QR = 0x8000
@@ -72,7 +75,7 @@ class DnsHeader:
     def decode(cls, data: bytes) -> "DnsHeader":
         if len(data) < 12:
             raise PacketDecodeError(f"DNS header needs 12 bytes, got {len(data)}")
-        txid, flags, qdcount, ancount, nscount, arcount = _HEADER.unpack(data[:12])
+        txid, flags, qdcount, ancount, nscount, arcount = _HEADER.unpack_from(data)
         return cls(txid=txid, flags=flags, qdcount=qdcount,
                    ancount=ancount, nscount=nscount, arcount=arcount)
 
@@ -121,20 +124,18 @@ class _NameWriter:
         self.buffer = bytearray()
         self._offsets: Dict[str, int] = {}
 
-    def write(self, raw: bytes) -> None:
-        self.buffer.extend(raw)
-
     def write_name(self, name: str) -> None:
-        """Emit ``name``, compressing against any previously-written suffix.
+        """Emit the normalized ``name``, compressing against any
+        previously-written suffix.
 
         RFC 1035 4.1.4: a name may end in a pointer to a prior occurrence
         of its tail.  The writer emits leading labels until it finds a
         registered suffix within pointer range (14 bits), then a pointer;
         every newly-written suffix is registered for later names.  The
         name is walked by index: a suffix is the slice after a label
-        boundary.
+        boundary.  Question and record names arrive normalized (their
+        dataclasses normalize them); rdata names are normalized first.
         """
-        name = normalize_name(name)
         if not name:
             self.buffer.append(0)
             return
@@ -145,6 +146,9 @@ class _NameWriter:
             encode_name(name)
         buffer = self.buffer
         offsets = self._offsets
+        if not offsets:
+            self._write_whole(name)
+            return
         size = len(name)
         start = 0
         while start < size:
@@ -169,22 +173,58 @@ class _NameWriter:
             start = end + 1
         buffer.append(0)
 
+    def _write_whole(self, name: str) -> None:
+        """Emit a normalized name when nothing written before can be
+        pointed at, as for a message's first name: the bytes are
+        ``encode_name(name)``'s.  The label starting at character ``i``
+        of the name has its length byte ``i`` bytes into the name, so
+        that is where its suffix is registered."""
+        try:
+            labels = name.encode("ascii").split(b".")
+        except UnicodeEncodeError:
+            encode_name(name)
+            raise
+        buffer = self.buffer
+        offsets = self._offsets
+        position = len(buffer)
+        start = 0
+        for label in labels:
+            size = len(label)
+            if not 0 < size <= MAX_LABEL_LENGTH:
+                encode_name(name)
+            if position + start <= 0x3FFF:
+                offsets[name[start:]] = position + start
+            buffer.append(size)
+            buffer += label
+            start += size + 1
+        buffer.append(0)
+
+
+@lru_cache(maxsize=1024)
+def _a_rdata(address: str) -> bytes:
+    """An A record's 4 rdata bytes.  Memoized: answers carry one of a few
+    honey addresses."""
+    return ip_to_int(address).to_bytes(4, "big")
+
+
+_NAME_RDATA_TYPES = frozenset((QTYPE.NS, QTYPE.CNAME, QTYPE.PTR))
+
 
 def _encode_rdata(writer: _NameWriter, record: ResourceRecord) -> None:
-    if record.rtype in (QTYPE.NS, QTYPE.CNAME, QTYPE.PTR):
+    buffer = writer.buffer
+    if record.rtype in _NAME_RDATA_TYPES:
         # Domain-name rdata may be compressed against earlier names
         # (RFC 1035 permits it for these classic types).  The length field
         # is backpatched once the possibly-pointered name is written.
-        length_position = len(writer.buffer)
-        writer.write(b"\x00\x00")
-        start = len(writer.buffer)
-        writer.write_name(record.rdata)
-        rdlength = len(writer.buffer) - start
-        writer.buffer[length_position:length_position + 2] = \
-            _RDLENGTH.pack(rdlength)
+        length_position = len(buffer)
+        buffer += b"\x00\x00"
+        start = len(buffer)
+        writer.write_name(normalize_name(record.rdata))
+        rdlength = len(buffer) - start
+        buffer[length_position:length_position + 2] = _RDLENGTH.pack(rdlength)
         return
     if record.rtype == QTYPE.A:
-        rdata = ip_to_int(record.rdata).to_bytes(4, "big")
+        rdata = _a_rdata(record.rdata)
     elif record.rtype == QTYPE.TXT:
         raw = record.rdata.encode("utf-8")
         if len(raw) > 255:
@@ -206,8 +246,8 @@ def _encode_rdata(writer: _NameWriter, record: ResourceRecord) -> None:
             raise DnsNameError(
                 f"cannot encode rdata for record type {record.rtype}"
             ) from exc
-    writer.write(_RDLENGTH.pack(len(rdata)))
-    writer.write(rdata)
+    buffer += _RDLENGTH.pack(len(rdata))
+    buffer += rdata
 
 
 def _decode_rdata(message: bytes, offset: int, rtype: int, rdlength: int) -> str:
@@ -250,23 +290,25 @@ class DnsMessage:
     def encode(self) -> bytes:
         """Wire bytes; the header's section counts are the tuple sizes."""
         writer = _NameWriter()
-        writer.write(_HEADER.pack(
+        buffer = writer.buffer
+        buffer += _HEADER.pack(
             self.header.txid, self.header.flags,
             len(self.questions), len(self.answers),
             len(self.authorities), len(self.additionals),
-        ))
+        )
         for question in self.questions:
             writer.write_name(question.qname)
-            writer.write(_QUESTION_TAIL.pack(question.qtype, question.qclass))
+            buffer += _QUESTION_TAIL.pack(question.qtype, question.qclass)
         for record in self.answers + self.authorities + self.additionals:
             writer.write_name(record.name)
-            writer.write(_RECORD_TAIL.pack(record.rtype, record.rclass, record.ttl))
+            buffer += _RECORD_TAIL.pack(record.rtype, record.rclass, record.ttl)
             _encode_rdata(writer, record)
-        return bytes(writer.buffer)
+        return bytes(buffer)
 
     @classmethod
     def decode(cls, data: bytes) -> "DnsMessage":
         header = DnsHeader.decode(data)
+        size = len(data)
         cursor = 12
         questions: List[DnsQuestion] = []
         for _ in range(header.qdcount):
@@ -274,42 +316,48 @@ class DnsMessage:
                 qname, cursor = decode_name(data, cursor)
             except DnsNameError as exc:
                 raise PacketDecodeError(f"bad QNAME: {exc}") from exc
-            if cursor + 4 > len(data):
+            if cursor + 4 > size:
                 raise PacketDecodeError("truncated question section")
-            qtype, qclass = struct.unpack("!HH", data[cursor : cursor + 4])
+            qtype, qclass = _QUESTION_TAIL.unpack_from(data, cursor)
             cursor += 4
             questions.append(DnsQuestion(qname=qname, qtype=qtype, qclass=qclass))
-
-        def read_records(count: int, cursor: int) -> Tuple[List[ResourceRecord], int]:
-            records: List[ResourceRecord] = []
-            for _ in range(count):
-                try:
-                    name, cursor = decode_name(data, cursor)
-                except DnsNameError as exc:
-                    raise PacketDecodeError(f"bad record name: {exc}") from exc
-                if cursor + 10 > len(data):
-                    raise PacketDecodeError("truncated resource record")
-                rtype, rclass, ttl, rdlength = struct.unpack("!HHIH", data[cursor : cursor + 10])
-                cursor += 10
-                if cursor + rdlength > len(data):
-                    raise PacketDecodeError("resource record rdata runs past message end")
-                rdata = _decode_rdata(data, cursor, rtype, rdlength)
-                cursor += rdlength
-                records.append(
-                    ResourceRecord(name=name, rtype=rtype, rclass=rclass, ttl=ttl, rdata=rdata)
-                )
-            return records, cursor
-
-        answers, cursor = read_records(header.ancount, cursor)
-        authorities, cursor = read_records(header.nscount, cursor)
-        additionals, cursor = read_records(header.arcount, cursor)
+        answers, cursor = _read_records(data, header.ancount, cursor)
+        authorities, cursor = _read_records(data, header.nscount, cursor)
+        additionals, cursor = _read_records(data, header.arcount, cursor)
         return cls(
             header=header,
             questions=tuple(questions),
-            answers=tuple(answers),
-            authorities=tuple(authorities),
-            additionals=tuple(additionals),
+            answers=answers,
+            authorities=authorities,
+            additionals=additionals,
         )
+
+
+def _read_records(data: bytes, count: int,
+                  cursor: int) -> Tuple[Tuple[ResourceRecord, ...], int]:
+    """Decode ``count`` resource records from ``cursor``; returns them and
+    the offset after the last."""
+    if not count:
+        return (), cursor
+    size = len(data)
+    records: List[ResourceRecord] = []
+    for _ in range(count):
+        try:
+            name, cursor = decode_name(data, cursor)
+        except DnsNameError as exc:
+            raise PacketDecodeError(f"bad record name: {exc}") from exc
+        if cursor + 10 > size:
+            raise PacketDecodeError("truncated resource record")
+        rtype, rclass, ttl, rdlength = _RECORD_HEAD.unpack_from(data, cursor)
+        cursor += 10
+        if cursor + rdlength > size:
+            raise PacketDecodeError("resource record rdata runs past message end")
+        rdata = _decode_rdata(data, cursor, rtype, rdlength)
+        cursor += rdlength
+        records.append(
+            ResourceRecord(name=name, rtype=rtype, rclass=rclass, ttl=ttl, rdata=rdata)
+        )
+    return tuple(records), cursor
 
 
 def make_query(qname: str, txid: int, qtype: int = QTYPE.A,

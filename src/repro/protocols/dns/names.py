@@ -5,7 +5,6 @@ QNAMEs, so the label-length limits here (63 bytes per label, 255 per name)
 constrain the identifier codec in :mod:`repro.core.identifier`.
 """
 
-from functools import lru_cache
 from typing import Tuple
 
 MAX_LABEL_LENGTH = 63
@@ -33,15 +32,13 @@ def is_subdomain_of(name: str, zone: str) -> bool:
     return name == zone or name.endswith("." + zone)
 
 
-@lru_cache(maxsize=65536)
 def encode_name(name: str) -> bytes:
     """Serialize a domain name as a sequence of length-prefixed labels.
 
     Compression is applied only on full-message encoding (see
     :meth:`~repro.protocols.dns.message.DnsMessage.encode`), not here.
-    Memoized: each decoy domain is encoded once per send but appears in
-    queries, responses, and honeypot answers many times over, and
-    ``decode_name`` re-encodes every decoded name for its length check.
+    This is the strict encoder whose errors the message writer and
+    :func:`decode_name` raise; neither calls it for a name that passes.
     """
     name = normalize_name(name)
     if name == "":
@@ -72,12 +69,13 @@ def decode_name(message: bytes, offset: int) -> Tuple[str, int]:
     jumps = 0
     cursor = offset
     next_offset = None
+    size = len(message)
     while True:
-        if cursor >= len(message):
+        if cursor >= size:
             raise DnsNameError(f"name runs past end of message at offset {cursor}")
         length = message[cursor]
         if length & _POINTER_MASK == _POINTER_MASK:
-            if cursor + 1 >= len(message):
+            if cursor + 1 >= size:
                 raise DnsNameError("truncated compression pointer")
             pointer = ((length & 0x3F) << 8) | message[cursor + 1]
             if pointer >= cursor:
@@ -95,11 +93,17 @@ def decode_name(message: bytes, offset: int) -> Tuple[str, int]:
             if next_offset is None:
                 next_offset = cursor + 1
             break
-        if cursor + 1 + length > len(message):
+        end = cursor + 1 + length
+        if end > size:
             raise DnsNameError("label runs past end of message")
-        labels.append(message[cursor + 1 : cursor + 1 + length].decode("ascii"))
-        cursor += 1 + length
+        labels.append(message[cursor + 1 : end].decode("ascii"))
+        cursor = end
     name = ".".join(labels)
-    if len(encode_name(name)) > MAX_NAME_LENGTH:
-        raise DnsNameError("decoded name exceeds 255 wire bytes")
+    # Every label here is 1-63 ASCII bytes, so the strict encoder can
+    # reject the name only when it is long or a label holds a dot (which
+    # re-splits it); any other name takes len(name) + 2 wire bytes.
+    if (len(name) + 2 > MAX_NAME_LENGTH
+            or name.count(".") != len(labels) - 1):
+        if len(encode_name(name)) > MAX_NAME_LENGTH:
+            raise DnsNameError("decoded name exceeds 255 wire bytes")
     return name, next_offset

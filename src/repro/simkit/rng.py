@@ -12,6 +12,44 @@ import random
 from typing import Dict
 
 
+# -- draws without random.py's wrappers ----------------------------------------
+#
+# ``Random.randrange`` and ``randint`` reach the C generator through two or
+# three Python frames of argument checks.  These helpers draw what CPython
+# 3.11 and 3.12's ``_randbelow_with_getrandbits`` draws: ``getrandbits``
+# of ``n.bit_length()`` bits, redrawn while ``>= n``.  They consume the
+# same bits, so the values and the generator's state afterwards are the
+# same as the stdlib calls they name.
+
+def randrange(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)``."""
+    if n <= 0:
+        raise ValueError("empty range for randrange()")
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def randint(rng: random.Random, a: int, b: int) -> int:
+    """``rng.randint(a, b)``."""
+    return a + randrange(rng, b - a + 1)
+
+
+def random_bytes(rng: random.Random, n: int) -> bytes:
+    """``bytes(rng.randrange(256) for _ in range(n))``."""
+    getrandbits = rng.getrandbits
+    out = bytearray()
+    for _ in range(n):
+        r = getrandbits(9)
+        while r >= 256:
+            r = getrandbits(9)
+        out.append(r)
+    return bytes(out)
+
+
 class RandomRouter:
     """Factory of deterministic, independent ``random.Random`` streams."""
 

@@ -17,7 +17,7 @@ rebuilds its own evicted entry."""
 from repro.datasets.asns import CN_BACKBONE_ASNS, synthetic_asn
 from repro.net.addr import ip_from_int
 from repro.net.path import Hop, Path
-from repro.simkit.rng import RandomRouter
+from repro.simkit.rng import RandomRouter, randint, randrange
 
 # Router addresses live in the lower quarter of 100.64.0.0/10 (CGNAT
 # space): clearly synthetic, never colliding with the real destination
@@ -111,14 +111,16 @@ class TopologyModel:
             OrderedDict()
         self._backbone_asns: Dict[Tuple[str, int], int] = {}
         self._transit_asns: Dict[Tuple[str, str], int] = {}
+        self._first_hop_hashes: Dict[str, int] = {}
 
     # -- router fabric -------------------------------------------------------
 
     def router_hop(self, asn: int, index: int, country: str) -> Hop:
         """The router ``index`` within ``asn``, created on first use."""
         key = (asn, index)
-        if key in self._hops:
-            return self._hops[key]
+        hop = self._hops.get(key)
+        if hop is not None:
+            return hop
         offset = _stable_hash(f"router:{asn}:{index}") % _ROUTER_SPACE_SIZE
         while offset in self._addresses_in_use:
             offset = (offset + 1) % _ROUTER_SPACE_SIZE
@@ -154,8 +156,12 @@ class TopologyModel:
         sit.  This is what makes the Appendix E pair-resolver heuristic
         sound.
         """
-        index = (_stable_hash(f"firsthop:{vp.address}")
-                 % self.config.routers_per_access_as)
+        digest = self._first_hop_hashes.get(vp.address)
+        if digest is None:
+            # Every path out of the VP asks, so hash its address once.
+            digest = _stable_hash(f"firsthop:{vp.address}")
+            self._first_hop_hashes[vp.address] = digest
+        index = digest % self.config.routers_per_access_as
         return self.router_hop(vp.asn, index, vp.country)
 
     def known_router(self, address: str) -> Optional[Hop]:
@@ -283,14 +289,15 @@ class TopologyModel:
         hops = [self.first_hop(vp)]
         for asn, country, pool, (low, high) in self._segments(
                 vp, destination, dest_country):
-            chosen: List[Hop] = []
-            for _ in range(pair_rng.randint(low, high)):
-                index = pair_rng.randrange(pool)
-                hop = self.router_hop(asn, index, country)
-                if chosen and hop.address == chosen[-1].address:
-                    hop = self.router_hop(asn, (index + 1) % pool, country)
-                chosen.append(hop)
-            hops += chosen
+            previous = None
+            for _ in range(randint(pair_rng, low, high)):
+                index = randrange(pair_rng, pool)
+                if index == previous:
+                    # The hop before is this router (one index, one
+                    # router, one address): take the next one.
+                    index = (index + 1) % pool
+                hops.append(self.router_hop(asn, index, country))
+                previous = index
         hops.append(
             Hop(
                 address=destination.address,

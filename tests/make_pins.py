@@ -14,6 +14,10 @@ cannot drift:
   ``faulted-tiny-7`` (``tests/test_analysis.py``);
 * ``bundle-tiny-20240301``, the bytes of the bundle ``export_result``
   writes for tiny seed 20240301 (``tests/test_persist_cli.py``);
+* ``pcap-tiny-20240301``, the bytes of the decoy capture
+  (``capture_pcap``) of tiny seed 20240301: every decoy's wire bytes,
+  ClientHello randoms, DNS transaction ids and ports included
+  (``tests/test_pcap_incremental.py``);
 * ``scale-1000`` and ``scale-10000``, the digests
   ``benchmarks/_scale_point.py`` prints, are checked by CI's
   ``campaign-scale-smoke`` job only (the 10,000-VP point takes about
@@ -147,6 +151,21 @@ def bundle_pin(directory) -> str:
     return digest.hexdigest()
 
 
+def tiny_capture(directory) -> pathlib.Path:
+    """Run tiny seed 20240301 with the decoy capture on; returns the
+    capture's path inside ``directory``."""
+    path = pathlib.Path(directory) / "decoys.pcap"
+    config = ExperimentConfig.tiny(seed=GOLDEN_SEED)
+    config.capture_pcap = str(path)
+    Experiment(config).run()
+    return path
+
+
+def pcap_pin(path) -> str:
+    """A decoy capture's bytes: the sha256 of the pcap file."""
+    return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+
+
 def scale_point(vp_count: int) -> dict:
     """Run ``benchmarks/_scale_point.py`` in its own process, as CI does,
     and return the JSON object it prints."""
@@ -193,6 +212,8 @@ def compute() -> Dict[str, str]:
             with tempfile.TemporaryDirectory() as bundle:
                 pins[f"bundle-tiny-{seed}"] = bundle_pin(
                     export_result(result, bundle))
+            with tempfile.TemporaryDirectory() as capture:
+                pins[f"pcap-tiny-{seed}"] = pcap_pin(tiny_capture(capture))
     pins["medium"] = result_digest(Experiment(medium_config()).run())
     pins["faulted-tiny-7"] = result_digest(
         Experiment(faulted_config()).run())

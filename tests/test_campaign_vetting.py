@@ -16,7 +16,7 @@ from repro.core.campaign import Campaign
 from repro.core.config import ExperimentConfig
 from repro.core.ecosystem import build_ecosystem
 from repro.datasets.resolvers import PUBLIC_RESOLVERS
-from repro.topology.model import TopologyModel
+from repro.topology.model import Endpoint, TopologyModel
 
 
 def scale_shaped(vps: int = 300) -> ExperimentConfig:
@@ -58,6 +58,22 @@ def probe_counts(eco):
     return counters["vetting.pair_probes"], counters["vetting.probe_paths_built"]
 
 
+def probe_alone(self, vp, pair_address):
+    """The reference pair probe: each probe builds its path if that
+    creates a router, then asks the first hop's interceptor, sharing
+    nothing with the VP's other probes."""
+    topology = self.eco.topology
+    source = vp.endpoint()
+    self._m_pair_probes.inc()
+    pair = Endpoint(address=pair_address, asn=topology.backbone_asn("US", 0),
+                    country="US")
+    if topology.creates_routers(source, pair):
+        self._m_probe_paths_built.inc()
+        topology.build_path(source, pair, cache=False)
+    interceptor = self.eco.interceptor_at(topology.first_hop(source).address)
+    return interceptor is not None and interceptor.answers_pair_probe()
+
+
 class TestProbeSkipIsExact:
     @pytest.fixture(scope="class")
     def shipped(self):
@@ -75,6 +91,23 @@ class TestProbeSkipIsExact:
         reference_eco, _, reference_report = always_built
         assert fingerprint(eco, report) == fingerprint(reference_eco, reference_report)
         assert report.removed_intercepted
+
+    @pytest.fixture(scope="class")
+    def probed_alone(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Campaign, "_pair_probe", probe_alone)
+            return vet(scale_shaped())
+
+    def test_sharing_a_vps_verdict_changes_nothing(self, shipped, probed_alone):
+        """Reusing a VP's endpoint and verdict across its probes leaves
+        the world, the verdicts and the probe counts that looking the
+        first hop up at every probe leaves.  Looking it up before the
+        VP's first build instead creates the first-hop router early and
+        skips the paths that would have created only it."""
+        eco, _, report = shipped
+        alone_eco, _, alone_report = probed_alone
+        assert fingerprint(eco, report) == fingerprint(alone_eco, alone_report)
+        assert probe_counts(eco) == probe_counts(alone_eco)
 
     def test_both_branches_run(self, shipped, always_built):
         probes, built = probe_counts(shipped[0])

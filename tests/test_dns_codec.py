@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.identifier import DecoyIdentity, IdentifierCodec
+from repro.honeypot.authdns import AuthoritativeServer
+from repro.honeypot.logstore import LogStore
 from repro.net.errors import PacketDecodeError
 from repro.protocols.dns import (
     DnsHeader,
@@ -19,7 +21,7 @@ from repro.protocols.dns import (
     make_response,
     normalize_name,
 )
-from repro.protocols.dns.edns import EdnsOptions, with_edns
+from repro.protocols.dns.edns import OPT_RTYPE, EdnsOptions, with_edns
 from repro.protocols.dns.message import FLAG_AA, FLAG_QR
 
 
@@ -287,6 +289,29 @@ def _txt() -> DnsMessage:
         "v=shadow1; seen=2024-03-01"),))
 
 
+def _formerr() -> DnsMessage:
+    query = make_query("bad.example.com", txid=0x3333,
+                       recursion_desired=False)
+    return make_response(query, rcode=RCODE.FORMERR)
+
+
+def _suffix_pointers() -> DnsMessage:
+    """Later names point at every suffix of the first name, which is
+    written whole; rdata names point too, and the OPT record's root name
+    is a single zero byte."""
+    return DnsMessage(
+        header=DnsHeader(txid=0x5150, flags=FLAG_QR | FLAG_AA),
+        questions=(DnsQuestion(qname="A.B.Example.COM."),),
+        answers=(
+            ResourceRecord("b.example.com", QTYPE.CNAME, 60, "c.b.example.com"),
+            ResourceRecord("example.com", QTYPE.NS, 60, "com"),
+            ResourceRecord("com", QTYPE.A, 60, "192.0.2.1"),
+            ResourceRecord("a.b.example.com", QTYPE.PTR, 60, "Z.example.COM"),
+        ),
+        additionals=(ResourceRecord("", OPT_RTYPE, 0, ""),),
+    )
+
+
 def _opt_and_hex_rdata() -> DnsMessage:
     query = with_edns(make_query("www.example.org", txid=0xFFFF,
                                  qtype=QTYPE.AAAA),
@@ -340,6 +365,16 @@ class TestGoldenBytes:
             "1c00010000291000000080000000c00c001c000100000e10001020010db8"
             "000000000000000000000001"
         ),
+        _formerr: (
+            "33338081000100000000000003626164076578616d706c6503636f6d0000"
+            "010001"
+        ),
+        _suffix_pointers: (
+            "51508400000100040000000101610162076578616d706c6503636f6d0000"
+            "010001c00e000500010000003c00040163c00ec010000200010000003c00"
+            "02c018c018000100010000003c0004c0000201c00c000c00010000003c00"
+            "04017ac0100000290001000000000000"
+        ),
     }
 
     @pytest.mark.parametrize("build", list(GOLDEN), ids=lambda b: b.__name__[1:])
@@ -350,3 +385,106 @@ class TestGoldenBytes:
     def test_golden_bytes_decode_and_reencode(self, build):
         wire = bytes.fromhex(self.GOLDEN[build])
         assert DnsMessage.decode(wire).encode() == wire
+
+
+ZONE = "www.experiment.domain"
+HONEY_ADDRESSES = ("203.0.113.11", "203.0.113.21", "203.0.113.31")
+
+
+def _served(wire: bytes) -> bytes:
+    """What a fresh authoritative server for ``ZONE`` replies to ``wire``."""
+    server = AuthoritativeServer(ZONE, HONEY_ADDRESSES, LogStore(), site="US")
+    return server.handle_query(wire, "100.96.0.7", 5.0)
+
+
+def _served_answer() -> bytes:
+    return _served(_decoy_query().encode())
+
+
+def _served_refused() -> bytes:
+    return _served(make_query("WWW.Google.com.", txid=0x0909).encode())
+
+
+def _served_no_question() -> bytes:
+    return _served(DnsMessage(header=DnsHeader(txid=0x4242, flags=0x0100)).encode())
+
+
+class TestServedGoldenBytes:
+    """The authoritative server's replies, byte for byte: the wildcard A
+    answer (its honey address chosen from three), REFUSED outside the
+    zone, and a question-less query sent back unchanged."""
+
+    GOLDEN = {
+        _served_answer: (
+            "1a2b858000010001000000001d6161617664706c656d6161616f63616962"
+            "616561736e66712d30303432037777770a6578706572696d656e7406646f"
+            "6d61696e0000010001c00c0001000100000e100004cb00711f"
+        ),
+        _served_refused: (
+            "0909818500010000000000000377777706676f6f676c6503636f6d000001"
+            "0001"
+        ),
+        _served_no_question: "424201000000000000000000",
+    }
+
+    @pytest.mark.parametrize("build", list(GOLDEN), ids=lambda b: b.__name__[1:])
+    def test_reply_matches_golden_bytes(self, build):
+        assert build().hex() == self.GOLDEN[build]
+
+
+def _header(qd: int = 0, an: int = 0) -> bytes:
+    return DnsHeader(txid=1, qdcount=qd, ancount=an).encode()
+
+
+def _pointer_chain() -> bytes:
+    """66 questions, each name a pointer to the one before; the first
+    points at the header's zero last byte.  The last name takes 66 jumps,
+    past the decoder's limit of 64."""
+    questions = [b"\xc0\x0b\x00\x01\x00\x01"]
+    for index in range(1, 66):
+        target = 12 + 6 * (index - 1)
+        questions.append((0xC000 | target).to_bytes(2, "big") + b"\x00\x01\x00\x01")
+    return _header(qd=66) + b"".join(questions)
+
+
+_QUERY = make_query("www.example.com", txid=1).encode()
+_RECORD_HEAD = b"\x00\x00\x01\x00\x01\x00\x00\x00\x3c"
+"""A root-named A record of class IN and TTL 60, up to its rdlength."""
+
+DECODE_ERRORS = {
+    "short-header": (_QUERY[:11], "DNS header needs 12 bytes, got 11"),
+    "truncated-question": (_QUERY[:-1], "truncated question section"),
+    "forward-pointer": (_header(qd=1) + b"\xc0\x20" + bytes(40),
+                        "bad QNAME: forward compression pointer 32 at 12"),
+    "pointer-loop": (_pointer_chain(), "bad QNAME: compression pointer loop"),
+    "label-past-end": (_header(qd=1) + b"\x05ab",
+                       "bad QNAME: label runs past end of message"),
+    "name-past-end": (_header(qd=1) + b"\x03www",
+                      "bad QNAME: name runs past end of message at offset 16"),
+    "truncated-pointer": (_header(qd=1) + b"\xc0",
+                          "bad QNAME: truncated compression pointer"),
+    "reserved-label": (_header(qd=1) + b"\x80abc\x00\x00\x01\x00\x01",
+                       "bad QNAME: reserved label type 0x80"),
+    "bad-record-name": (_header(an=1) + b"\x03abc",
+                        "bad record name: name runs past end of message "
+                        "at offset 16"),
+    "truncated-record": (_header(an=1) + _RECORD_HEAD[:7],
+                         "truncated resource record"),
+    "rdata-past-end": (_header(an=1) + _RECORD_HEAD + b"\x00\x04\x01\x02",
+                       "resource record rdata runs past message end"),
+    "a-rdata-length": (_header(an=1) + _RECORD_HEAD + b"\x00\x03\x01\x02\x03",
+                       "A record rdata must be 4 bytes, got 3"),
+    "txt-malformed": (_header(an=1) + b"\x00\x00\x10" + _RECORD_HEAD[3:]
+                      + b"\x00\x03\x05ab", "malformed TXT rdata"),
+}
+
+
+class TestDecodeErrors:
+    """Malformed wires fail with these exact messages."""
+
+    @pytest.mark.parametrize("case", list(DECODE_ERRORS))
+    def test_message(self, case):
+        wire, message = DECODE_ERRORS[case]
+        with pytest.raises(PacketDecodeError) as caught:
+            DnsMessage.decode(wire)
+        assert str(caught.value) == message

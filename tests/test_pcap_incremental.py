@@ -170,3 +170,9 @@ class TestCampaignCapture:
         assert sample.ip.ttl >= 1
         timestamps = [packet.timestamp for packet in captured]
         assert timestamps == sorted(timestamps)
+
+    def test_tiny_capture_pinned(self, tmp_path):
+        """Every decoy byte on the wire: DNS queries, ClientHello
+        randoms, transaction ids, ports and IP identifications."""
+        from tests.make_pins import check, pcap_pin, tiny_capture
+        check("pcap-tiny-20240301", pcap_pin(tiny_capture(tmp_path)))

@@ -5,6 +5,8 @@ import json
 import multiprocessing
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -45,6 +47,20 @@ ROW_DAMAGE = {
         "locations.jsonl", 1, lambda row: list(row), "not a JSON object"),
     "directory-field-unknown": (
         "ip_directory.jsonl", 2, lambda row: {**row, "bogus": 1}, "'bogus'"),
+    # A value of the wrong type, which the record would take as it is.
+    "ledger-type": (
+        "ledger.jsonl", 2, lambda row: {**row, "path_length": "x"},
+        "path_length must be int, got 'x'"),
+    "identity-type": (
+        "ledger.jsonl", 1,
+        lambda row: {**row, "identity": {**row["identity"], "ttl": 9.5}},
+        "identity.ttl must be int, got 9.5"),
+    "log-type": (
+        "honeypot_log.jsonl", 3, lambda row: {**row, "time": "x"},
+        "time must be float or int, got 'x'"),
+    "location-type": (
+        "locations.jsonl", 1, lambda row: {**row, "trigger_ttl": "x"},
+        "trigger_ttl must be int or null, got 'x'"),
 }
 BUNDLE_DAMAGE = ["missing", "analysis-cut", "analysis-digest", "ledger-cut",
                  *ROW_DAMAGE]
@@ -352,6 +368,24 @@ class TestCli:
                 "scenario-run": ["scenario", "run", "minimal-smoke"]}[command]
         assert main([*argv, option, str(target)]) == 2
         assert capsys.readouterr().err == f"cannot write {target}: {reason}\n"
+
+    def test_closed_stdout_ends_quietly(self):
+        """``repro scenario list | head -1``: when the reader of stdout is
+        gone, the command ends without a traceback or anything on
+        stderr.  The pipe's read end is closed before the command starts,
+        so its first write fails."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ,
+                   PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+        try:
+            finished = subprocess.run(
+                [sys.executable, "-m", "repro", "scenario", "list"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert finished.stderr == b""
+        assert finished.returncode == 1
 
     def test_platform_bad_vp_scale_exits_2(self, capsys):
         assert main(["platform", "--vp-scale", "0"]) == 2
