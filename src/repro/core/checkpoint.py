@@ -46,10 +46,12 @@ _META = "meta.json"
 _CONFIG = "config.pkl"
 _PLAN = "phase2_plan.bin"
 
-CHECKPOINT_FORMAT = 7
-"""Format 7 replaced the serve store's per-campaign context and state
-blobs with one append-only feed journal per campaign.  Format 6 stores
-wire v4 shard blobs (Phase I payloads without vetting counts).  Format 5
+CHECKPOINT_FORMAT = 8
+"""Format 8 stores wire v5 blobs (fixed-width rows) in run checkpoints
+and serve journals alike, since both keep blobs verbatim.  Format 7
+replaced the serve store's per-campaign context and state blobs with
+one append-only feed journal per campaign.  Format 6 stored wire v4
+shard blobs (Phase I payloads without vetting counts).  Format 5
 stored wire v3 shard blobs (final payloads no longer decode against
 their Phase I payload) and dropped the never-read ``analysis.json``.
 Format 4 added a ``kind`` discriminator to ``meta.json`` (``"run"`` for

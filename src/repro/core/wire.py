@@ -1,15 +1,24 @@
 """Compact, versioned wire format for the worker↔supervisor data plane.
 
 Every blob crossing a shard worker's pipe, the serve feed socket, or a
-checkpoint directory is a purpose-built binary encoding:
+checkpoint directory is a purpose-built binary encoding of fixed-width
+rows:
 
+* **Rows.**  Every per-record section (decoy records, keyed ledger
+  records, log entries, locations, ground-truth observations, Phase II
+  plan entries, spans, counters) is a u32 row count followed by rows of
+  one precompiled little-endian :class:`struct.Struct`, and a payload's
+  scalars are one more such row: a row encodes with one ``pack``, a
+  section decodes with one ``iter_unpack``, and each record is rebuilt
+  through its positional constructor, so the record's own checks still
+  run.  Floats are IEEE doubles (exact round trip), booleans single
+  bytes.
 * **String interning.**  Domains, addresses, VP ids, countries, protocol
-  labels, and metric-like strings repeat across thousands of records; each
-  payload carries one deduplicated string table and every record field is
-  a varint reference into it.
-* **Struct packing.**  Fixed-width floats use an 8-byte IEEE double
-  (exact round trip); counts, indexes, and small integers are LEB128
-  varints (zigzag where negatives occur); booleans are single bytes.
+  labels, and metric-like strings repeat across thousands of records;
+  each payload carries one deduplicated string table (a length array and
+  one UTF-8 blob) and every string field is a u32 reference into it.  An
+  optional string, or an optional integer, is stored plus one, with 0 for
+  None.
 * **Raw output only.**  Shard payloads carry what a worker simulated —
   ledger records, log entries, counters — never derived state the
   supervisor can recompute: no correlation events cross the wire, since
@@ -19,8 +28,11 @@ checkpoint directory is a purpose-built binary encoding:
 
 Every blob is framed ``MAGIC | version | kind | string table | body |
 crc32`` and decoding is strict: truncation, trailing garbage, a bad
-checksum, or an unknown version raises :class:`WireError` naming the
-format version — never a silently wrong payload.
+checksum, an unknown version, a reference past the string table, or a
+value a record's constructor rejects raises :class:`WireError` naming
+the format version — never a silently wrong payload.  Encoding a value
+that does not fit its field's width raises :class:`WireError` naming the
+field.
 
 The wire format is a serialization of already-deterministic values, so
 the digest contract of :mod:`repro.core.shard` is untouched: a payload
@@ -31,8 +43,10 @@ results (pinned by ``tests/test_wire.py``).
 import json
 import struct
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate, starmap
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.columnar import StringTable
 from repro.core.correlate import DecoyRecord
@@ -42,8 +56,11 @@ from repro.honeypot.logstore import LoggedRequest
 from repro.observers.exhibitor import ObservationRecord
 from repro.telemetry.spans import Span
 
-WIRE_VERSION = 4
-"""v4 dropped the Phase I payload's three vetting counts: workers fork
+WIRE_VERSION = 5
+"""v5 replaced every varint with fixed-width little-endian rows (one
+``struct.Struct`` per row kind, u32 string references) and the string
+table with one length array plus one UTF-8 blob.
+v4 dropped the Phase I payload's three vetting counts: workers fork
 from the parent's vetted world, so there is nothing left to compare.
 v3 dropped the Phase I payload's correlation, analysis and telemetry
 sections and the final payload's deltas: a final blob ships full
@@ -56,8 +73,8 @@ _KIND_FINAL = 2
 _KIND_PLAN = 3
 _KIND_FEED = 4
 
-_F64 = struct.Struct("<d")
 _U32 = struct.Struct("<I")
+"""A row count, a JSON section's byte length, or the trailing crc32."""
 
 LedgerKey = Tuple[float, int, int, int]
 
@@ -143,99 +160,148 @@ class ShardFinalPayload:
     rejects a blob without one."""
 
 
-# -- primitive writer / reader ---------------------------------------------
+# -- row layouts -----------------------------------------------------------
 
 
-class _Writer:
-    """Appends wire primitives to a growing byte buffer."""
+class _Row(struct.Struct):
+    """A little-endian row layout whose fields have names.
 
-    __slots__ = ("buf",)
+    ``layout`` lists ``name:code`` pairs in row order, each code one
+    standard-size :mod:`struct` code (no padding, the same bytes on every
+    host); string fields are ``I`` references into the blob's table.
+    """
 
-    def __init__(self):
-        self.buf = bytearray()
+    __slots__ = ("name", "fields")
 
-    def varint(self, value: int) -> None:
-        if value < 0:
-            raise WireError(f"varint cannot encode negative value {value}")
-        buf = self.buf
-        while value > 0x7F:
-            buf.append((value & 0x7F) | 0x80)
-            value >>= 7
-        buf.append(value)
+    def __init__(self, name: str, layout: str):
+        pairs = [item.split(":") for item in layout.split()]
+        super().__init__("<" + "".join(code for _, code in pairs))
+        self.name = name
+        self.fields = tuple(field_name for field_name, _ in pairs)
 
-    def zigzag(self, value: int) -> None:
-        self.varint(value * 2 if value >= 0 else -value * 2 - 1)
-
-    def f64(self, value: float) -> None:
-        self.buf += _F64.pack(value)
-
-    def flag(self, value: bool) -> None:
-        self.buf.append(1 if value else 0)
-
-    def blob(self, data: bytes) -> None:
-        self.varint(len(data))
-        self.buf += data
-
-
-class _Reader:
-    """Strict sequential reader; every overrun is a :class:`WireError`."""
-
-    __slots__ = ("data", "pos", "end")
-
-    def __init__(self, data: bytes, start: int = 0, end: Optional[int] = None):
-        self.data = data
-        self.pos = start
-        self.end = len(data) if end is None else end
-
-    def varint(self) -> int:
-        data, pos, end = self.data, self.pos, self.end
-        result = 0
-        shift = 0
-        while True:
-            if pos >= end:
-                raise WireError("truncated varint")
-            byte = data[pos]
-            pos += 1
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                break
-            shift += 7
-            if shift > 63:
-                raise WireError("varint overflow")
-        self.pos = pos
-        return result
-
-    def zigzag(self) -> int:
-        value = self.varint()
-        return value // 2 if value % 2 == 0 else -(value + 1) // 2
-
-    def f64(self) -> float:
-        pos = self.pos
-        if pos + 8 > self.end:
-            raise WireError("truncated float")
-        self.pos = pos + 8
-        return _F64.unpack_from(self.data, pos)[0]
-
-    def flag(self) -> bool:
-        pos = self.pos
-        if pos >= self.end:
-            raise WireError("truncated flag")
-        self.pos = pos + 1
-        return self.data[pos] != 0
-
-    def blob(self) -> bytes:
-        length = self.varint()
-        pos = self.pos
-        if pos + length > self.end:
-            raise WireError("truncated byte section")
-        self.pos = pos + length
-        return bytes(self.data[pos:pos + length])
-
-    def done(self) -> bool:
-        return self.pos == self.end
+    def misfit(self, rows: Iterable[tuple]) -> WireError:
+        """The error for ``rows`` that did not pack, naming the first
+        field whose value does not fit its width."""
+        for values in rows:
+            for name, code, value in zip(self.fields, self.format[1:],
+                                         values):
+                try:
+                    struct.pack("<" + code, value)
+                except struct.error as exc:
+                    return WireError(
+                        f"{self.name} field {name}: {value!r} does not fit "
+                        f"struct code {code!r} ({exc})")
+        return WireError(f"{self.name} section has too many rows to count")
 
 
-# -- string interning ------------------------------------------------------
+_DECOY_LAYOUT = """
+    identity.sent_at:I identity.vp_address:I identity.dst_address:I
+    identity.ttl:B identity.sequence:H domain:I protocol:I vp_id:I
+    vp_country:I vp_province:I destination_address:I destination_name:I
+    destination_kind:I destination_country:I instance_country:I
+    path_length:H sent_at:d phase:B delivered:? round_index:I mitigation:I
+"""
+
+_DECOY = _Row("decoy", _DECOY_LAYOUT)
+"""Decoy record row, 75 bytes: the identity's ``sent_at`` u32,
+``vp_address`` and ``dst_address`` references, ``ttl`` u8 and
+``sequence`` u16; then ``domain``, ``protocol``, ``vp_id`` and
+``vp_country`` references, ``vp_province`` as an optional reference,
+``destination_address``, ``destination_name``, ``destination_kind``,
+``destination_country`` and ``instance_country`` references,
+``path_length`` u16, ``sent_at`` f64, ``phase`` u8, ``delivered`` bool,
+``round_index`` u32 and a ``mitigation`` reference.  Feed batches carry
+registration order implicitly, so their decoys have no ledger key."""
+
+_LEDGER = _Row("ledger record",
+               "key.sent_at:d key.phase:B key.major:q key.minor:q"
+               + _DECOY_LAYOUT)
+"""Keyed ledger record row, 100 bytes: the merge-order key (``sent_at``
+f64, ``phase`` u8, signed i64 plan ``major`` and ``minor``, which are
+−1 outside a plan), then the 75 bytes of a :data:`_DECOY` row."""
+
+_LOG = _Row("log entry", "time:d site:I protocol:I src_address:I domain:I"
+                         " path:I qtype:I user_agent:I")
+"""Log entry row, 36 bytes: ``time`` f64; ``site``, ``protocol``,
+``src_address`` and ``domain`` references; ``path`` as an optional
+reference; ``qtype`` u32 plus one (0 for None); ``user_agent`` as an
+optional reference."""
+
+_LOCATION_LAYOUT = """
+    vp_id:I vp_country:I destination_address:I destination_name:I
+    protocol:I path_length:H trigger_ttl:H observer_address:I
+    observer_asn:Q observer_country:I
+"""
+
+_LOCATION = _Row("location", _LOCATION_LAYOUT)
+"""Observer location row, 40 bytes: ``vp_id``, ``vp_country``,
+``destination_address``, ``destination_name`` and ``protocol``
+references; ``path_length`` u16; ``trigger_ttl`` u16 plus one (0 for
+None); ``observer_address`` as an optional reference; ``observer_asn``
+u64 plus one (0 for None); ``observer_country`` as an optional
+reference."""
+
+_PLACED_LOCATION = _Row("placed location", "plan_index:i" + _LOCATION_LAYOUT)
+"""A final payload's location row, 44 bytes: the traceroute's signed
+i32 Phase II ``plan_index``, then the 40 bytes of a :data:`_LOCATION`
+row."""
+
+_OBSERVATION = _Row("observation",
+                    "exhibitor:I domain:I observed_at:d observed_from:I"
+                    " leveraged:? scheduled_requests:I")
+"""Ground-truth observation row, 25 bytes: ``exhibitor`` and ``domain``
+references, ``observed_at`` f64, an ``observed_from`` reference,
+``leveraged`` bool and ``scheduled_requests`` u32."""
+
+_PLAN_ENTRY = _Row("plan entry",
+                   "index:I vp_id:I vp_address:I destination_address:I"
+                   " destination_country:I destination_name:I protocol:I")
+"""Phase II plan entry row, 28 bytes: ``index`` u32, then ``vp_id``,
+``vp_address``, ``destination_address``, ``destination_country``,
+``destination_name`` and ``protocol`` references."""
+
+_SPAN = _Row("span", "name:I wall_seconds:d virtual_start:d virtual_end:d"
+                     " shard:i")
+"""Stage span row, 32 bytes: a ``name`` reference, ``wall_seconds``,
+``virtual_start`` and ``virtual_end`` f64, and the signed i32 ``shard``
+(−1 for the parent)."""
+
+_COUNTER = _Row("counter", "key:I value:Q")
+"""One entry of a string-to-count map, 12 bytes: a ``key`` reference
+and a u64 ``value``."""
+
+_EXHIBITOR_COUNTS = _Row("exhibitor counts",
+                         "name:I observed:Q leveraged:Q")
+"""One exhibitor's counters, 20 bytes: a ``name`` reference and the u64
+``observed`` and ``leveraged`` counts."""
+
+_PHASE1_HEAD = _Row("phase1 header",
+                    "shard_index:I sends_planned:Q sends_scheduled:Q"
+                    " last_send_time:d virtual_now:d wall_seconds:d")
+"""Phase I payload header, 44 bytes: ``shard_index`` u32, the u64
+``sends_planned`` and ``sends_scheduled`` counts, and the f64
+``last_send_time``, ``virtual_now`` and ``wall_seconds``."""
+
+_FINAL_HEAD = _Row("final header",
+                   "shard_index:I processed:Q emitter_emitted:Q"
+                   " virtual_now:d wall_seconds:d")
+"""Final payload header, 36 bytes: ``shard_index`` u32, the u64
+``processed`` and ``emitter_emitted`` counts, and the f64
+``virtual_now`` and ``wall_seconds``."""
+
+_FEED_HEAD = _Row("feed header", "campaign_id:I seq:Q")
+"""Feed batch header, 12 bytes: a ``campaign_id`` reference and the u64
+batch ``seq``."""
+
+_TABLE_HEAD = struct.Struct("<II")
+"""String table header, 8 bytes: the string count and the UTF-8 blob's
+length in bytes, both u32.  One u32 per string follows, its length in
+characters, then the blob: every string, concatenated, encoded once.
+Strings may hold any character, NUL included, so the table needs no
+separator."""
+
+
+# -- encoding --------------------------------------------------------------
 
 
 class _Encoder:
@@ -249,65 +315,246 @@ class _Encoder:
     crc32`` so the decoder can materialize every string up front.
     """
 
-    __slots__ = ("body", "_table")
+    __slots__ = ("body", "_table", "ref", "opt_ref")
 
     def __init__(self):
-        self.body = _Writer()
+        self.body = bytearray()
         self._table = StringTable()
+        self.ref = self._table.intern
+        """The id of a string, interning it on first use."""
+        self.opt_ref = self._table.intern_opt
+        """Like :attr:`ref`, with None as −1: store it plus one."""
 
-    def ref(self, value: str) -> None:
-        self.body.varint(self._table.intern(value))
+    def row(self, row: _Row, values: tuple) -> None:
+        """One row on its own: a payload header."""
+        try:
+            self.body += row.pack(*values)
+        except struct.error:
+            raise row.misfit([values]) from None
 
-    def opt_ref(self, value: Optional[str]) -> None:
+    def rows(self, row: _Row, rows: Sequence[tuple]) -> None:
+        """A section: the row count, then one ``pack`` per row."""
+        try:
+            self.body += _U32.pack(len(rows))
+            self.body += b"".join(starmap(row.pack, rows))
+        except struct.error:
+            raise row.misfit(rows) from None
+
+    def json(self, value) -> None:
+        """A canonical-JSON section: telemetry/analysis snapshots are
+        tree-shaped dicts the registry/accumulator code already
+        round-trips through JSON (checkpoints, bundles).  Its u32 byte
+        length comes first, 0 for None (no JSON text is empty)."""
         if value is None:
-            self.body.varint(0)
-        else:
-            self.body.varint(self._table.intern(value) + 1)
+            self.body += _U32.pack(0)
+            return
+        text = json.dumps(value, sort_keys=True,
+                          separators=(",", ":")).encode("utf-8")
+        self.body += _U32.pack(len(text)) + text
 
     def frame(self, kind: int) -> bytes:
-        head = _Writer()
-        head.buf += _MAGIC
-        head.buf.append(WIRE_VERSION)
-        head.buf.append(kind)
-        head.varint(len(self._table))
-        for value in self._table.values():
-            head.blob(value.encode("utf-8"))
-        head.buf += self.body.buf
-        head.buf += _U32.pack(zlib.crc32(head.buf))
-        return bytes(head.buf)
-
-
-class _Decoder(_Reader):
-    """Reader with the payload's string table pre-materialized."""
-
-    __slots__ = ("strings",)
-
-    def __init__(self, data: bytes, start: int, end: int):
-        super().__init__(data, start, end)
-        count = self.varint()
-        strings = []
-        for _ in range(count):
-            try:
-                strings.append(self.blob().decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise WireError(f"malformed string table entry: {exc}") from None
-        self.strings = strings
-
-    def ref(self) -> str:
-        ident = self.varint()
+        values = self._table.values()
         try:
-            return self.strings[ident]
-        except IndexError:
-            raise WireError(f"string reference {ident} out of table") from None
+            text = "".join(values).encode("utf-8")
+        except (TypeError, UnicodeEncodeError) as exc:
+            raise WireError(f"string table cannot be encoded: {exc}") from None
+        head = bytearray(_MAGIC)
+        head.append(WIRE_VERSION)
+        head.append(kind)
+        head += _TABLE_HEAD.pack(len(values), len(text))
+        head += struct.pack(f"<{len(values)}I", *map(len, values))
+        head += text
+        head += self.body
+        head += _U32.pack(zlib.crc32(head))
+        return bytes(head)
 
-    def opt_ref(self) -> Optional[str]:
-        ident = self.varint()
-        if ident == 0:
+
+def _decoy_values(record: DecoyRecord, ref, opt_ref) -> tuple:
+    identity = record.identity
+    return (
+        identity.sent_at, ref(identity.vp_address), ref(identity.dst_address),
+        identity.ttl, identity.sequence, ref(record.domain),
+        ref(record.protocol), ref(record.vp_id), ref(record.vp_country),
+        opt_ref(record.vp_province) + 1, ref(record.destination_address),
+        ref(record.destination_name), ref(record.destination_kind),
+        ref(record.destination_country), ref(record.instance_country),
+        record.path_length, record.sent_at, record.phase, record.delivered,
+        record.round_index, ref(record.mitigation),
+    )
+
+
+def _location_values(location: ObserverLocation, ref, opt_ref) -> tuple:
+    trigger_ttl = location.trigger_ttl
+    observer_asn = location.observer_asn
+    return (
+        ref(location.vp_id), ref(location.vp_country),
+        ref(location.destination_address), ref(location.destination_name),
+        ref(location.protocol), location.path_length,
+        0 if trigger_ttl is None else trigger_ttl + 1,
+        opt_ref(location.observer_address) + 1,
+        0 if observer_asn is None else observer_asn + 1,
+        opt_ref(location.observer_country) + 1,
+    )
+
+
+def _write_ledger(enc: _Encoder,
+                  records: Sequence[Tuple[LedgerKey, DecoyRecord]]) -> None:
+    ref, opt_ref = enc.ref, enc.opt_ref
+    enc.rows(_LEDGER, [key + _decoy_values(record, ref, opt_ref)
+                       for key, record in records])
+
+
+def _write_log(enc: _Encoder, entries: Sequence[LoggedRequest]) -> None:
+    ref, opt_ref = enc.ref, enc.opt_ref
+    enc.rows(_LOG, [
+        (entry.time, ref(entry.site), ref(entry.protocol),
+         ref(entry.src_address), ref(entry.domain), opt_ref(entry.path) + 1,
+         0 if entry.qtype is None else entry.qtype + 1,
+         opt_ref(entry.user_agent) + 1)
+        for entry in entries
+    ])
+
+
+# -- decoding --------------------------------------------------------------
+
+
+class _Decoder:
+    """Strict reader over a blob's body, with its string table
+    materialized up front; every overrun is a :class:`WireError`."""
+
+    __slots__ = ("view", "pos", "end", "strings")
+
+    def __init__(self, blob: bytes, start: int, end: int):
+        self.view = memoryview(blob)
+        self.pos = start
+        self.end = end
+        count, size = self.row(_TABLE_HEAD)
+        lengths = struct.unpack_from(f"<{count}I", self.view,
+                                     self._take(4 * count, "string lengths"))
+        start = self._take(size, "string table")
+        try:
+            text = str(self.view[start:start + size], "utf-8")
+        except UnicodeDecodeError as exc:
+            raise WireError(f"malformed string table: {exc}") from None
+        ends = list(accumulate(lengths, initial=0))
+        if ends[-1] != len(text):
+            raise WireError(
+                f"string lengths sum to {ends[-1]} characters; the table "
+                f"holds {len(text)}")
+        self.strings = [text[a:b] for a, b in zip(ends, ends[1:])]
+
+    def _take(self, size: int, what: str) -> int:
+        """Claim ``size`` bytes; returns where they start."""
+        start = self.pos
+        if start + size > self.end:
+            raise WireError(f"truncated {what}: needs {size} bytes, "
+                            f"{self.end - start} left")
+        self.pos = start + size
+        return start
+
+    def row(self, row: struct.Struct) -> tuple:
+        """One row on its own: a payload or section header."""
+        return row.unpack_from(self.view, self._take(row.size, "header"))
+
+    def rows(self, row: _Row) -> Iterable[tuple]:
+        """A section: its row count, then the rows, checked against the
+        body before anything is read."""
+        (count,) = self.row(_U32)
+        size = count * row.size
+        start = self._take(size, f"{row.name} section of {count} rows")
+        return row.iter_unpack(self.view[start:start + size])
+
+    def json(self):
+        (size,) = self.row(_U32)
+        if size == 0:
             return None
+        start = self._take(size, "JSON section")
         try:
-            return self.strings[ident - 1]
-        except IndexError:
-            raise WireError(f"string reference {ident - 1} out of table") from None
+            return json.loads(str(self.view[start:start + size], "utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise WireError(f"malformed JSON section: {exc}") from None
+
+    def done(self, what: str) -> None:
+        if self.pos != self.end:
+            raise WireError(f"trailing bytes after {what}")
+
+
+@contextmanager
+def _building(what: str):
+    """Turn what a row's values can break while records are built — a
+    reference past the string table, a value the record's constructor
+    rejects (:class:`~repro.core.identifier.IdentifierError` is one) —
+    into :class:`WireError`."""
+    try:
+        yield
+    except IndexError:
+        raise WireError(f"{what} row references a string past the "
+                        "table") from None
+    except ValueError as exc:
+        raise WireError(f"{what} row rejected: {exc}") from None
+
+
+def _decoys(strings: List[str], rows: Iterable[tuple]) -> List[DecoyRecord]:
+    with _building("decoy"):
+        return [
+            DecoyRecord(
+                DecoyIdentity(id_sent_at, strings[vp_address],
+                              strings[dst_address], ttl, sequence),
+                strings[domain], strings[protocol], strings[vp_id],
+                strings[vp_country],
+                strings[vp_province - 1] if vp_province else None,
+                strings[destination_address], strings[destination_name],
+                strings[destination_kind], strings[destination_country],
+                strings[instance_country], path_length, sent_at, phase,
+                delivered, round_index, strings[mitigation],
+            )
+            for (id_sent_at, vp_address, dst_address, ttl, sequence, domain,
+                 protocol, vp_id, vp_country, vp_province,
+                 destination_address, destination_name, destination_kind,
+                 destination_country, instance_country, path_length, sent_at,
+                 phase, delivered, round_index, mitigation) in rows
+        ]
+
+
+def _read_ledger(dec: _Decoder) -> List[Tuple[LedgerKey, DecoyRecord]]:
+    rows = list(dec.rows(_LEDGER))
+    records = _decoys(dec.strings, [row[4:] for row in rows])
+    return [(row[:4], record) for row, record in zip(rows, records)]
+
+
+def _read_log(dec: _Decoder) -> List[LoggedRequest]:
+    strings = dec.strings
+    rows = dec.rows(_LOG)
+    with _building("log entry"):
+        return [
+            LoggedRequest(
+                time, strings[site], strings[protocol], strings[src_address],
+                strings[domain], strings[path - 1] if path else None,
+                qtype - 1 if qtype else None,
+                strings[user_agent - 1] if user_agent else None,
+            )
+            for (time, site, protocol, src_address, domain, path, qtype,
+                 user_agent) in rows
+        ]
+
+
+def _locations(strings: List[str],
+               rows: Iterable[tuple]) -> List[ObserverLocation]:
+    with _building("location"):
+        return [
+            ObserverLocation(
+                strings[vp_id], strings[vp_country],
+                strings[destination_address], strings[destination_name],
+                strings[protocol], path_length,
+                trigger_ttl - 1 if trigger_ttl else None,
+                strings[observer_address - 1] if observer_address else None,
+                observer_asn - 1 if observer_asn else None,
+                strings[observer_country - 1] if observer_country else None,
+            )
+            for (vp_id, vp_country, destination_address, destination_name,
+                 protocol, path_length, trigger_ttl, observer_address,
+                 observer_asn, observer_country) in rows
+        ]
 
 
 def _open(blob: bytes, kind: int) -> _Decoder:
@@ -327,247 +574,26 @@ def _open(blob: bytes, kind: int) -> _Decoder:
     return _Decoder(blob, 6, len(blob) - 4)
 
 
-# -- field-group codecs ----------------------------------------------------
-
-
-def _write_record(enc: _Encoder, key: LedgerKey, record: DecoyRecord) -> None:
-    w = enc.body
-    w.f64(key[0])
-    w.varint(key[1])
-    w.zigzag(key[2])
-    w.zigzag(key[3])
-    _write_bare_record(enc, record)
-
-
-def _write_bare_record(enc: _Encoder, record: DecoyRecord) -> None:
-    """A :class:`DecoyRecord` without a ledger key — feed batches carry
-    registration order implicitly."""
-    w = enc.body
-    identity = record.identity
-    w.varint(identity.sent_at)
-    enc.ref(identity.vp_address)
-    enc.ref(identity.dst_address)
-    w.varint(identity.ttl)
-    w.varint(identity.sequence)
-    enc.ref(record.domain)
-    enc.ref(record.protocol)
-    enc.ref(record.vp_id)
-    enc.ref(record.vp_country)
-    enc.opt_ref(record.vp_province)
-    enc.ref(record.destination_address)
-    enc.ref(record.destination_name)
-    enc.ref(record.destination_kind)
-    enc.ref(record.destination_country)
-    enc.ref(record.instance_country)
-    w.varint(record.path_length)
-    w.f64(record.sent_at)
-    w.varint(record.phase)
-    w.flag(record.delivered)
-    w.varint(record.round_index)
-    enc.ref(record.mitigation)
-
-
-def _read_record(dec: _Decoder) -> Tuple[LedgerKey, DecoyRecord]:
-    key = (dec.f64(), dec.varint(), dec.zigzag(), dec.zigzag())
-    return key, _read_bare_record(dec)
-
-
-def _read_bare_record(dec: _Decoder) -> DecoyRecord:
-    identity = DecoyIdentity(
-        sent_at=dec.varint(),
-        vp_address=dec.ref(),
-        dst_address=dec.ref(),
-        ttl=dec.varint(),
-        sequence=dec.varint(),
-    )
-    record = DecoyRecord(
-        identity=identity,
-        domain=dec.ref(),
-        protocol=dec.ref(),
-        vp_id=dec.ref(),
-        vp_country=dec.ref(),
-        vp_province=dec.opt_ref(),
-        destination_address=dec.ref(),
-        destination_name=dec.ref(),
-        destination_kind=dec.ref(),
-        destination_country=dec.ref(),
-        instance_country=dec.ref(),
-        path_length=dec.varint(),
-        sent_at=dec.f64(),
-        phase=dec.varint(),
-        delivered=dec.flag(),
-        round_index=dec.varint(),
-        mitigation=dec.ref(),
-    )
-    return record
-
-
-def _write_records(enc: _Encoder,
-                   records: Sequence[Tuple[LedgerKey, DecoyRecord]]) -> None:
-    enc.body.varint(len(records))
-    for key, record in records:
-        _write_record(enc, key, record)
-
-
-def _read_records(dec: _Decoder) -> List[Tuple[LedgerKey, DecoyRecord]]:
-    return [_read_record(dec) for _ in range(dec.varint())]
-
-
-def _write_log_entry(enc: _Encoder, entry: LoggedRequest) -> None:
-    w = enc.body
-    w.f64(entry.time)
-    enc.ref(entry.site)
-    enc.ref(entry.protocol)
-    enc.ref(entry.src_address)
-    enc.ref(entry.domain)
-    enc.opt_ref(entry.path)
-    w.varint(0 if entry.qtype is None else entry.qtype + 1)
-    enc.opt_ref(entry.user_agent)
-
-
-def _read_log_entry(dec: _Decoder) -> LoggedRequest:
-    time = dec.f64()
-    site = dec.ref()
-    protocol = dec.ref()
-    src_address = dec.ref()
-    domain = dec.ref()
-    path = dec.opt_ref()
-    qtype = dec.varint()
-    user_agent = dec.opt_ref()
-    return LoggedRequest(
-        time=time, site=site, protocol=protocol, src_address=src_address,
-        domain=domain, path=path,
-        qtype=None if qtype == 0 else qtype - 1,
-        user_agent=user_agent,
-    )
-
-
-def _write_log(enc: _Encoder, entries: Sequence[LoggedRequest]) -> None:
-    enc.body.varint(len(entries))
-    for entry in entries:
-        _write_log_entry(enc, entry)
-
-
-def _read_log(dec: _Decoder) -> List[LoggedRequest]:
-    return [_read_log_entry(dec) for _ in range(dec.varint())]
-
-
-def _write_spans(enc: _Encoder, spans: Sequence[Span]) -> None:
-    enc.body.varint(len(spans))
-    for span in spans:
-        enc.ref(span.name)
-        enc.body.f64(span.wall_seconds)
-        enc.body.f64(span.virtual_start)
-        enc.body.f64(span.virtual_end)
-        enc.body.zigzag(span.shard)
-
-
-def _read_spans(dec: _Decoder) -> List[Span]:
-    return [
-        Span(name=dec.ref(), wall_seconds=dec.f64(), virtual_start=dec.f64(),
-             virtual_end=dec.f64(), shard=dec.zigzag())
-        for _ in range(dec.varint())
-    ]
-
-
-def _write_location(enc: _Encoder, location: ObserverLocation) -> None:
-    w = enc.body
-    enc.ref(location.vp_id)
-    enc.ref(location.vp_country)
-    enc.ref(location.destination_address)
-    enc.ref(location.destination_name)
-    enc.ref(location.protocol)
-    w.varint(location.path_length)
-    w.varint(0 if location.trigger_ttl is None else location.trigger_ttl + 1)
-    enc.opt_ref(location.observer_address)
-    w.varint(0 if location.observer_asn is None else location.observer_asn + 1)
-    enc.opt_ref(location.observer_country)
-
-
-def _read_location(dec: _Decoder) -> ObserverLocation:
-    vp_id = dec.ref()
-    vp_country = dec.ref()
-    destination_address = dec.ref()
-    destination_name = dec.ref()
-    protocol = dec.ref()
-    path_length = dec.varint()
-    trigger_ttl = dec.varint()
-    observer_address = dec.opt_ref()
-    observer_asn = dec.varint()
-    observer_country = dec.opt_ref()
-    return ObserverLocation(
-        vp_id=vp_id, vp_country=vp_country,
-        destination_address=destination_address,
-        destination_name=destination_name, protocol=protocol,
-        path_length=path_length,
-        trigger_ttl=None if trigger_ttl == 0 else trigger_ttl - 1,
-        observer_address=observer_address,
-        observer_asn=None if observer_asn == 0 else observer_asn - 1,
-        observer_country=observer_country,
-    )
-
-
-def _write_str_int_map(enc: _Encoder, mapping: Dict[str, int]) -> None:
-    enc.body.varint(len(mapping))
-    for key, value in mapping.items():
-        enc.ref(key)
-        enc.body.varint(value)
-
-
-def _read_str_int_map(dec: _Decoder) -> Dict[str, int]:
-    return {dec.ref(): dec.varint() for _ in range(dec.varint())}
-
-
-def _write_json(enc: _Encoder, value) -> None:
-    """A canonical-JSON section: telemetry/analysis snapshots are
-    tree-shaped dicts the registry/accumulator code already round-trips
-    through JSON (checkpoints, bundles)."""
-    if value is None:
-        enc.body.flag(False)
-        return
-    enc.body.flag(True)
-    enc.body.blob(json.dumps(value, sort_keys=True,
-                             separators=(",", ":")).encode("utf-8"))
-
-
-def _read_json(dec: _Decoder):
-    if not dec.flag():
-        return None
-    try:
-        return json.loads(dec.blob().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireError(f"malformed JSON section: {exc}") from None
-
-
 # -- payload codecs --------------------------------------------------------
 
 
 def encode_phase1_payload(payload: ShardPhase1Payload) -> bytes:
     enc = _Encoder()
-    w = enc.body
-    w.varint(payload.shard_index)
-    w.varint(payload.sends_planned)
-    w.varint(payload.sends_scheduled)
-    w.f64(payload.last_send_time)
-    w.f64(payload.virtual_now)
-    w.f64(payload.wall_seconds)
-    _write_records(enc, payload.records)
+    enc.row(_PHASE1_HEAD, (
+        payload.shard_index, payload.sends_planned, payload.sends_scheduled,
+        payload.last_send_time, payload.virtual_now, payload.wall_seconds))
+    _write_ledger(enc, payload.records)
     _write_log(enc, payload.log_entries)
     return enc.frame(_KIND_PHASE1)
 
 
 def decode_phase1_payload(blob: bytes) -> ShardPhase1Payload:
     dec = _open(blob, _KIND_PHASE1)
-    shard_index = dec.varint()
-    sends_planned = dec.varint()
-    sends_scheduled = dec.varint()
-    last_send_time = dec.f64()
-    virtual_now = dec.f64()
-    wall_seconds = dec.f64()
-    records = _read_records(dec)
+    (shard_index, sends_planned, sends_scheduled, last_send_time,
+     virtual_now, wall_seconds) = dec.row(_PHASE1_HEAD)
+    records = _read_ledger(dec)
     log_entries = _read_log(dec)
-    if not dec.done():
-        raise WireError("trailing bytes after phase1 payload")
+    dec.done("phase1 payload")
     return ShardPhase1Payload(
         shard_index=shard_index, records=records, log_entries=log_entries,
         sends_planned=sends_planned, sends_scheduled=sends_scheduled,
@@ -578,44 +604,42 @@ def decode_phase1_payload(blob: bytes) -> ShardPhase1Payload:
 
 def encode_final_payload(payload: ShardFinalPayload) -> bytes:
     enc = _Encoder()
-    w = enc.body
-    w.varint(payload.shard_index)
-    w.varint(payload.processed)
-    w.varint(payload.emitter_emitted)
-    w.f64(payload.virtual_now)
-    w.f64(payload.wall_seconds)
-    _write_records(enc, payload.records)
+    ref, opt_ref = enc.ref, enc.opt_ref
+    enc.row(_FINAL_HEAD, (
+        payload.shard_index, payload.processed, payload.emitter_emitted,
+        payload.virtual_now, payload.wall_seconds))
+    _write_ledger(enc, payload.records)
     _write_log(enc, payload.log_entries)
-
-    w.varint(len(payload.locations))
-    for plan_index, location in payload.locations:
-        w.zigzag(plan_index)
-        _write_location(enc, location)
-
-    w.varint(len(payload.ground_truth))
-    for _, observation in payload.ground_truth:
-        enc.ref(observation.exhibitor)
-        enc.ref(observation.domain)
-        w.f64(observation.observed_at)
-        enc.ref(observation.observed_from)
-        w.flag(observation.leveraged)
-        w.varint(observation.scheduled_requests)
-
-    _write_str_int_map(enc, payload.label_counts)
-    w.varint(len(payload.exhibitor_counts))
-    for name, (observed, leveraged) in payload.exhibitor_counts.items():
-        enc.ref(name)
-        w.varint(observed)
-        w.varint(leveraged)
-    _write_str_int_map(enc, payload.resolver_received)
-    _write_spans(enc, payload.spans)
-    _write_json(enc, payload.telemetry)
-    _write_json(enc, payload.analysis)
+    enc.rows(_PLACED_LOCATION, [
+        (plan_index,) + _location_values(location, ref, opt_ref)
+        for plan_index, location in payload.locations
+    ])
+    enc.rows(_OBSERVATION, [
+        (ref(observation.exhibitor), ref(observation.domain),
+         observation.observed_at, ref(observation.observed_from),
+         observation.leveraged, observation.scheduled_requests)
+        for _, observation in payload.ground_truth
+    ])
+    enc.rows(_COUNTER, [(ref(key), value)
+                        for key, value in payload.label_counts.items()])
+    enc.rows(_EXHIBITOR_COUNTS, [
+        (ref(name), observed, leveraged)
+        for name, (observed, leveraged) in payload.exhibitor_counts.items()
+    ])
+    enc.rows(_COUNTER, [(ref(key), value)
+                        for key, value in payload.resolver_received.items()])
+    enc.rows(_SPAN, [
+        (ref(span.name), span.wall_seconds, span.virtual_start,
+         span.virtual_end, span.shard)
+        for span in payload.spans
+    ])
+    enc.json(payload.telemetry)
+    enc.json(payload.analysis)
     return enc.frame(_KIND_FINAL)
 
 
 def _read_json_object(dec: _Decoder, section: str) -> dict:
-    value = _read_json(dec)
+    value = dec.json()
     if not isinstance(value, dict):
         raise WireError(f"final payload {section} section is missing or "
                         "not a JSON object")
@@ -624,34 +648,43 @@ def _read_json_object(dec: _Decoder, section: str) -> dict:
 
 def decode_final_payload(blob: bytes) -> ShardFinalPayload:
     dec = _open(blob, _KIND_FINAL)
-    shard_index = dec.varint()
-    processed = dec.varint()
-    emitter_emitted = dec.varint()
-    virtual_now = dec.f64()
-    wall_seconds = dec.f64()
-    records = _read_records(dec)
+    strings = dec.strings
+    (shard_index, processed, emitter_emitted, virtual_now,
+     wall_seconds) = dec.row(_FINAL_HEAD)
+    records = _read_ledger(dec)
     log_entries = _read_log(dec)
-    locations = [(dec.zigzag(), _read_location(dec))
-                 for _ in range(dec.varint())]
-    ground_truth = []
-    for _ in range(dec.varint()):
-        observation = ObservationRecord(
-            exhibitor=dec.ref(), domain=dec.ref(), observed_at=dec.f64(),
-            observed_from=dec.ref(), leveraged=dec.flag(),
-            scheduled_requests=dec.varint(),
-        )
-        ground_truth.append((observation.observed_at, observation))
-    label_counts = _read_str_int_map(dec)
-    exhibitor_counts = {}
-    for _ in range(dec.varint()):
-        name = dec.ref()
-        exhibitor_counts[name] = (dec.varint(), dec.varint())
-    resolver_received = _read_str_int_map(dec)
-    spans = _read_spans(dec)
+    placed = list(dec.rows(_PLACED_LOCATION))
+    locations = list(zip(
+        [row[0] for row in placed],
+        _locations(strings, [row[1:] for row in placed])))
+    rows = dec.rows(_OBSERVATION)
+    with _building("observation"):
+        ground_truth = [
+            (observed_at, ObservationRecord(
+                strings[exhibitor], strings[domain], observed_at,
+                strings[observed_from], leveraged, scheduled_requests))
+            for (exhibitor, domain, observed_at, observed_from, leveraged,
+                 scheduled_requests) in rows
+        ]
+    rows = dec.rows(_COUNTER)
+    with _building("label count"):
+        label_counts = {strings[key]: value for key, value in rows}
+    rows = dec.rows(_EXHIBITOR_COUNTS)
+    with _building("exhibitor count"):
+        exhibitor_counts = {strings[name]: (observed, leveraged)
+                            for name, observed, leveraged in rows}
+    rows = dec.rows(_COUNTER)
+    with _building("resolver count"):
+        resolver_received = {strings[key]: value for key, value in rows}
+    rows = dec.rows(_SPAN)
+    with _building("span"):
+        spans = [Span(strings[name], wall_seconds, virtual_start,
+                      virtual_end, shard)
+                 for name, wall_seconds, virtual_start, virtual_end, shard
+                 in rows]
     telemetry = _read_json_object(dec, "telemetry")
     analysis = _read_json_object(dec, "analysis")
-    if not dec.done():
-        raise WireError("trailing bytes after final payload")
+    dec.done("final payload")
     return ShardFinalPayload(
         shard_index=shard_index, records=records, log_entries=log_entries,
         locations=locations, ground_truth=ground_truth,
@@ -670,17 +703,15 @@ def decode_final_payload(blob: bytes) -> ShardFinalPayload:
 def encode_plan_slices(slices: Sequence[Sequence]) -> bytes:
     """Encode a list of per-shard Phase II plan slices."""
     enc = _Encoder()
-    enc.body.varint(len(slices))
+    ref = enc.ref
+    enc.body += _U32.pack(len(slices))
     for plan_slice in slices:
-        enc.body.varint(len(plan_slice))
-        for entry in plan_slice:
-            enc.body.varint(entry.index)
-            enc.ref(entry.vp_id)
-            enc.ref(entry.vp_address)
-            enc.ref(entry.destination_address)
-            enc.ref(entry.destination_country)
-            enc.ref(entry.destination_name)
-            enc.ref(entry.protocol)
+        enc.rows(_PLAN_ENTRY, [
+            (entry.index, ref(entry.vp_id), ref(entry.vp_address),
+             ref(entry.destination_address), ref(entry.destination_country),
+             ref(entry.destination_name), ref(entry.protocol))
+            for entry in plan_slice
+        ])
     return enc.frame(_KIND_PLAN)
 
 
@@ -688,22 +719,21 @@ def decode_plan_slices(blob: bytes) -> List[List]:
     from repro.core.experiment import Phase2PlanEntry
 
     dec = _open(blob, _KIND_PLAN)
+    strings = dec.strings
     slices = []
-    for _ in range(dec.varint()):
-        plan_slice = []
-        for _ in range(dec.varint()):
-            plan_slice.append(Phase2PlanEntry(
-                index=dec.varint(),
-                vp_id=dec.ref(),
-                vp_address=dec.ref(),
-                destination_address=dec.ref(),
-                destination_country=dec.ref(),
-                destination_name=dec.ref(),
-                protocol=dec.ref(),
-            ))
-        slices.append(plan_slice)
-    if not dec.done():
-        raise WireError("trailing bytes after plan payload")
+    (count,) = dec.row(_U32)
+    for _ in range(count):
+        rows = dec.rows(_PLAN_ENTRY)
+        with _building("plan entry"):
+            slices.append([
+                Phase2PlanEntry(index, strings[vp_id], strings[vp_address],
+                                strings[destination_address],
+                                strings[destination_country],
+                                strings[destination_name], strings[protocol])
+                for (index, vp_id, vp_address, destination_address,
+                     destination_country, destination_name, protocol) in rows
+            ])
+    dec.done("plan payload")
     return slices
 
 
@@ -719,39 +749,30 @@ def framed(blob: bytes) -> bytes:
     return FRAME_HEADER.pack(len(blob)) + blob
 
 
-def _write_bare_records(enc: _Encoder, records: Sequence[DecoyRecord]) -> None:
-    enc.body.varint(len(records))
-    for record in records:
-        _write_bare_record(enc, record)
-
-
-def _read_bare_records(dec: _Decoder) -> List[DecoyRecord]:
-    return [_read_bare_record(dec) for _ in range(dec.varint())]
-
-
 def encode_feed_batch(batch: FeedBatch) -> bytes:
     enc = _Encoder()
-    enc.ref(batch.campaign_id)
-    enc.body.varint(batch.seq)
-    _write_bare_records(enc, batch.records)
+    ref, opt_ref = enc.ref, enc.opt_ref
+    enc.row(_FEED_HEAD, (ref(batch.campaign_id), batch.seq))
+    enc.rows(_DECOY, [_decoy_values(record, ref, opt_ref)
+                      for record in batch.records])
     _write_log(enc, batch.log_entries)
-    enc.body.varint(len(batch.locations))
-    for location in batch.locations:
-        _write_location(enc, location)
-    _write_json(enc, batch.context)
+    enc.rows(_LOCATION, [_location_values(location, ref, opt_ref)
+                         for location in batch.locations])
+    enc.json(batch.context)
     return enc.frame(_KIND_FEED)
 
 
 def decode_feed_batch(blob: bytes) -> FeedBatch:
     dec = _open(blob, _KIND_FEED)
-    campaign_id = dec.ref()
-    seq = dec.varint()
-    records = _read_bare_records(dec)
+    strings = dec.strings
+    campaign, seq = dec.row(_FEED_HEAD)
+    with _building("feed header"):
+        campaign_id = strings[campaign]
+    records = _decoys(strings, dec.rows(_DECOY))
     log_entries = _read_log(dec)
-    locations = [_read_location(dec) for _ in range(dec.varint())]
-    context = _read_json(dec)
-    if not dec.done():
-        raise WireError("trailing bytes after feed batch")
+    locations = _locations(strings, dec.rows(_LOCATION))
+    context = dec.json()
+    dec.done("feed batch")
     return FeedBatch(campaign_id=campaign_id, seq=seq, records=records,
                      log_entries=log_entries, locations=locations,
                      context=context)

@@ -61,14 +61,14 @@ class AuthoritativeServer:
 
         Queries outside the zone are REFUSED (and not logged as experiment
         traffic); in-zone queries are logged and answered from the
-        wildcard.  A query without a question comes back unchanged.
+        wildcard.  A query without a question is answered FORMERR, and
+        not logged.
         """
         query = DnsMessage.decode(wire)
         qname = query.qname
         if qname is None:
-            # Nothing to answer or log: the query comes back as it came.
             self.refused += 1
-            return wire
+            return make_response(query, rcode=RCODE.FORMERR).encode()
         if not self.covers(qname):
             self.refused += 1
             return make_response(query, rcode=RCODE.REFUSED).encode()

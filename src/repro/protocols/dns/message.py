@@ -372,8 +372,11 @@ def make_query(qname: str, txid: int, qtype: int = QTYPE.A,
 
 def make_response(query: DnsMessage, answers: Tuple[ResourceRecord, ...] = (),
                   rcode: RCODE = RCODE.NOERROR, authoritative: bool = False) -> DnsMessage:
-    """Build the response a server would return for ``query``."""
-    if not query.questions:
+    """Build the response a server would return for ``query``.
+
+    A query with no question can only be answered FORMERR, with no
+    question either."""
+    if not query.questions and rcode != RCODE.FORMERR:
         raise ValueError("cannot answer a query with no question")
     flags = FLAG_QR | FLAG_RA | int(rcode)
     if query.header.recursion_desired:

@@ -96,7 +96,10 @@ def decode_name(message: bytes, offset: int) -> Tuple[str, int]:
         end = cursor + 1 + length
         if end > size:
             raise DnsNameError("label runs past end of message")
-        labels.append(message[cursor + 1 : end].decode("ascii"))
+        try:  # free on valid labels (3.11+), unlike a per-label test
+            labels.append(message[cursor + 1 : end].decode("ascii"))
+        except UnicodeDecodeError:
+            raise DnsNameError(f"non-ASCII label at offset {cursor}") from None
         cursor = end
     name = ".".join(labels)
     # Every label here is 1-63 ASCII bytes, so the strict encoder can

@@ -18,6 +18,9 @@ cannot drift:
   (``capture_pcap``) of tiny seed 20240301: every decoy's wire bytes,
   ClientHello randoms, DNS transaction ids and ports included
   (``tests/test_pcap_incremental.py``);
+* ``feed-tiny-20240301``, the bytes of the live feed a feeder sends for
+  tiny seed 20240301 (``repro feed``'s framed ``FeedBatch`` blobs), which
+  guards the wire format (``tests/test_serve.py``);
 * ``scale-1000`` and ``scale-10000``, the digests
   ``benchmarks/_scale_point.py`` prints, are checked by CI's
   ``campaign-scale-smoke`` job only (the 10,000-VP point takes about
@@ -48,7 +51,9 @@ from repro.core.config import ExperimentConfig
 from repro.core.experiment import Experiment
 from repro.core.persist import export_result
 from repro.core.shard import result_digest
+from repro.core.wire import encode_feed_batch, framed
 from repro.faults import FaultSpec
+from repro.serve.feed import feed_batches_from_result
 
 PINS_FILE = pathlib.Path(__file__).resolve().with_name("pins.json")
 ROOT = PINS_FILE.parent.parent
@@ -166,6 +171,16 @@ def pcap_pin(path) -> str:
     return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
 
 
+def feed_pin(result) -> str:
+    """The live feed's bytes: the sha256 of the frames
+    ``feed_batches_from_result(result, "ci", 500)`` yields, each encoded
+    and framed as a feeder sends it."""
+    digest = hashlib.sha256()
+    for batch in feed_batches_from_result(result, "ci", 500):
+        digest.update(framed(encode_feed_batch(batch)))
+    return digest.hexdigest()
+
+
 def scale_point(vp_count: int) -> dict:
     """Run ``benchmarks/_scale_point.py`` in its own process, as CI does,
     and return the JSON object it prints."""
@@ -214,6 +229,7 @@ def compute() -> Dict[str, str]:
                     export_result(result, bundle))
             with tempfile.TemporaryDirectory() as capture:
                 pins[f"pcap-tiny-{seed}"] = pcap_pin(tiny_capture(capture))
+            pins[f"feed-tiny-{seed}"] = feed_pin(result)
     pins["medium"] = result_digest(Experiment(medium_config()).run())
     pins["faulted-tiny-7"] = result_digest(
         Experiment(faulted_config()).run())

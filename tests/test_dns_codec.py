@@ -412,7 +412,7 @@ def _served_no_question() -> bytes:
 class TestServedGoldenBytes:
     """The authoritative server's replies, byte for byte: the wildcard A
     answer (its honey address chosen from three), REFUSED outside the
-    zone, and a question-less query sent back unchanged."""
+    zone, and FORMERR for a question-less query."""
 
     GOLDEN = {
         _served_answer: (
@@ -424,7 +424,7 @@ class TestServedGoldenBytes:
             "0909818500010000000000000377777706676f6f676c6503636f6d000001"
             "0001"
         ),
-        _served_no_question: "424201000000000000000000",
+        _served_no_question: "424281810000000000000000",
     }
 
     @pytest.mark.parametrize("build", list(GOLDEN), ids=lambda b: b.__name__[1:])
@@ -465,6 +465,8 @@ DECODE_ERRORS = {
                           "bad QNAME: truncated compression pointer"),
     "reserved-label": (_header(qd=1) + b"\x80abc\x00\x00\x01\x00\x01",
                        "bad QNAME: reserved label type 0x80"),
+    "non-ascii-label": (_header(qd=1) + b"\x02\xc3\xa9\x00\x00\x01\x00\x01",
+                        "bad QNAME: non-ASCII label at offset 12"),
     "bad-record-name": (_header(an=1) + b"\x03abc",
                         "bad record name: name runs past end of message "
                         "at offset 16"),

@@ -310,6 +310,14 @@ class TestCheckpointStore:
         with pytest.raises(CheckpointError, match="format 4"):
             CheckpointStore(tmp_path).load_meta()
 
+    def test_previous_format_rejected(self, tmp_path):
+        # Format 7 stored wire v4 blobs, which this build cannot decode.
+        (tmp_path / "meta.json").write_text(json.dumps(
+            {"seed": 1, "shard_count": 2, "format": 7, "kind": "run"}))
+        with pytest.raises(CheckpointError, match="format 7; this build "
+                                                  "reads format 8"):
+            CheckpointStore(tmp_path).load_meta()
+
 
 class TestLostTransit:
     def test_lost_packet_seen_by_hops_before_the_lossy_link(self):

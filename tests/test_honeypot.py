@@ -10,7 +10,7 @@ from repro.honeypot import (
     LoggedRequest,
     LogStore,
 )
-from repro.protocols.dns import DnsMessage, QTYPE, RCODE, make_query
+from repro.protocols.dns import DnsHeader, DnsMessage, QTYPE, RCODE, make_query
 from repro.protocols.http import HttpRequest, HttpResponse, make_get
 from repro.protocols.tls import ClientHello, wrap_handshake
 
@@ -173,6 +173,17 @@ class TestAuthoritativeServer:
         query = make_query("www.google.com", txid=9)
         response = DnsMessage.decode(server.handle_query(query.encode(), "1.2.3.4", 5.0))
         assert response.header.rcode is RCODE.REFUSED
+        assert len(log) == 0
+        assert server.refused == 1
+
+    def test_question_less_query_formerr_and_not_logged(self):
+        server, log = self.make_server()
+        query = DnsMessage(header=DnsHeader(txid=9, flags=0x0100))
+        response = DnsMessage.decode(server.handle_query(query.encode(), "1.2.3.4", 5.0))
+        assert response.header.is_response
+        assert response.header.rcode is RCODE.FORMERR
+        assert response.header.txid == 9
+        assert response.questions == ()
         assert len(log) == 0
         assert server.refused == 1
 

@@ -409,8 +409,8 @@ class TestCli:
         assert err.startswith("cannot resume: ")
         assert "meta.json" in err
 
-    @pytest.mark.parametrize("unreadable", ["old-format", "run-kind",
-                                            "corrupt-journal"])
+    @pytest.mark.parametrize("unreadable", ["old-format", "previous-format",
+                                            "run-kind", "corrupt-journal"])
     def test_serve_unreadable_checkpoint_exits_2(self, tmp_path, capsys,
                                                  monkeypatch, unreadable):
         from repro.core.checkpoint import CHECKPOINT_FORMAT
@@ -419,6 +419,8 @@ class TestCli:
         meta = {"format": CHECKPOINT_FORMAT, "kind": "serve"}
         if unreadable == "old-format":
             meta["format"] = 4
+        elif unreadable == "previous-format":  # journals of wire v4 blobs
+            meta["format"] = CHECKPOINT_FORMAT - 1
         elif unreadable == "run-kind":
             meta["kind"] = "run"
         else:  # one whole frame whose blob is not a feed batch

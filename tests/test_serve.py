@@ -12,6 +12,10 @@ restart-from-checkpoint.  This suite pins that contract:
   failed append is retried by a resend;
 * a data batch that would register a decoy twice is rejected before
   any of it applies, in-process and over the socket;
+* a checksum-valid frame holding a value its record rejects decodes to
+  a ``WireError`` naming the field, and over the socket gets a
+  ``wire_error`` ack while the daemon stays up;
+* the feed's bytes for tiny seed 20240301 are pinned;
 * the incremental correlator emits the batch pass's exact event
   multiset, initial arrivals, and unknown domains;
 * ingest for an unknown campaign raises a structured error (never a
@@ -22,6 +26,8 @@ restart-from-checkpoint.  This suite pins that contract:
   cache hits, the first read after an ingest is a miss.
 """
 
+import copy
+import dataclasses
 import json
 import sys
 import threading
@@ -37,7 +43,14 @@ from repro.core.checkpoint import CheckpointError, ServeCheckpointStore
 from repro.core.config import ExperimentConfig
 from repro.core.correlate import IncrementalCorrelator
 from repro.core.experiment import Experiment
-from repro.core.wire import FRAME_HEADER, FeedBatch, encode_feed_batch, framed
+from repro.core.wire import (
+    FRAME_HEADER,
+    FeedBatch,
+    WireError,
+    decode_feed_batch,
+    encode_feed_batch,
+    framed,
+)
 from repro.serve.feed import (
     FeedClient,
     FeedError,
@@ -398,6 +411,73 @@ class TestInvalidBatch:
         finally:
             server.stop()
         assert service.session(campaign).digest() == result.analysis.digest()
+
+
+class TestBadValueFrame:
+    """A checksum-valid frame whose values a record's constructor
+    rejects: a log entry with protocol "ftp", a decoy with sequence
+    10,000.  What a buggy feeder could send."""
+
+    @staticmethod
+    def _bad_batch(batches, kind) -> FeedBatch:
+        if kind == "protocol":
+            batch = next(b for b in batches[1:] if b.log_entries)
+            entry = copy.copy(batch.log_entries[0])
+            object.__setattr__(entry, "protocol", "ftp")
+            return FeedBatch(batch.campaign_id, batch.seq,
+                             log_entries=[entry])
+        batch = next(b for b in batches[1:] if b.records)
+        record = batch.records[0]
+        identity = copy.copy(record.identity)
+        object.__setattr__(identity, "sequence", 10_000)
+        return FeedBatch(batch.campaign_id, batch.seq, records=[
+            dataclasses.replace(record, identity=identity)])
+
+    @pytest.mark.parametrize("kind", ["protocol", "sequence"])
+    def test_decode_raises_wire_error_naming_the_field(self, runs, kind):
+        batches = list(feed_batches_from_result(
+            runs[SEEDS[0]], _campaign(SEEDS[0]), batch_size=BATCH_SIZE))
+        blob = encode_feed_batch(self._bad_batch(batches, kind))
+        with pytest.raises(WireError, match=kind):
+            decode_feed_batch(blob)
+
+    @pytest.mark.parametrize("kind", ["protocol", "sequence"])
+    def test_socket_acks_wire_error_and_daemon_stays_up(self, runs, kind,
+                                                        monkeypatch):
+        result = runs[SEEDS[0]]
+        campaign = _campaign(SEEDS[0])
+        batches = list(feed_batches_from_result(result, campaign,
+                                                batch_size=BATCH_SIZE))
+        crashed = []
+        monkeypatch.setattr(threading, "excepthook", crashed.append)
+        service = MeasurementService()
+        feed = FeedServer(service)
+        http = ReportApiServer(service)
+        feed.start()
+        http.start()
+        try:
+            with FeedClient(port=feed.port) as client:
+                client.send(batches[0])
+                with pytest.raises(FeedError, match=f"wire_error.*{kind}"):
+                    client.send(self._bad_batch(batches, kind))
+            url = f"http://127.0.0.1:{http.port}/healthz"
+            with urllib.request.urlopen(url, timeout=10) as response:
+                assert response.status == 200
+            with FeedClient(port=feed.port) as client:
+                for batch in batches[1:]:
+                    client.send(batch)
+        finally:
+            feed.stop()
+            http.stop()
+        assert not crashed
+        assert service.session(campaign).digest() == result.analysis.digest()
+
+
+class TestFeedPin:
+    def test_tiny_feed_bytes_pinned(self, runs):
+        from tests.make_pins import check, feed_pin
+
+        check("feed-tiny-20240301", feed_pin(runs[20240301]))
 
 
 class TestFeedServerStop:
