@@ -15,8 +15,8 @@ streaming mirror: a family of accumulator objects that
   :mod:`repro.telemetry.registry` (sums for partitioned counts,
   set unions for distinct-entity sets, assert-same for replayed
   parameters),
-* serialize to canonical JSON-able snapshots that ride the existing
-  worker pipe and checkpoint files.
+* serialize to canonical JSON-able snapshots that ride the worker pipe
+  and a bundle's ``analysis.json``.
 
 Exactness contract
 ------------------

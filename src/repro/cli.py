@@ -54,21 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="shard the campaign across N worker processes; "
                           "results are deterministically merged and equal "
                           "to the serial run (default 1)")
-    run.add_argument("--checkpoint", metavar="DIR",
-                     help="flush shard payloads to DIR at phase boundaries "
-                          "so a killed run can be resumed (workers > 1)")
-    run.add_argument("--resume", metavar="DIR",
-                     help="resume a checkpointed run from DIR: completed "
-                          "shards are loaded, unfinished ones re-simulated; "
-                          "config is restored from the checkpoint")
     run.add_argument("--digest", metavar="FILE",
                      help="write the run's result digest (shard.result_digest) "
                           "to FILE, for serial-vs-sharded comparison")
-    run.add_argument("--inject-worker-kill", type=int, default=None,
-                     metavar="SHARD",
-                     help="fault injection: SIGKILL shard SHARD's worker "
-                          "after Phase I, forcing respawn-and-replay "
-                          "(workers > 1; testing/CI only)")
     run.add_argument("--fault-seed", type=int, default=0,
                      help="seed for the fault-injection plan (default 0)")
     run.add_argument("--fault-loss", type=float, default=0.0, metavar="RATE",
@@ -236,60 +224,42 @@ def _command_run(args: argparse.Namespace) -> int:
     if args.workers < 1:
         print("--workers must be >= 1", file=sys.stderr)
         return 2
-    if args.inject_worker_kill is not None and args.workers < 2 and not args.resume:
-        print("--inject-worker-kill requires --workers >= 2", file=sys.stderr)
-        return 2
     if not _destinations_writable(args):
         return 2
-    if args.resume:
-        from repro.core.checkpoint import CheckpointError
-        from repro.core.shard import run_sharded
-        try:
-            result = run_sharded(resume_dir=args.resume)
-        except CheckpointError as error:
-            print(f"cannot resume: {error}", file=sys.stderr)
-            return 2
-    else:
-        try:
-            if args.tiny:
-                config = ExperimentConfig.tiny(seed=args.seed)
-                config.workers = args.workers
-            else:
-                # Validates on construction, hence inside the try.
-                config = ExperimentConfig(
-                    seed=args.seed,
-                    vp_scale=args.vp_scale,
-                    web_destination_count=args.web_destinations,
-                    workers=args.workers,
-                )
-            config.telemetry = bool(args.telemetry)
-            config.doh_adoption = args.doh_adoption
-            config.ciphertext_observer_share = args.ciphertext_observers
-            fault_knobs = (args.fault_loss, args.fault_churn,
-                           args.fault_outages, args.fault_log_delay,
-                           args.fault_log_dup)
-            if any(knob for knob in fault_knobs):
-                from repro.faults import FaultSpec
-                config.faults = FaultSpec(
-                    seed=args.fault_seed,
-                    link_loss_rate=args.fault_loss,
-                    vp_churn_rate=args.fault_churn,
-                    honeypot_outages_per_site=args.fault_outages,
-                    log_delay_rate=args.fault_log_delay,
-                    log_duplicate_rate=args.fault_log_dup,
-                )
-            config.validate()
-        except ConfigError as error:
-            for problem in error.problems:
-                print(f"invalid configuration: {problem}", file=sys.stderr)
-            return 2
-        supervision = None
-        if args.inject_worker_kill is not None:
-            from repro.core.shard import SupervisorPolicy
-            supervision = SupervisorPolicy(
-                kill_after_phase1=args.inject_worker_kill)
-        result = Experiment(config).run(checkpoint_dir=args.checkpoint,
-                                        supervision=supervision)
+    try:
+        if args.tiny:
+            config = ExperimentConfig.tiny(seed=args.seed)
+            config.workers = args.workers
+        else:
+            # Validates on construction, hence inside the try.
+            config = ExperimentConfig(
+                seed=args.seed,
+                vp_scale=args.vp_scale,
+                web_destination_count=args.web_destinations,
+                workers=args.workers,
+            )
+        config.telemetry = bool(args.telemetry)
+        config.doh_adoption = args.doh_adoption
+        config.ciphertext_observer_share = args.ciphertext_observers
+        fault_knobs = (args.fault_loss, args.fault_churn,
+                       args.fault_outages, args.fault_log_delay,
+                       args.fault_log_dup)
+        if any(knob for knob in fault_knobs):
+            from repro.faults import FaultSpec
+            config.faults = FaultSpec(
+                seed=args.fault_seed,
+                link_loss_rate=args.fault_loss,
+                vp_churn_rate=args.fault_churn,
+                honeypot_outages_per_site=args.fault_outages,
+                log_delay_rate=args.fault_log_delay,
+                log_duplicate_rate=args.fault_log_dup,
+            )
+        config.validate()
+    except ConfigError as error:
+        for problem in error.problems:
+            print(f"invalid configuration: {problem}", file=sys.stderr)
+        return 2
+    result = Experiment(config).run()
     if args.digest:
         from repro.core.shard import result_digest
         digest_path = pathlib.Path(args.digest)

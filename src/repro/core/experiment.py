@@ -201,22 +201,11 @@ class Experiment:
     def __init__(self, config: Optional[ExperimentConfig] = None):
         self.config = config if config is not None else ExperimentConfig()
 
-    def run(self, *, checkpoint_dir=None,
-            supervision=None) -> ExperimentResult:
-        """Execute the experiment.
-
-        ``checkpoint_dir`` and ``supervision`` configure the sharded
-        executor's crash tolerance (see docs/ROBUSTNESS.md); both require
-        ``config.workers > 1``.
-        """
+    def run(self) -> ExperimentResult:
+        """Execute the experiment: sharded when ``config.workers > 1``."""
         if self.config.workers > 1:
             from repro.core.shard import run_sharded
-            return run_sharded(self.config, checkpoint_dir=checkpoint_dir,
-                               supervision=supervision)
-        if checkpoint_dir is not None or supervision is not None:
-            raise ValueError(
-                "checkpointing and supervision require workers > 1"
-            )
+            return run_sharded(self.config)
         return self._run_serial()
 
     def _run_serial(self) -> ExperimentResult:

@@ -49,40 +49,25 @@ observe events itself: with ``pair_resolver_filter`` off, its IP
 directory lacks interceptor rows that only workers register (see
 docs/PERFORMANCE.md, "Alt-resolver directory rows").
 
-Crash tolerance
----------------
+Workers
+-------
 
 Workers are forked (never spawned) from the parent right after it built
 the ecosystem and vetted the platform, so each one starts from the
 parent's vetted world at Phase I scheduling; no worker builds or vets.
-They are supervised (:class:`SupervisorPolicy`): each one sends
-heartbeats from a background thread, and the parent treats a dead process
-*or* a stale heartbeat as a worker death.  Because every shard's
-simulation is a pure function of (vetted world, shard index, shard
-count), a dead worker is simply respawned and replays its partition from
-the start of the current phase: the respawn re-forks from the same
-vetted world and replays Phase I, the parent verifies the replayed
-Phase I payload is content-identical to the original (any divergence is
-a determinism bug, not a recoverable fault), and then re-dispatches the
-same Phase II slice.  A fault-free N-worker run, a
-worker-killed-and-respawned run, and the serial run therefore produce
-identical result digests.
-
-With a checkpoint directory, each payload's wire blob is flushed to disk
-verbatim as it arrives (:mod:`repro.core.checkpoint`), and
-``run_sharded(resume_dir=…)`` skips shards whose final payload survived a
-previous (killed) run.
+A worker that exits early or reports an error fails the run at once,
+naming its shard and its exit code or traceback, and the run is re-run
+like a failed serial one: a run is a pure function of its seed and
+config, so there is nothing of it worth checkpointing.  The record that
+collection must not lose is the feed log ``repro serve`` journals
+(docs/SERVICE.md).
 """
 
 import multiprocessing
-import threading
 import time
 import traceback
-from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-from repro.core.checkpoint import CheckpointError, CheckpointStore
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.core.campaign import Campaign, pair_shard
 from repro.core.config import ExperimentConfig
@@ -90,7 +75,6 @@ from repro.core.correlate import Correlator, DecoyRecord, split_correlation
 from repro.core.ecosystem import Ecosystem, build_ecosystem
 from repro.core.experiment import (
     ExperimentResult,
-    Phase2PlanEntry,
     correlate_and_locate,
     plan_phase2,
     schedule_phase2_entries,
@@ -114,7 +98,6 @@ from repro.telemetry.spans import SpanTracer, merge_spans, timings_from_spans
 from repro.vpn.vetting import VettingReport
 
 __all__ = [
-    "SupervisorPolicy",
     "ShardPhase1Payload",
     "ShardFinalPayload",
     "PairwiseMerger",
@@ -124,34 +107,6 @@ __all__ = [
     "events_digest",
     "result_digest",
 ]
-
-
-@dataclass(frozen=True)
-class SupervisorPolicy:
-    """How the parent watches, times out, and respawns shard workers."""
-
-    heartbeat_interval: float = 0.5
-    """Seconds between worker heartbeats (wall clock)."""
-    worker_timeout: float = 120.0
-    """Seconds of silence (no heartbeat, no payload) before the parent
-    declares a worker dead and respawns it.  Generous by default: a busy
-    worker heartbeats from a background thread, so only a genuinely hung
-    or killed process goes silent."""
-    max_respawns: int = 2
-    """Respawn budget per shard; exceeding it fails the run (a shard that
-    keeps dying is a real bug, not a transient fault)."""
-    kill_after_phase1: Optional[int] = None
-    """Test hook: SIGKILL this shard's worker right after its Phase I
-    payload is received, forcing the respawn-and-replay path during
-    Phase II dispatch.  None disables the hook."""
-
-    def __post_init__(self):
-        if self.heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be positive")
-        if self.worker_timeout <= self.heartbeat_interval:
-            raise ValueError("worker_timeout must exceed heartbeat_interval")
-        if self.max_respawns < 0:
-            raise ValueError("max_respawns must be >= 0")
 
 
 class PairwiseMerger:
@@ -209,43 +164,8 @@ def _ledger_snapshot(campaign: Campaign,
     ]
 
 
-class _HeartbeatSender:
-    """Background thread that keeps the parent's liveness clock fresh.
-
-    The worker's main thread spends minutes inside the simulator without
-    touching the pipe; this thread sends a tagged heartbeat every
-    interval so the parent can tell "busy" from "hung or dead".  All pipe
-    sends (heartbeats and payloads) share one lock, since Connection
-    objects are not thread-safe.
-    """
-
-    def __init__(self, conn, lock: threading.Lock, interval: float):
-        self._conn = conn
-        self._lock = lock
-        self._interval = interval
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def __enter__(self):
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info):
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-
-    def _run(self):
-        while not self._stop.wait(self._interval):
-            try:
-                with self._lock:
-                    self._conn.send(("heartbeat", None))
-            except (BrokenPipeError, OSError):
-                return
-
-
 def _shard_worker(conn, eco: Ecosystem, vetting: VettingReport,
-                  shard_index: int, shard_count: int,
-                  heartbeat_interval: float = 0.5) -> None:
+                  shard_index: int, shard_count: int) -> None:
     """Worker process body: Phase I, then (on request) Phase II.
 
     ``eco`` and ``vetting`` are the parent's built and vetted world,
@@ -253,14 +173,6 @@ def _shard_worker(conn, eco: Ecosystem, vetting: VettingReport,
     Payloads cross the pipe as wire blobs.  The final blob ships only the
     ledger and log tails Phase II appended, plus full snapshots.
     """
-    send_lock = threading.Lock()
-
-    def send(message):
-        with send_lock:
-            conn.send(message)
-
-    heartbeat = _HeartbeatSender(conn, send_lock, heartbeat_interval)
-    heartbeat.__enter__()
     try:
         started = time.perf_counter()
         tracer_spans = SpanTracer(shard=shard_index)
@@ -282,7 +194,7 @@ def _shard_worker(conn, eco: Ecosystem, vetting: VettingReport,
                 virtual_now=eco.sim.now(),
                 wall_seconds=time.perf_counter() - started,
             )
-            send(("phase1", encode_phase1_payload(phase1_payload)))
+            conn.send(("phase1", encode_phase1_payload(phase1_payload)))
             # Nothing reads the Phase I payload again; let its rows go.
             del phase1_payload, phase1_entries
 
@@ -326,215 +238,102 @@ def _shard_worker(conn, eco: Ecosystem, vetting: VettingReport,
                 spans=list(tracer_spans.spans),
                 analysis=campaign.analysis.snapshot(),
             )
-            send(("final", encode_final_payload(final_payload)))
+            conn.send(("final", encode_final_payload(final_payload)))
     except BaseException:
         try:
-            send(("error", traceback.format_exc()))
-        except (BrokenPipeError, OSError):
+            conn.send(("error", traceback.format_exc()))
+        except OSError:
             pass
     finally:
-        heartbeat.__exit__()
         conn.close()
 
 
-class _WorkerDied(Exception):
-    """A shard worker stopped responding — recoverable by respawn."""
-
-    def __init__(self, shard_index: int, reason: str):
-        super().__init__(reason)
-        self.shard_index = shard_index
-
-
-def _phase1_fingerprint(payload: ShardPhase1Payload) -> str:
-    """Content hash of a Phase I payload, for replay verification.
-
-    A respawned worker re-forks from the parent's vetted world and
-    re-derives its Phase I payload from there; any difference from the
-    original means the simulation is not the pure function of (vetted
-    world, shard index, shard count) the whole merge depends on — for
-    instance because the parent touched the world after the first spawn
-    — so the supervisor refuses to continue.
-    """
-    import hashlib
-
-    hasher = hashlib.sha256()
-    hasher.update(repr((
-        payload.shard_index, payload.sends_planned, payload.sends_scheduled,
-        payload.last_send_time, payload.virtual_now,
-    )).encode())
-    for key, record in payload.records:
-        hasher.update(repr((key, record.domain, record.protocol,
-                            record.vp_id, record.sent_at)).encode())
-    for entry in payload.log_entries:
-        hasher.update(repr((entry.time, entry.site, entry.protocol,
-                            entry.src_address, entry.domain)).encode())
-    return hasher.hexdigest()
-
-
-@dataclass
-class _WorkerHandle:
-    """Parent-side state for one live shard worker."""
-
-    shard_index: int
-    process: multiprocessing.process.BaseProcess
-    conn: object
-    deadline: float = 0.0
-    """Monotonic liveness deadline, refreshed by every heartbeat and
-    payload; a silent worker past it is declared dead."""
-
-
 class _ShardSupervisor:
-    """Spawns, watches, and respawns the shard worker fleet.
+    """Forks the shard worker fleet and collects its payloads.
 
     All protocol receives go through :meth:`next_payload`, which waits on
     *every* worker the caller is still expecting a payload from and
-    returns blobs in arrival order — no per-shard fan-in barrier.  It
-    drains heartbeats, refreshes per-worker liveness deadlines, and
-    converts both a dead process and a stale heartbeat into
-    :class:`_WorkerDied` — callers respond by replaying the shard in a
-    fresh process (bounded by ``policy.max_respawns``).
+    returns blobs in arrival order — no per-shard fan-in barrier.  A
+    worker that reports an error, or whose pipe reaches EOF because it
+    exited, fails the run with a :class:`RuntimeError` naming its shard.
     """
 
     def __init__(self, eco: Ecosystem, vetting: VettingReport,
-                 shard_count: int, policy: SupervisorPolicy):
+                 shard_count: int):
         # Fork, whatever the platform default: the workers inherit the
         # vetted world instead of pickling or rebuilding it.
         self._mp = multiprocessing.get_context("fork")
         self._eco = eco
         self._vetting = vetting
         self._shard_count = shard_count
-        self._policy = policy
-        self._handles: Dict[int, _WorkerHandle] = {}
-        self._respawns: Dict[int, int] = {}
+        self._workers: Dict[int, tuple] = {}
+        """Shard index -> (worker process, parent end of its pipe)."""
 
     def spawn(self, shard_index: int) -> None:
         parent_conn, child_conn = self._mp.Pipe()
         process = self._mp.Process(
             target=_shard_worker,
             args=(child_conn, self._eco, self._vetting, shard_index,
-                  self._shard_count, self._policy.heartbeat_interval),
+                  self._shard_count),
             daemon=True,
         )
         process.start()
         child_conn.close()
-        self._handles[shard_index] = _WorkerHandle(
-            shard_index=shard_index, process=process, conn=parent_conn,
-            deadline=time.monotonic() + self._policy.worker_timeout,
+        self._workers[shard_index] = (process, parent_conn)
+
+    def _exited(self, shard_index: int, expected: str) -> RuntimeError:
+        process = self._workers[shard_index][0]
+        process.join()
+        return RuntimeError(
+            f"shard {shard_index} worker exited with code "
+            f"{process.exitcode} before sending its {expected!r} payload"
         )
-
-    def kill(self, shard_index: int) -> None:
-        """SIGKILL a worker (fault injection and respawn cleanup)."""
-        handle = self._handles[shard_index]
-        handle.process.kill()
-        handle.process.join()
-
-    def respawn(self, shard_index: int) -> None:
-        used = self._respawns.get(shard_index, 0)
-        if used >= self._policy.max_respawns:
-            raise RuntimeError(
-                f"shard {shard_index} died {used + 1} times; respawn "
-                f"budget is {self._policy.max_respawns} — a shard that "
-                "keeps dying is a bug, not a transient fault"
-            )
-        self._respawns[shard_index] = used + 1
-        handle = self._handles[shard_index]
-        if handle.process.is_alive():
-            handle.process.kill()
-        handle.process.join()
-        handle.conn.close()
-        self.spawn(shard_index)
-
-    @property
-    def respawn_count(self) -> int:
-        return sum(self._respawns.values())
 
     def next_payload(self, waiting: Dict[int, str]) -> Tuple[int, bytes]:
         """Block until any waiting worker delivers its expected payload.
 
         ``waiting`` maps shard index -> expected tag ("phase1"/"final").
-        Returns ``(shard_index, blob)`` for the first arrival; buffered
-        payloads from a since-dead worker are still drained (a worker
-        that finished its send and exited did its job).
+        Returns ``(shard_index, blob)`` for the first arrival.
         """
-        timeout = self._policy.worker_timeout
-        while True:
-            handles = [self._handles[index] for index in waiting]
-            by_conn = {handle.conn: handle for handle in handles}
-            try:
-                ready = _connection_wait(list(by_conn), timeout=0.25)
-            except OSError:
-                ready = []
-            for conn in ready:
-                handle = by_conn[conn]
-                expected = waiting[handle.shard_index]
-                try:
-                    tag, payload = conn.recv()
-                except (EOFError, OSError):
-                    raise _WorkerDied(
-                        handle.shard_index,
-                        f"shard {handle.shard_index} pipe closed before "
-                        f"{expected!r}",
-                    )
-                if tag == "heartbeat":
-                    handle.deadline = time.monotonic() + timeout
-                    continue
-                if tag == "error":
-                    raise RuntimeError(
-                        f"shard {handle.shard_index} worker failed:\n{payload}"
-                    )
-                if tag != expected:
-                    raise RuntimeError(
-                        f"shard {handle.shard_index} protocol error: "
-                        f"expected {expected!r}, got {tag!r}"
-                    )
-                handle.deadline = time.monotonic() + timeout
-                return handle.shard_index, payload
-            now = time.monotonic()
-            for handle in handles:
-                try:
-                    buffered = handle.conn.poll()
-                except (BrokenPipeError, OSError):
-                    buffered = False
-                if not handle.process.is_alive() and not buffered:
-                    raise _WorkerDied(
-                        handle.shard_index,
-                        f"shard {handle.shard_index} worker died with exit "
-                        f"code {handle.process.exitcode} before "
-                        f"{waiting[handle.shard_index]!r}",
-                    )
-                if now > handle.deadline:
-                    handle.process.kill()
-                    handle.process.join()
-                    raise _WorkerDied(
-                        handle.shard_index,
-                        f"shard {handle.shard_index} heartbeat stale for "
-                        f"{self._policy.worker_timeout:.0f}s",
-                    )
-
-    def dispatch_phase2(self, shard_index: int, blob: bytes) -> bool:
-        """Send a shard its encoded Phase II slice without blocking.
-
-        Returns False when the worker is already dead (pipe closed) —
-        the caller respawns it and replays Phase I first.
-        """
-        handle = self._handles[shard_index]
+        by_conn = {self._workers[index][1]: index for index in waiting}
+        conn = _connection_wait(list(by_conn))[0]
+        shard_index = by_conn[conn]
+        expected = waiting[shard_index]
         try:
-            handle.conn.send(("phase2", blob))
-        except (BrokenPipeError, OSError):
-            return False
-        handle.deadline = time.monotonic() + self._policy.worker_timeout
-        return True
+            tag, payload = conn.recv()
+        except (EOFError, OSError):
+            raise self._exited(shard_index, expected) from None
+        if tag == "error":
+            raise RuntimeError(
+                f"shard {shard_index} worker failed:\n{payload}"
+            )
+        if tag != expected:
+            raise RuntimeError(
+                f"shard {shard_index} protocol error: "
+                f"expected {expected!r}, got {tag!r}"
+            )
+        return shard_index, payload
+
+    def dispatch_phase2(self, shard_index: int, blob: bytes) -> None:
+        """Send a shard its encoded Phase II slice."""
+        try:
+            self._workers[shard_index][1].send(("phase2", blob))
+        except OSError:
+            raise self._exited(shard_index, "final") from None
 
     def shutdown(self) -> None:
-        for handle in self._handles.values():
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
-            handle.process.join(timeout=10.0)
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join()
+        """Close every pipe, then stop and reap every worker.
+
+        By now each worker has delivered its final payload or the run is
+        failing, so a worker still running is terminated.  Closing its
+        pipe would not stop it: it holds its own copy of the parent's
+        end, inherited when it was forked, so it never reads EOF there.
+        """
+        for process, conn in self._workers.values():
+            conn.close()
+            process.terminate()
+        for process, _ in self._workers.values():
+            process.join()
 
 
 def _check_consistent(payloads: Sequence[ShardPhase1Payload]) -> None:
@@ -557,64 +356,21 @@ def _check_consistent(payloads: Sequence[ShardPhase1Payload]) -> None:
         )
 
 
-def run_sharded(config: Optional[ExperimentConfig] = None, *,
-                checkpoint_dir=None, resume_dir=None,
-                supervision: Optional[SupervisorPolicy] = None,
-                ) -> ExperimentResult:
+def run_sharded(config: ExperimentConfig) -> ExperimentResult:
     """Run one experiment across ``config.workers`` shard processes.
 
     The returned result is deterministically equal to the serial run of
     the same config and seed (see module docstring and
-    :func:`result_digest`) — including runs where workers died and were
-    respawned mid-protocol, and runs resumed from a checkpoint.
-
-    ``checkpoint_dir`` flushes each shard payload's wire blob to disk as
-    it arrives; ``resume_dir`` reopens such a directory, loads the config
-    (when ``config`` is None) and every completed shard's payloads, and
-    only simulates the shards that never finished.  ``supervision`` tunes
-    heartbeat/timeout/respawn behaviour (defaults are production-safe).
+    :func:`result_digest`).  A worker that exits early or reports an
+    error raises :class:`RuntimeError` naming its shard.
     """
     from repro.analysis.streaming import AnalysisState
 
-    supervision = supervision if supervision is not None else SupervisorPolicy()
-    checkpoints: Optional[CheckpointStore] = None
-    cached_phase1: Dict[int, ShardPhase1Payload] = {}
-    cached_final: Dict[int, ShardFinalPayload] = {}
-    cached_slices: Optional[List[List[Phase2PlanEntry]]] = None
-    if resume_dir is not None:
-        checkpoints = CheckpointStore(resume_dir)
-        meta = checkpoints.load_meta()
-        if config is None:
-            config = checkpoints.load_config()
-        elif (config.seed != meta["seed"]
-              or config.workers != meta["shard_count"]):
-            raise CheckpointError(
-                f"checkpoint at {resume_dir} was written by seed "
-                f"{meta['seed']} with {meta['shard_count']} workers; "
-                f"cannot resume it with seed {config.seed} and "
-                f"{config.workers} workers"
-            )
-    if config is None:
-        raise ValueError("run_sharded needs a config or a resume_dir")
     if config.workers < 2:
         raise ValueError(
             f"run_sharded needs workers >= 2, got {config.workers}"
         )
     shard_count = config.workers
-    if checkpoints is None and checkpoint_dir is not None:
-        checkpoints = CheckpointStore(checkpoint_dir)
-    if checkpoints is not None:
-        if resume_dir is not None:
-            for index in checkpoints.completed_shards(shard_count):
-                if not checkpoints.has_phase1(index):
-                    raise CheckpointError(
-                        f"shard {index} has a final checkpoint but no "
-                        "Phase I checkpoint; the directory is corrupt"
-                    )
-                cached_phase1[index] = checkpoints.load_phase1(index)
-                cached_final[index] = checkpoints.load_final(index)
-            cached_slices = checkpoints.load_phase2_plan()
-        checkpoints.save_run(config, shard_count)
     started = time.perf_counter()
     spans = SpanTracer()
 
@@ -625,59 +381,33 @@ def run_sharded(config: Optional[ExperimentConfig] = None, *,
     spans.virtual_now = eco.sim.now
     correlator = Correlator(campaign.ledger, zone=config.zone)
 
-    supervisor = _ShardSupervisor(eco, campaign.vetting, shard_count,
-                                  supervision)
-    live = [index for index in range(shard_count)
-            if index not in cached_final]
-    phase1_by_shard: Dict[int, ShardPhase1Payload] = dict(cached_phase1)
+    supervisor = _ShardSupervisor(eco, campaign.vetting, shard_count)
     wire_bytes = {"phase1": 0, "dispatch": 0, "final": 0}
 
-    # Final analyses fold pairwise on arrival (including from cache);
-    # the merge is order-independent, so arrival order (which varies run
-    # to run) cannot leak into results.
+    # Final analyses fold pairwise on arrival; the merge is
+    # order-independent, so arrival order (which varies run to run)
+    # cannot leak into results.
     final_analyses = PairwiseMerger(lambda a, b: a.merge(b))
-    for payload in cached_final.values():
-        final_analyses.push(AnalysisState.from_snapshot(payload.analysis))
 
     try:
         with spans.span("phase1"):
+            # Every worker forks from this vetted world.
             waiting: Dict[int, str] = {}
-            # Every worker, respawns included, forks from this vetted
-            # world.  From the first spawn until supervisor.shutdown() the
-            # parent must neither mutate ``eco`` nor draw from its
-            # ``router`` streams, or a respawn would replay a different
-            # world than the first spawn did.
-            for shard_index in live:
+            for shard_index in range(shard_count):
                 supervisor.spawn(shard_index)
                 waiting[shard_index] = "phase1"
+            phase1_by_shard: Dict[int, ShardPhase1Payload] = {}
             while waiting:
-                try:
-                    shard_index, blob = supervisor.next_payload(waiting)
-                except _WorkerDied as death:
-                    supervisor.respawn(death.shard_index)
-                    continue
+                shard_index, blob = supervisor.next_payload(waiting)
                 wire_bytes["phase1"] += len(blob)
                 phase1_by_shard[shard_index] = decode_phase1_payload(blob)
-                if checkpoints is not None:
-                    checkpoints.save_phase1_blob(shard_index, blob)
                 del waiting[shard_index]
             phase1_payloads = [phase1_by_shard[index]
                                for index in range(shard_count)]
             _check_consistent(phase1_payloads)
-        phase1_prints = {index: _phase1_fingerprint(phase1_by_shard[index])
-                         for index in live}
-
-        if (supervision.kill_after_phase1 is not None
-                and supervision.kill_after_phase1 in live):
-            # Fault injection: this worker is dead before Phase II
-            # dispatch, so the final-collection loop must respawn it and
-            # replay its partition — the path a real mid-run crash
-            # exercises.
-            supervisor.kill(supervision.kill_after_phase1)
 
         # Phase I registration and planning, exactly as the serial run
-        # plans: one correlation pass over the merged Phase I log.  A
-        # resume that loads a stored plan skips the pass.
+        # plans: one correlation pass over the merged Phase I log.
         with spans.span("merge_interim"):
             for key, record in sorted(
                 (pair for payload in phase1_payloads
@@ -686,65 +416,30 @@ def run_sharded(config: Optional[ExperimentConfig] = None, *,
             ):
                 campaign.ledger.register(record)
                 campaign.ledger.set_key(record.domain, key)
-            if cached_slices is not None:
-                slices = cached_slices
-            else:
-                phase1_log = LogStore.merged(
-                    [payload.log_entries for payload in phase1_payloads])
-                phase1 = correlator.correlate(phase1_log, phase=1)
-                slices = [[] for _ in range(shard_count)]
-                for entry in plan_phase2(eco, phase1, config):
-                    owner = pair_shard(entry.vp_address,
-                                       entry.destination_address, shard_count)
-                    slices[owner].append(entry)
-                if checkpoints is not None:
-                    checkpoints.save_phase2_plan(slices)
+            phase1_log = LogStore.merged(
+                [payload.log_entries for payload in phase1_payloads])
+            phase1 = correlator.correlate(phase1_log, phase=1)
+            slices = [[] for _ in range(shard_count)]
+            for entry in plan_phase2(eco, phase1, config):
+                owner = pair_shard(entry.vp_address,
+                                   entry.destination_address, shard_count)
+                slices[owner].append(entry)
             slice_blobs = [encode_plan_slice(plan_slice)
                            for plan_slice in slices]
 
         with spans.span("phase2"):
-            final_by_shard: Dict[int, ShardFinalPayload] = dict(cached_final)
-            for shard_index in live:
-                wire_bytes["dispatch"] += len(slice_blobs[shard_index])
-                if supervisor.dispatch_phase2(shard_index,
-                                              slice_blobs[shard_index]):
-                    waiting[shard_index] = "final"
-                else:
-                    supervisor.respawn(shard_index)
-                    waiting[shard_index] = "phase1"
+            for shard_index, slice_blob in enumerate(slice_blobs):
+                wire_bytes["dispatch"] += len(slice_blob)
+                supervisor.dispatch_phase2(shard_index, slice_blob)
+                waiting[shard_index] = "final"
+            final_by_shard: Dict[int, ShardFinalPayload] = {}
             while waiting:
-                try:
-                    shard_index, blob = supervisor.next_payload(waiting)
-                except _WorkerDied as death:
-                    supervisor.respawn(death.shard_index)
-                    waiting[death.shard_index] = "phase1"
-                    continue
-                if waiting[shard_index] == "phase1":
-                    # Respawn replay: verify the fresh Phase I payload is
-                    # content-identical, then re-dispatch the same slice.
-                    wire_bytes["phase1"] += len(blob)
-                    payload = decode_phase1_payload(blob)
-                    if _phase1_fingerprint(payload) != phase1_prints[shard_index]:
-                        raise RuntimeError(
-                            f"shard {shard_index} replay diverged from its "
-                            "original Phase I payload — the shard simulation "
-                            "is not deterministic"
-                        )
-                    wire_bytes["dispatch"] += len(slice_blobs[shard_index])
-                    if supervisor.dispatch_phase2(shard_index,
-                                                  slice_blobs[shard_index]):
-                        waiting[shard_index] = "final"
-                    else:
-                        supervisor.respawn(shard_index)
-                        waiting[shard_index] = "phase1"
-                    continue
+                shard_index, blob = supervisor.next_payload(waiting)
                 wire_bytes["final"] += len(blob)
                 payload = decode_final_payload(blob)
                 final_by_shard[shard_index] = payload
                 final_analyses.push(
                     AnalysisState.from_snapshot(payload.analysis))
-                if checkpoints is not None:
-                    checkpoints.save_final_blob(shard_index, blob)
                 del waiting[shard_index]
             final_payloads = [final_by_shard[index]
                               for index in range(shard_count)]
@@ -835,14 +530,6 @@ def run_sharded(config: Optional[ExperimentConfig] = None, *,
             for payload in final_payloads:
                 merged_metrics.merge_from(
                     MetricsRegistry.from_snapshot(payload.telemetry))
-            if supervisor.respawn_count:
-                # Counted here, once: a respawn forks from the parent's
-                # registry, so a count kept there would ship back in the
-                # respawned worker's snapshot and be summed twice.  Created
-                # only when non-zero so a respawn-free sharded snapshot
-                # stays key-identical to the serial run's.
-                merged_metrics.counter("shard.respawns").inc(
-                    supervisor.respawn_count)
             eco.telemetry = merged_metrics
 
     with spans.span("correlate"):
@@ -857,7 +544,6 @@ def run_sharded(config: Optional[ExperimentConfig] = None, *,
     timings["total"] = time.perf_counter() - started
     timings["virtual_span"] = eco.sim.now()
     timings["workers"] = float(shard_count)
-    timings["shard_respawns"] = float(supervisor.respawn_count)
     timings["shard_phase1_wall_max"] = max(
         payload.wall_seconds for payload in phase1_payloads
     )

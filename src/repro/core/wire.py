@@ -1,8 +1,8 @@
 """Compact, versioned wire format for the worker↔supervisor data plane.
 
-Every blob crossing a shard worker's pipe, the serve feed socket, or a
-checkpoint directory is a purpose-built binary encoding of fixed-width
-rows:
+Every blob crossing a shard worker's pipe or the serve feed socket, and
+every frame of a serve journal, is a purpose-built binary encoding of
+fixed-width rows:
 
 * **Rows.**  Every per-record section (decoy records, keyed ledger
   records, log entries, locations, ground-truth observations, Phase II
@@ -343,7 +343,7 @@ class _Encoder:
     def json(self, value) -> None:
         """A canonical-JSON section: telemetry/analysis snapshots are
         tree-shaped dicts the registry/accumulator code already
-        round-trips through JSON (checkpoints, bundles).  Its u32 byte
+        round-trips through JSON (bundles, telemetry captures).  Its u32 byte
         length comes first, 0 for None (no JSON text is empty)."""
         if value is None:
             self.body += _U32.pack(0)
@@ -700,41 +700,42 @@ def decode_final_payload(blob: bytes) -> ShardFinalPayload:
 # -- phase II plan slices --------------------------------------------------
 
 
-def encode_plan_slices(slices: Sequence[Sequence]) -> bytes:
-    """Encode a list of per-shard Phase II plan slices."""
+def encode_plan_slice(plan_slice: Sequence) -> bytes:
+    """One shard's Phase II slice, for dispatch over the pipe.
+
+    The body is a slice count, always 1, then the slice's entry rows."""
     enc = _Encoder()
     ref = enc.ref
-    enc.body += _U32.pack(len(slices))
-    for plan_slice in slices:
-        enc.rows(_PLAN_ENTRY, [
-            (entry.index, ref(entry.vp_id), ref(entry.vp_address),
-             ref(entry.destination_address), ref(entry.destination_country),
-             ref(entry.destination_name), ref(entry.protocol))
-            for entry in plan_slice
-        ])
+    enc.body += _U32.pack(1)
+    enc.rows(_PLAN_ENTRY, [
+        (entry.index, ref(entry.vp_id), ref(entry.vp_address),
+         ref(entry.destination_address), ref(entry.destination_country),
+         ref(entry.destination_name), ref(entry.protocol))
+        for entry in plan_slice
+    ])
     return enc.frame(_KIND_PLAN)
 
 
-def decode_plan_slices(blob: bytes) -> List[List]:
+def decode_plan_slice(blob: bytes) -> List:
     from repro.core.experiment import Phase2PlanEntry
 
     dec = _open(blob, _KIND_PLAN)
     strings = dec.strings
-    slices = []
     (count,) = dec.row(_U32)
-    for _ in range(count):
-        rows = dec.rows(_PLAN_ENTRY)
-        with _building("plan entry"):
-            slices.append([
-                Phase2PlanEntry(index, strings[vp_id], strings[vp_address],
-                                strings[destination_address],
-                                strings[destination_country],
-                                strings[destination_name], strings[protocol])
-                for (index, vp_id, vp_address, destination_address,
-                     destination_country, destination_name, protocol) in rows
-            ])
+    if count != 1:
+        raise WireError(f"expected one plan slice, got {count}")
+    rows = dec.rows(_PLAN_ENTRY)
+    with _building("plan entry"):
+        entries = [
+            Phase2PlanEntry(index, strings[vp_id], strings[vp_address],
+                            strings[destination_address],
+                            strings[destination_country],
+                            strings[destination_name], strings[protocol])
+            for (index, vp_id, vp_address, destination_address,
+                 destination_country, destination_name, protocol) in rows
+        ]
     dec.done("plan payload")
-    return slices
+    return entries
 
 
 # -- record feed -----------------------------------------------------------
@@ -777,14 +778,3 @@ def decode_feed_batch(blob: bytes) -> FeedBatch:
                      log_entries=log_entries, locations=locations,
                      context=context)
 
-
-def encode_plan_slice(plan_slice: Sequence) -> bytes:
-    """One shard's slice, for Phase II dispatch over the pipe."""
-    return encode_plan_slices([plan_slice])
-
-
-def decode_plan_slice(blob: bytes) -> List:
-    slices = decode_plan_slices(blob)
-    if len(slices) != 1:
-        raise WireError(f"expected one plan slice, got {len(slices)}")
-    return slices[0]

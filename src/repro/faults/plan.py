@@ -10,12 +10,11 @@ concrete, reproducible decisions.
 Every decision is a keyed :class:`~repro.simkit.rng.SubstreamFactory`
 draw — a pure function of ``(fault seed, decision key)``, independent of
 arrival order and therefore of how the campaign is partitioned across
-shards.  A fault-free 4-worker run, a worker-killed-and-respawned run,
-and the serial run of the same config and fault seed all see the *same*
-packets lost on the *same* links, the same VPs offline in the same
-windows, and the same collector outages — which is what makes the
-byte-identical-digest invariant of :mod:`repro.core.shard` hold under
-injected faults too.
+shards.  A 4-worker run and the serial run of the same config and
+fault seed both see the *same* packets lost on the *same* links, the
+same VPs offline in the same windows, and the same collector outages —
+which is what makes the byte-identical-digest invariant of
+:mod:`repro.core.shard` hold under injected faults too.
 
 Fault classes (who consults what):
 

@@ -156,14 +156,20 @@ class MeasurementService:
                 f"campaign id {batch.campaign_id!r} must match "
                 f"{_CAMPAIGN_ID.pattern}"
             )
+        problem = _context_problem(batch.context)
+        if problem is not None:
+            raise RegistrationError(
+                f"registration for {batch.campaign_id!r} refused: {problem}; "
+                "nothing was registered"
+            )
         with self._registry_lock:
             existing = self._sessions.get(batch.campaign_id)
             if existing is not None:
-                if existing.zone != batch.context.get("zone"):
+                if existing.zone != batch.context["zone"]:
                     raise RegistrationError(
                         f"campaign {batch.campaign_id!r} already registered "
                         f"with zone {existing.zone!r}; refusing context with "
-                        f"zone {batch.context.get('zone')!r}"
+                        f"zone {batch.context['zone']!r}"
                     )
                 return {"campaign": batch.campaign_id, "seq": existing.seq,
                         "applied": False, "registered": True}
@@ -268,6 +274,48 @@ class MeasurementService:
 def _frame(batch: FeedBatch, blob: Optional[bytes]) -> bytes:
     """The journal frame of ``batch``: its received blob, length-prefixed."""
     return framed(blob if blob is not None else encode_feed_batch(batch))
+
+
+_DIRECTORY_FIELDS = (("address", str), ("asn", int), ("country", str),
+                     ("role", str))
+"""The fields of a registration context's directory row, by JSON type."""
+
+
+def _context_problem(context) -> Optional[str]:
+    """What makes a registration context unusable, or None.
+
+    Checked before a session is built from it: a JSON object with a
+    non-empty string ``zone``; ``directory``, if present, a list of
+    :data:`_DIRECTORY_FIELDS` rows that agree on each address's AS and
+    country, as :class:`~repro.intel.directory.IpDirectory` requires;
+    ``blocklist``, if present, a list of address strings.
+    """
+    if not isinstance(context, dict):
+        return f"context is a JSON {type(context).__name__}, not an object"
+    zone = context.get("zone")
+    if type(zone) is not str or not zone:
+        return f"zone must be a non-empty string, got {zone!r}"
+    directory = context.get("directory", [])
+    if type(directory) is not list:
+        return "directory must be a list of rows"
+    placed = {}
+    for index, row in enumerate(directory):
+        if type(row) is not dict or any(type(row.get(name)) is not kind
+                                        for name, kind in _DIRECTORY_FIELDS):
+            return (f"directory row {index} must be an object with "
+                    + ", ".join(f"{name} ({kind.__name__})"
+                                for name, kind in _DIRECTORY_FIELDS))
+        place = placed.setdefault(row["address"],
+                                  (row["asn"], row["country"]))
+        if place != (row["asn"], row["country"]):
+            return (f"directory rows for {row['address']} conflict: "
+                    f"AS{place[0]} in {place[1]} vs AS{row['asn']} in "
+                    f"{row['country']}")
+    blocklist = context.get("blocklist", [])
+    if type(blocklist) is not list or any(type(address) is not str
+                                          for address in blocklist):
+        return "blocklist must be a list of address strings"
+    return None
 
 
 def _check_decoys(session: CampaignSession, batch: FeedBatch) -> None:

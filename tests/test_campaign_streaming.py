@@ -7,7 +7,6 @@ a merged log must answer every query like a serially built one.
 
 import random
 
-from repro.core.checkpoint import CheckpointStore
 from repro.core.columnar import merged_order
 from repro.core.correlate import DecoyLedger
 from repro.core.wire import (
@@ -114,17 +113,6 @@ class TestColumnarRoundTrip:
             rebuilt_log.append(entry)
         assert rebuilt_log.all() == log.all()
         assert rebuilt_log.domains() == log.domains()
-
-    def test_checkpoint_round_trip(self, tmp_path):
-        rng = random.Random(777)
-        _ledger, _log, payload = self._payload(rng)
-        store = CheckpointStore(tmp_path / "ckpt")
-        store.save_phase1_blob(0, encode_phase1_payload(payload))
-        loaded = store.load_phase1(0)
-        assert loaded.records == payload.records
-        assert loaded.log_entries == payload.log_entries
-        assert loaded.sends_planned == payload.sends_planned
-        assert loaded.last_send_time == payload.last_send_time
 
     def test_materialized_rows_keep_identity_while_referenced(self):
         """The weak-value cache contract: a row reads back as the *same*

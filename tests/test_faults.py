@@ -1,35 +1,24 @@
-"""Fault injection and crash tolerance.
+"""Fault injection.
 
 Two guarantees are pinned here:
 
 * **Determinism under faults** — with a fault spec attached, the serial
-  run, the fault-free 4-worker run, a worker-killed-and-respawned run,
-  and a checkpoint-resumed run all produce byte-identical result digests
-  (the acceptance property of the robustness layer).
+  run and the 4-worker run produce byte-identical result digests, and
+  every fault counter merges to the serial total.
 * **Graceful degradation** — injected faults never raise and never leave
   silent holes: every lost packet, retry, abandoned send, deferred VP,
   dropped/delayed/duplicated log append is visible as a telemetry
   counter.
 
 Plus the unit behaviour those guarantees rest on: keyed fault draws,
-outage-window arithmetic, spec validation, supervisor policy, and the
-checkpoint store's resume contract.
+outage-window arithmetic and spec validation.
 """
-
-import dataclasses
-import json
-import os
 
 import pytest
 
-from repro.core.checkpoint import CheckpointError, CheckpointStore
 from repro.core.config import ExperimentConfig
 from repro.core.experiment import Experiment
-from repro.core.shard import (
-    SupervisorPolicy,
-    result_digest,
-    run_sharded,
-)
+from repro.core.shard import result_digest
 from repro.faults import FaultPlan, FaultSpec, OutageWindow
 
 SEED = 77003
@@ -67,49 +56,10 @@ def sharded_faulted():
     return Experiment(_faulted_config(workers=4)).run()
 
 
-@pytest.fixture(scope="module")
-def killed_and_resumed(tmp_path_factory):
-    """One 4-worker faulted run with a worker killed after Phase I and
-    checkpoints flushed, then a resume of the same directory after its
-    last two final payloads are deleted (simulating a crashed parent)."""
-    checkpoint_dir = tmp_path_factory.mktemp("faults-ckpt")
-    killed = run_sharded(
-        _faulted_config(workers=4),
-        checkpoint_dir=checkpoint_dir,
-        supervision=SupervisorPolicy(kill_after_phase1=1),
-    )
-    os.remove(checkpoint_dir / "shard-02.final.bin")
-    os.remove(checkpoint_dir / "shard-03.final.bin")
-    resumed = run_sharded(resume_dir=checkpoint_dir)
-    return killed, resumed
-
-
 class TestDeterminismUnderFaults:
     def test_sharded_faulted_equals_serial_faulted(self, serial_faulted,
                                                    sharded_faulted):
         assert result_digest(sharded_faulted) == result_digest(serial_faulted)
-
-    def test_worker_kill_respawn_equals_serial(self, serial_faulted,
-                                               killed_and_resumed):
-        killed, _ = killed_and_resumed
-        assert result_digest(killed) == result_digest(serial_faulted)
-        assert killed.timings["shard_respawns"] == 1.0
-
-    def test_respawn_counted_once(self, serial_faulted, killed_and_resumed):
-        """A respawned worker forks from the parent's registry; the
-        respawn must still be counted once, and every other counter must
-        merge to the serial total."""
-        killed, _ = killed_and_resumed
-        serial = serial_faulted.telemetry.metrics.snapshot()["counters"]
-        merged = killed.telemetry.metrics.snapshot()["counters"]
-        assert set(merged) == set(serial) | {"shard.respawns"}
-        for name, counter in serial.items():
-            assert merged[name]["value"] == counter["value"], name
-        assert merged["shard.respawns"]["value"] == 1
-
-    def test_resume_equals_serial(self, serial_faulted, killed_and_resumed):
-        _, resumed = killed_and_resumed
-        assert result_digest(resumed) == result_digest(serial_faulted)
 
     def test_fault_counters_merge_exactly(self, serial_faulted,
                                           sharded_faulted):
@@ -238,85 +188,6 @@ class TestFaultPlanUnits:
         assert FaultSpec(link_loss_rate=0.1).any_faults
         assert not FaultSpec(link_loss_rate=0.1).affects_log
         assert FaultSpec(log_delay_rate=0.1).affects_log
-
-
-class TestSupervisorPolicy:
-    def test_defaults_valid(self):
-        policy = SupervisorPolicy()
-        assert policy.worker_timeout > policy.heartbeat_interval
-        assert policy.kill_after_phase1 is None
-
-    @pytest.mark.parametrize("bad", [
-        dict(heartbeat_interval=0.0),
-        dict(worker_timeout=0.1, heartbeat_interval=0.5),
-        dict(max_respawns=-1),
-    ])
-    def test_validation(self, bad):
-        with pytest.raises(ValueError):
-            SupervisorPolicy(**bad)
-
-
-class TestCheckpointStore:
-    def test_resume_requires_meta(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        with pytest.raises(CheckpointError, match="meta.json"):
-            store.load_meta()
-
-    def test_seed_mismatch_rejected(self, tmp_path):
-        config = ExperimentConfig.tiny(seed=1)
-        config.workers = 2
-        CheckpointStore(tmp_path).save_run(config, 2)
-        other = ExperimentConfig.tiny(seed=2)
-        other.workers = 2
-        with pytest.raises(CheckpointError, match="cannot resume"):
-            run_sharded(other, resume_dir=tmp_path)
-
-    def test_round_trips_config_and_payload_flags(self, tmp_path):
-        config = ExperimentConfig.tiny(seed=9)
-        config.workers = 3
-        store = CheckpointStore(tmp_path)
-        store.save_run(config, 3)
-        assert store.load_config().seed == 9
-        assert store.load_meta()["shard_count"] == 3
-        assert store.completed_shards(3) == []
-        assert not store.has_phase1(0)
-        assert store.load_phase2_plan() is None
-
-    def test_writes_are_atomic(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.save_phase2_plan([[], []])
-        assert not list(tmp_path.glob("*.tmp"))
-        assert store.load_phase2_plan() == [[], []]
-
-    @pytest.mark.parametrize("length", [0, 10, 100])
-    def test_truncated_config_is_a_checkpoint_error(self, tmp_path, length):
-        config = ExperimentConfig.tiny(seed=3)
-        config.workers = 2
-        CheckpointStore(tmp_path).save_run(config, 2)
-        config_path = tmp_path / "config.pkl"
-        config_path.write_bytes(config_path.read_bytes()[:length])
-        with pytest.raises(CheckpointError, match="config.pkl"):
-            run_sharded(resume_dir=tmp_path)
-
-    def test_corrupt_meta_is_a_checkpoint_error(self, tmp_path):
-        (tmp_path / "meta.json").write_text('{"seed": 1, "shard')
-        with pytest.raises(CheckpointError, match="meta.json"):
-            CheckpointStore(tmp_path).load_meta()
-
-    def test_other_format_rejected(self, tmp_path):
-        # The format-4 layout: same meta.json keys, older payload blobs.
-        (tmp_path / "meta.json").write_text(json.dumps(
-            {"seed": 1, "shard_count": 2, "format": 4, "kind": "run"}))
-        with pytest.raises(CheckpointError, match="format 4"):
-            CheckpointStore(tmp_path).load_meta()
-
-    def test_previous_format_rejected(self, tmp_path):
-        # Format 7 stored wire v4 blobs, which this build cannot decode.
-        (tmp_path / "meta.json").write_text(json.dumps(
-            {"seed": 1, "shard_count": 2, "format": 7, "kind": "run"}))
-        with pytest.raises(CheckpointError, match="format 7; this build "
-                                                  "reads format 8"):
-            CheckpointStore(tmp_path).load_meta()
 
 
 class TestLostTransit:

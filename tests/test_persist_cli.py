@@ -403,14 +403,9 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("invalid configuration: workers:")
 
-    def test_resume_from_non_checkpoint_exits_2(self, tmp_path, capsys):
-        assert main(["run", "--resume", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("cannot resume: ")
-        assert "meta.json" in err
-
     @pytest.mark.parametrize("unreadable", ["old-format", "previous-format",
-                                            "run-kind", "corrupt-journal"])
+                                            "run-kind", "corrupt-journal",
+                                            "not-an-object", "corrupt-json"])
     def test_serve_unreadable_checkpoint_exits_2(self, tmp_path, capsys,
                                                  monkeypatch, unreadable):
         from repro.core.checkpoint import CHECKPOINT_FORMAT
@@ -423,10 +418,16 @@ class TestCli:
             meta["format"] = CHECKPOINT_FORMAT - 1
         elif unreadable == "run-kind":
             meta["kind"] = "run"
-        else:  # one whole frame whose blob is not a feed batch
+        elif unreadable == "corrupt-journal":
+            # One whole frame whose blob is not a feed batch.
             (tmp_path / "campaign-x.journal.bin").write_bytes(
                 b"\x00\x00\x00\x0cnot-a-batch!")
-        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        text = json.dumps(meta)
+        if unreadable == "not-an-object":
+            text = json.dumps(list(meta.items()))
+        elif unreadable == "corrupt-json":  # cut short mid-write
+            text = text[:12]
+        (tmp_path / "meta.json").write_text(text)
         monkeypatch.setattr(ServeDaemon, "run_forever", lambda self: None)
         assert main(["serve", "--checkpoint", str(tmp_path)]) == 2
         err = capsys.readouterr().err

@@ -473,6 +473,72 @@ class TestBadValueFrame:
         assert service.session(campaign).digest() == result.analysis.digest()
 
 
+_ROW = {"address": "10.0.0.1", "asn": 4134, "country": "CN", "role": "vp"}
+_GOOD_CONTEXT = {"zone": "z.example", "directory": [_ROW],
+                 "blocklist": ["10.0.0.9"]}
+
+
+class TestBadRegistrationContext:
+    """A registration context no session can be built from, as a buggy
+    feeder could send it, is refused as a ``registration_error`` before
+    anything registers or journals."""
+
+    BAD = {
+        "json-list": [_GOOD_CONTEXT],
+        "row-without-address": dict(_GOOD_CONTEXT, directory=[
+            {key: value for key, value in _ROW.items() if key != "address"}]),
+        "no-zone": {"directory": [_ROW], "blocklist": []},
+        "directory-not-a-list": dict(_GOOD_CONTEXT, directory=5),
+        "conflicting-rows": dict(_GOOD_CONTEXT, directory=[
+            _ROW, dict(_ROW, asn=4837)]),
+        "zone-not-a-string": {"zone": 5},
+        "blocklist-not-strings": dict(_GOOD_CONTEXT, blocklist=[5]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    def test_refused_in_process(self, tmp_path, kind):
+        service = MeasurementService(checkpoint_dir=tmp_path)
+        with pytest.raises(RegistrationError) as excinfo:
+            service.ingest(FeedBatch("c", 0, context=self.BAD[kind]))
+        assert excinfo.value.to_payload()["error"]["code"] == \
+            "registration_error"
+        assert service.campaign_ids() == []
+        assert not list(tmp_path.glob("*.journal.bin"))
+        assert service.ingest(FeedBatch("c", 0, context=_GOOD_CONTEXT))[
+            "applied"]
+
+    def test_refused_for_a_registered_campaign(self):
+        service = MeasurementService()
+        service.ingest(FeedBatch("c", 0, context=_GOOD_CONTEXT))
+        with pytest.raises(RegistrationError, match="not an object"):
+            service.ingest(FeedBatch("c", 0, context=self.BAD["json-list"]))
+        assert service.session("c").zone == "z.example"
+
+    def test_refused_over_socket_connection_stays_open(self, monkeypatch):
+        crashed = []
+        monkeypatch.setattr(threading, "excepthook", crashed.append)
+        service = MeasurementService()
+        feed = FeedServer(service)
+        http = ReportApiServer(service)
+        feed.start()
+        http.start()
+        try:
+            with FeedClient(port=feed.port) as client:
+                with pytest.raises(FeedError, match="registration_error"):
+                    client.send(FeedBatch(
+                        "c", 0, context=self.BAD["row-without-address"]))
+                assert client.send(FeedBatch("c", 0,
+                                             context=_GOOD_CONTEXT))["applied"]
+            url = f"http://127.0.0.1:{http.port}/healthz"
+            with urllib.request.urlopen(url, timeout=10) as response:
+                assert response.status == 200
+        finally:
+            feed.stop()
+            http.stop()
+        assert not crashed
+        assert service.campaign_ids() == ["c"]
+
+
 class TestFeedPin:
     def test_tiny_feed_bytes_pinned(self, runs):
         from tests.make_pins import check, feed_pin
@@ -617,17 +683,14 @@ class TestReportCache:
 
 
 class TestCheckpointHygiene:
-    def test_serve_and_run_checkpoints_do_not_mix(self, tmp_path):
-        from repro.core.checkpoint import (
-            CheckpointError,
-            CheckpointStore,
-            ServeCheckpointStore,
-        )
-
-        serve_store = ServeCheckpointStore(tmp_path)
-        serve_store.save_meta()
-        with pytest.raises(CheckpointError, match="serve"):
-            CheckpointStore(tmp_path).load_meta()
+    def test_writes_are_atomic(self, tmp_path):
+        store = ServeCheckpointStore(tmp_path)
+        store.save_meta()
+        store.start_journal("c1", framed(b"registration"))
+        assert not list(tmp_path.glob("*.tmp"))
+        assert sorted(path.name for path in tmp_path.iterdir()) == \
+            ["campaign-c1.journal.bin", "meta.json"]
+        assert store.load_meta()["kind"] == "serve"
 
     def test_wire_roundtrip_feed_and_state(self, runs, tmp_path):
         from repro.core.wire import decode_feed_batch

@@ -6,11 +6,13 @@ the same config and seed — same ledger, same honeypot log, same
 correlated shadowing events, same label counts, same observer locations.
 These tests pin that guarantee at 2 and 4 shards, plus the unit-level
 pieces it rests on (keyed substreams, stable pair partition, log merge,
-O(1) pending counter).
+O(1) pending counter), and that a worker's death fails the run at once.
 """
 
+import multiprocessing
 import os
 import random
+import time
 import warnings
 
 import pytest
@@ -133,6 +135,46 @@ class TestWorkersForkFromVettedWorld:
             _run(2)
         assert not [warning for warning in caught
                     if "multi-threaded" in str(warning.message)]
+
+
+class _ExitOnRecv:
+    """A worker's pipe whose first read ends the worker with exit code 3."""
+
+    def __init__(self, conn):
+        self._conn = conn
+
+    def recv(self):
+        os._exit(3)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+class TestWorkerDeathFailsTheRun:
+    """A worker that exits fails the run within seconds, naming its shard
+    and exit code, and no worker outlives the failed run."""
+
+    @pytest.mark.parametrize("when", ["before-phase1", "reading-phase2-slice"])
+    def test_dead_worker_fails_fast(self, monkeypatch, when):
+        real_worker = shard._shard_worker
+
+        def dying_worker(conn, eco, vetting, shard_index, shard_count):
+            if shard_index == 1:
+                if when == "before-phase1":
+                    os._exit(3)
+                conn = _ExitOnRecv(conn)
+            real_worker(conn, eco, vetting, shard_index, shard_count)
+
+        # Forked workers inherit the patched module attribute.
+        monkeypatch.setattr(shard, "_shard_worker", dying_worker)
+        config = ExperimentConfig.tiny(seed=7)
+        config.workers = 2
+        started = time.monotonic()
+        with pytest.raises(RuntimeError,
+                           match="shard 1 worker exited with code 3"):
+            Experiment(config).run()
+        assert time.monotonic() - started < 5.0
+        assert multiprocessing.active_children() == []
 
 
 class TestPairShard:

@@ -4,9 +4,9 @@ The compact payload codec (:mod:`repro.core.wire`) replaced
 pickle-the-world transport on the worker↔supervisor data plane, so its
 contract carries the whole digest guarantee: encode/decode must round
 trip every payload exactly, re-encoding a decoded payload must reproduce
-identical bytes (the checkpoint store relies on blob-verbatim flushes),
-and every truncated or corrupted blob must raise a versioned
-:class:`WireError` instead of decoding into a silently wrong payload.
+identical bytes, and every truncated or corrupted blob must raise a
+versioned :class:`WireError` instead of decoding into a silently wrong
+payload.
 
 The row codec's own edges are pinned too: every fixed-width field
 round-trips at 0 and at its maximum (None in every optional field,
@@ -19,9 +19,7 @@ a record's constructor rejects) are a :class:`WireError` at decode.
 Like :mod:`tests.test_properties_codecs`, the property tests drive a
 ``random.Random`` with pinned seeds so failures replay exactly.  The
 equivalence suite then closes the loop end to end: for three seeds, the
-serial run, the 4-worker run, the killed-and-respawned run (replayed
-Phase I verified against the original payload), and the resumed run
-(payloads reloaded from wire blobs) all produce the same result digest.
+serial run and the 4-worker run produce the same result digest.
 """
 
 import copy
@@ -38,12 +36,7 @@ from repro.core.correlate import DecoyRecord
 from repro.core.experiment import Experiment, Phase2PlanEntry
 from repro.core.identifier import DecoyIdentity
 from repro.core.phase2 import ObserverLocation
-from repro.core.shard import (
-    PairwiseMerger,
-    SupervisorPolicy,
-    result_digest,
-    run_sharded,
-)
+from repro.core.shard import PairwiseMerger, result_digest
 from repro.core.wire import (
     _DECOY,
     _LOG,
@@ -56,12 +49,10 @@ from repro.core.wire import (
     decode_final_payload,
     decode_phase1_payload,
     decode_plan_slice,
-    decode_plan_slices,
     encode_feed_batch,
     encode_final_payload,
     encode_phase1_payload,
     encode_plan_slice,
-    encode_plan_slices,
 )
 from repro.honeypot.logstore import LoggedRequest
 from repro.net.addr import ip_from_int
@@ -320,16 +311,18 @@ class TestPlanRoundTrip:
     def test_slices_round_trip(self):
         rng = random.Random(0x3177)
         for _ in range(CASES):
-            slices = [self._entries(rng, rng.randint(0, 6))
-                      for _ in range(rng.randint(1, 4))]
-            assert decode_plan_slices(encode_plan_slices(slices)) == slices
+            entries = self._entries(rng, rng.randint(0, 6))
+            assert decode_plan_slice(encode_plan_slice(entries)) == entries
 
     def test_single_slice_helpers(self):
         rng = random.Random(0x3178)
         entries = self._entries(rng, 5)
         assert decode_plan_slice(encode_plan_slice(entries)) == entries
-        with pytest.raises(WireError, match="one plan slice"):
-            decode_plan_slice(encode_plan_slices([entries, entries]))
+        # The body leads with a slice count; only a count of 1 decodes.
+        blob = bytearray(encode_plan_slice(entries))
+        struct.pack_into("<I", blob, _blob_layout(blob)[2], 2)
+        with pytest.raises(WireError, match="one plan slice, got 2"):
+            decode_plan_slice(_reframed(blob))
 
 
 class TestCorruptionAlwaysRejected:
@@ -388,7 +381,7 @@ class TestCorruptionAlwaysRejected:
         rng = random.Random(0x317D)
         blob = encode_phase1_payload(_phase1_payload(rng, size=2))
         with pytest.raises(WireError, match="kind"):
-            decode_plan_slices(blob)
+            decode_plan_slice(blob)
 
     def test_not_pickle_not_python(self):
         for garbage in (b"", b"RWIR", b"\x80\x04K\x01.", b"{}"):
@@ -589,8 +582,8 @@ def _reframed(blob) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def _feed_layout(blob):
-    """(string count, table text offset, body offset) of a feed blob."""
+def _blob_layout(blob):
+    """(string count, table text offset, body offset) of a blob."""
     count, size = struct.unpack_from("<II", blob, 6)
     text = 14 + 4 * count
     return count, text, text + size
@@ -615,7 +608,7 @@ class TestCraftedBlobsRejected:
         """The reframed feed blob after ``patch(blob, count, text, body)``;
         the decoy section starts at ``body + 12``."""
         blob = self._feed()
-        patch(blob, *_feed_layout(blob))
+        patch(blob, *_blob_layout(blob))
         return _reframed(blob)
 
     @staticmethod
@@ -728,19 +721,9 @@ def _tiny(seed, workers):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_delta_vs_full_equivalence(seed, tmp_path):
-    """Serial, 4-worker, killed-and-respawned, and resumed runs all
-    produce the same digest over the wire format."""
+def test_delta_vs_full_equivalence(seed):
+    """Serial and 4-worker runs produce the same digest over the wire
+    format."""
     serial = result_digest(Experiment(_tiny(seed, 1)).run())
     sharded = result_digest(Experiment(_tiny(seed, 4)).run())
-
-    checkpoint_dir = tmp_path / f"ckpt-{seed}"
-    killed = result_digest(run_sharded(
-        _tiny(seed, 4),
-        checkpoint_dir=checkpoint_dir,
-        supervision=SupervisorPolicy(kill_after_phase1=2),
-    ))
-    (checkpoint_dir / "shard-01.final.bin").unlink()
-    resumed = result_digest(run_sharded(resume_dir=checkpoint_dir))
-
-    assert serial == sharded == killed == resumed
+    assert serial == sharded
