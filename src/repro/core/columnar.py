@@ -1,28 +1,21 @@
-"""Shared columnar-storage primitives: string interning and merge order.
+"""String interning for the wire codec, and the shard merge order.
 
-The internet-scale stores (:class:`repro.core.correlate.DecoyLedger`,
-:class:`repro.honeypot.logstore.LogStore`) keep one ``array``-of-struct
-column per field instead of one Python object per row.  Two pieces are
-common to every columnar consumer and live here:
-
-* :class:`StringTable` — first-use-order string interning.  This is the
-  same machinery the wire codec's encoder uses for its payload string
-  tables (``core/wire.py`` builds its ``_Encoder`` on it), lifted out so
-  in-memory stores can share it: domains, addresses, protocol labels,
-  and country codes repeat across millions of rows, and a 4-byte column
-  reference replaces a Python string pointer + object.
+* :class:`StringTable` — first-use-order string interning: the wire
+  codec's encoder (``core/wire.py``) builds each payload's string table
+  on it.
 * :func:`merged_order` — the deterministic (time, shard position,
-  within-shard index) interleave order used by cross-shard merges.
+  within-shard index) interleave order used by cross-shard merges
+  (:meth:`repro.honeypot.logstore.LogStore.merged`).
 
 Nothing in this module imports from ``core/wire`` or the stores, so the
-dependency arrow points one way: wire/ledger/log build on columnar.
+dependency arrow points one way: wire and log build on this module.
 """
 
 import heapq
 from itertools import count, repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-#: Column sentinel for "this optional string/int field is None".
+#: The id :meth:`StringTable.intern_opt` gives None.
 NONE_REF = -1
 
 
@@ -31,9 +24,7 @@ class StringTable:
 
     Ids are assigned 0, 1, 2, ... in the order values are first seen, so
     a table built by replaying the same value sequence is identical —
-    the property the wire format relies on for byte-stable payloads and
-    the columnar stores rely on for cheap equality (same id == same
-    string).
+    the property the wire format relies on for byte-stable payloads.
     """
 
     __slots__ = ("_ids", "_values")
@@ -56,20 +47,6 @@ class StringTable:
         if value is None:
             return NONE_REF
         return self.intern(value)
-
-    def value(self, ident: int) -> str:
-        return self._values[ident]
-
-    def value_opt(self, ident: int) -> Optional[str]:
-        if ident == NONE_REF:
-            return None
-        return self._values[ident]
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __contains__(self, value: str) -> bool:
-        return value in self._ids
 
     def values(self) -> Tuple[str, ...]:
         """All interned strings in id order (id == position)."""

@@ -51,8 +51,8 @@ class ExperimentConfig:
     vp_scale: float = 0.02
     """Fraction of the paper's 4,364 VPs to recruit (0.02 -> ~90 VPs).
     Values above 1.0 over-recruit past the paper's platform — the
-    streaming planner and columnar stores make super-paper-scale runs
-    (``benchmarks/_scale_point.py 10000`` is ~2.3x) affordable."""
+    streaming planner and bounded path caches make super-paper-scale
+    runs (``benchmarks/_scale_point.py 10000`` is ~2.3x) affordable."""
 
     # -- destination pools ------------------------------------------------
     web_site_count: int = 120
@@ -224,6 +224,9 @@ class ExperimentConfig:
               "must be a valid DNS name: labels of 1-63 ASCII bytes, at "
               f"most {MAX_NAME_LENGTH} wire bytes, so a zone of at most "
               f"{MAX_NAME_LENGTH - LABEL_LENGTH - 3} characters")
+        check(str(self.zone).strip("."), "zone",
+              "must have at least one label: no logged name decodes under "
+              "the root, so the campaign would correlate nothing")
         check(self.vp_scale > 0.0, "vp_scale",
               "must be positive — a fraction of the paper's 4,364 VPs "
               "(values > 1 over-recruit for scale benchmarks)")

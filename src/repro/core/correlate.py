@@ -11,8 +11,10 @@ when:
       appeared in an earlier DNS query — the initial decoy's recursive
       lookup.
 
-The correlator decodes each logged domain's identifier, joins it to the
-decoy ledger, applies the rules in arrival order, and emits
+The correlator joins each logged domain to the decoy ledger, accepts a
+hit only when the name carries a decodable identifier (a name equal to
+its decoy's own encoding carries one by construction, so only other
+names are decoded), applies the rules in arrival order, and emits
 :class:`ShadowingEvent` records that every analysis consumes.
 :class:`IncrementalCorrelator` is the only code that applies the rules
 (and recovers aliased names); the batch :class:`Correlator` (serial runs,
@@ -20,14 +22,14 @@ shard workers and the sharded parent) and the serve daemon both feed log
 entries through it.
 """
 
-import weakref
 from array import array
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.core import columnar
 from repro.core.identifier import DecoyIdentity, IdentifierCodec, IdentifierError
 from repro.honeypot.logstore import LoggedRequest, LogStore
+from repro.net.addr import InvalidAddressError
 
 _DECOY_LABELS = {"dns": "DNS", "http": "HTTP", "tls": "TLS"}
 _REQUEST_LABELS = {"dns": "DNS", "http": "HTTP", "https": "HTTPS"}
@@ -66,89 +68,34 @@ class DecoyRecord:
 class DecoyLedger:
     """Every decoy sent during an experiment, indexed by domain.
 
-    Storage is columnar: one ``array`` per :class:`DecoyRecord` field,
-    with repeated strings (addresses, countries, protocol labels, VP and
-    destination names) routed through a shared
-    :class:`~repro.core.columnar.StringTable`.  A paper-scale campaign
-    registers millions of decoys; columns keep that at tens of bytes per
-    row instead of one 17-field dataclass instance each.  Rows
-    materialize back into records through a weak-value cache, so any
-    consumer holding a record (a correlation event, a payload snapshot)
-    keeps getting the identical object from every lookup.
-
-    The ledger also stores each registered decoy's deterministic
-    merge-order key — ``(sent_at, phase, plan major, plan minor)`` —
-    as four more columns (:meth:`set_key`/:meth:`key_of`): sorting any
+    The ledger holds the :class:`DecoyRecord` objects it is given, in
+    registration order, so every lookup returns the very object that was
+    registered.  It also stores each registered decoy's deterministic
+    merge-order key — ``(sent_at, phase, plan major, plan minor)`` — as
+    four ``array`` columns (:meth:`set_key`/:meth:`key_of`): sorting any
     union of shard ledgers by this key reproduces the serial
     registration order.
     """
 
     def __init__(self):
-        self._table = columnar.StringTable()
         self._row_by_domain: Dict[str, int] = {}
-        self._domains: List[str] = []
-        self._id_sent_at = array("q")
-        self._id_ttls = array("i")
-        self._id_sequences = array("i")
-        self._id_vps = array("i")
-        self._id_dsts = array("i")
-        self._protocols = array("i")
-        self._vp_ids = array("i")
-        self._vp_countries = array("i")
-        self._vp_provinces = array("i")
-        self._dst_addresses = array("i")
-        self._dst_names = array("i")
-        self._dst_kinds = array("i")
-        self._dst_countries = array("i")
-        self._instance_countries = array("i")
-        self._path_lengths = array("i")
-        self._sent_ats = array("d")
-        self._phases = array("b")
-        self._delivered = array("b")
-        self._round_indexes = array("i")
-        self._mitigations = array("i")
+        self._records: List[DecoyRecord] = []
         self._key_times = array("d")
         self._key_phases = array("b")
         """-1 marks "no merge key set" (e.g. ledgers rebuilt by the serve
         ingest path, which never merges shards)."""
         self._key_majors = array("q")
         self._key_minors = array("q")
-        self._cache: "weakref.WeakValueDictionary[int, DecoyRecord]" = \
-            weakref.WeakValueDictionary()
 
     def register(self, record: DecoyRecord) -> None:
         if record.domain in self._row_by_domain:
             raise ValueError(f"duplicate decoy domain {record.domain!r}")
-        row = len(self._domains)
-        table = self._table
-        self._row_by_domain[record.domain] = row
-        self._domains.append(record.domain)
-        identity = record.identity
-        self._id_sent_at.append(identity.sent_at)
-        self._id_ttls.append(identity.ttl)
-        self._id_sequences.append(identity.sequence)
-        self._id_vps.append(table.intern(identity.vp_address))
-        self._id_dsts.append(table.intern(identity.dst_address))
-        self._protocols.append(table.intern(record.protocol))
-        self._vp_ids.append(table.intern(record.vp_id))
-        self._vp_countries.append(table.intern(record.vp_country))
-        self._vp_provinces.append(table.intern_opt(record.vp_province))
-        self._dst_addresses.append(table.intern(record.destination_address))
-        self._dst_names.append(table.intern(record.destination_name))
-        self._dst_kinds.append(table.intern(record.destination_kind))
-        self._dst_countries.append(table.intern(record.destination_country))
-        self._instance_countries.append(table.intern(record.instance_country))
-        self._path_lengths.append(record.path_length)
-        self._sent_ats.append(record.sent_at)
-        self._phases.append(record.phase)
-        self._delivered.append(1 if record.delivered else 0)
-        self._round_indexes.append(record.round_index)
-        self._mitigations.append(table.intern(record.mitigation))
+        self._row_by_domain[record.domain] = len(self._records)
+        self._records.append(record)
         self._key_times.append(0.0)
         self._key_phases.append(-1)
         self._key_majors.append(0)
         self._key_minors.append(0)
-        self._cache[row] = record
 
     def set_key(self, domain: str, key: Tuple[float, int, int, int]) -> None:
         """Attach the deterministic merge-order key of one registered decoy."""
@@ -166,68 +113,30 @@ class DecoyLedger:
         return (self._key_times[row], self._key_phases[row],
                 self._key_majors[row], self._key_minors[row])
 
-    def _record(self, row: int) -> DecoyRecord:
-        """Materialize row ``row`` (same object while any ref is live)."""
-        record = self._cache.get(row)
-        if record is not None:
-            return record
-        table = self._table
-        record = DecoyRecord(
-            identity=DecoyIdentity(
-                sent_at=self._id_sent_at[row],
-                vp_address=table.value(self._id_vps[row]),
-                dst_address=table.value(self._id_dsts[row]),
-                ttl=self._id_ttls[row],
-                sequence=self._id_sequences[row],
-            ),
-            domain=self._domains[row],
-            protocol=table.value(self._protocols[row]),
-            vp_id=table.value(self._vp_ids[row]),
-            vp_country=table.value(self._vp_countries[row]),
-            vp_province=table.value_opt(self._vp_provinces[row]),
-            destination_address=table.value(self._dst_addresses[row]),
-            destination_name=table.value(self._dst_names[row]),
-            destination_kind=table.value(self._dst_kinds[row]),
-            destination_country=table.value(self._dst_countries[row]),
-            instance_country=table.value(self._instance_countries[row]),
-            path_length=self._path_lengths[row],
-            sent_at=self._sent_ats[row],
-            phase=self._phases[row],
-            delivered=bool(self._delivered[row]),
-            round_index=self._round_indexes[row],
-            mitigation=table.value(self._mitigations[row]),
-        )
-        self._cache[row] = record
-        return record
-
     def lookup(self, domain: str) -> Optional[DecoyRecord]:
         row = self._row_by_domain.get(domain)
-        if row is None:
-            return None
-        return self._record(row)
+        return None if row is None else self._records[row]
 
     def phase_of(self, domain: str) -> Optional[int]:
-        """The phase of ``domain``'s decoy, or None if unregistered — one
-        column read, no record materialized."""
-        row = self._row_by_domain.get(domain)
-        return None if row is None else self._phases[row]
+        """The phase of ``domain``'s decoy, or None if unregistered."""
+        record = self.lookup(domain)
+        return None if record is None else record.phase
 
     def records(self, phase: Optional[int] = None) -> List[DecoyRecord]:
         if phase is None:
-            return [self._record(row) for row in range(len(self._domains))]
-        return [self._record(row) for row in range(len(self._domains))
-                if self._phases[row] == phase]
+            return list(self._records)
+        return [record for record in self._records if record.phase == phase]
 
     def records_from(self, start: int) -> Iterator[DecoyRecord]:
         """Records from registration position ``start`` onward.
 
         The ledger-tail path: a shard's final payload ships only the
-        records Phase II appended, walked without materializing the full
+        records Phase II appended, walked without copying the full
         record list (registration order is insertion order)."""
-        return (self._record(row) for row in range(start, len(self._domains)))
+        return islice(self._records, start, None)
 
     def __len__(self) -> int:
-        return len(self._domains)
+        return len(self._records)
 
 
 @dataclass(frozen=True)
@@ -343,10 +252,13 @@ class IncrementalCorrelator:
                  retain_events: bool = False):
         self._ledger = ledger
         self._zone = zone
+        self._zone_suffix = "." + zone.rstrip(".").lower()
+        """The zone as :meth:`IdentifierCodec.decode_domain` compares it."""
         self._codec = codec if codec is not None else IdentifierCodec()
-        self._resolutions: Dict[str, Optional[Tuple[str, bool]]] = {}
-        """Logged domain -> (canonical ledger domain, aliased) or None
-        for noise.  The decode attempt runs once per distinct domain."""
+        self._resolutions: Dict[str, Optional[DecoyRecord]] = {}
+        """Logged domain -> its decoy's record (aliased when
+        ``record.domain != domain``) or None for noise.  Each distinct
+        domain is resolved once."""
         self._initial_seen: Set[str] = set()
         """Domains whose solicited first DNS arrival was consumed."""
         self.event_count = 0
@@ -380,32 +292,39 @@ class IncrementalCorrelator:
             return None
         return self._ledger.lookup(canonical)
 
-    def _resolve(self, domain: str) -> Optional[Tuple[DecoyRecord, bool]]:
-        cached = self._resolutions.get(domain, _UNRESOLVED)
-        if cached is not _UNRESOLVED:
-            if cached is None:
-                return None
-            canonical, aliased = cached
-            record = self._ledger.lookup(canonical)
-            return (record, aliased) if record is not None else None
+    def _is_canonical(self, domain: str, record: DecoyRecord) -> bool:
+        """True when ``domain`` is ``record``'s own identifier label under
+        the zone, normalized as :meth:`IdentifierCodec.decode_domain`
+        normalizes it.  Such a name decodes by construction, so a ledger
+        hit on it needs no decode.  An identity that does not encode (a
+        fed address that is not IPv4) leaves its name to the decoder."""
+        try:
+            label = self._codec.encode(record.identity)
+        except (InvalidAddressError, ValueError):
+            return False
+        return domain.rstrip(".").lower() == label + self._zone_suffix
+
+    def _resolve(self, domain: str) -> Optional[DecoyRecord]:
+        """Resolve a first-seen logged domain to its decoy, or None.
+
+        A ledger hit counts only when its name carries a decodable
+        identifier; every name that is not its record's canonical
+        encoding is checked by decoding it.  A miss may still be an
+        aliased name (:meth:`_recover_alias`)."""
         record = self._ledger.lookup(domain)
-        aliased = False
         if record is None:
             record = self._recover_alias(domain)
-            aliased = record is not None
-        if record is not None and not aliased:
+        elif not self._is_canonical(domain, record):
             try:
                 self._codec.decode_domain(domain, self._zone)
             except IdentifierError:
                 record = None
+        self._resolutions[domain] = record
         if record is None:
-            self._resolutions[domain] = None
             self.unknown_count += 1
             if self._retain:
                 self._unknown.append(domain)
-            return None
-        self._resolutions[domain] = (record.domain, aliased)
-        return record, aliased
+        return record
 
     def ingest(self, entry: LoggedRequest) -> Optional[ShadowingEvent]:
         """Classify one appended log entry.
@@ -415,14 +334,15 @@ class IncrementalCorrelator:
         initial arrival (rule iii) or undecodable noise.
         """
         domain = entry.domain
-        if self._retain and domain not in self._resolutions:
-            self._domains.append(domain)
-        resolved = self._resolve(domain)
-        if resolved is None:
+        record = self._resolutions.get(domain, _UNRESOLVED)
+        if record is _UNRESOLVED:
+            if self._retain:
+                self._domains.append(domain)
+            record = self._resolve(domain)
+        if record is None:
             return None
-        record, aliased = resolved
-        if (not aliased and entry.protocol == "dns"
-                and record.protocol == "dns"
+        if (entry.protocol == "dns" and record.protocol == "dns"
+                and record.domain == domain
                 and domain not in self._initial_seen):
             # Rule (iii): the first DNS appearance of a DNS decoy's name
             # is the decoy itself recursing.  Aliased names never

@@ -99,10 +99,13 @@ class DecoyIdentity:
 
 @lru_cache(maxsize=65536)
 def _decode_label(label: str):
-    """Decode one label to a :class:`DecoyIdentity` or an
-    :class:`IdentifierError` *value* — cached either way, because the
-    try-every-label loop in ``decode_domain`` makes rejection the common
-    outcome and the same foreign labels recur campaign-wide."""
+    """Decode one label to a :class:`DecoyIdentity`, or to the message
+    of the :class:`IdentifierError` it fails with — cached either way,
+    because the try-every-label loop in ``decode_domain`` makes rejection
+    the common outcome and the same foreign labels recur campaign-wide.
+    A failure is cached as its message, never as an exception instance:
+    re-raising one instance grows its traceback by every raise's frames
+    and keeps their locals alive for as long as the cache holds it."""
     token, separator, sequence_text = label.partition("-")
     # The sequence suffix must be exactly the four digits encode()
     # emits: accepting shorter or longer digit runs lets distinct
@@ -110,20 +113,18 @@ def _decode_label(label: str):
     # misattribute foreign traffic to a decoy.
     if (not separator or len(sequence_text) != 4
             or not sequence_text.isdigit()):
-        return IdentifierError(f"label has no sequence suffix: {label!r}")
+        return f"label has no sequence suffix: {label!r}"
     padding = "=" * (-len(token) % 8)
     try:
         packed = base64.b32decode(token.upper() + padding)
     except Exception:
-        return IdentifierError(f"label is not base32: {label!r}")
+        return f"label is not base32: {label!r}"
     if len(packed) != 15:
-        return IdentifierError(
-            f"identifier payload must be 15 bytes, got {len(packed)}"
-        )
+        return f"identifier payload must be 15 bytes, got {len(packed)}"
     body, checksum_bytes = packed[:13], packed[13:]
     (expected,) = _CRC.unpack(checksum_bytes)
     if crc16_ccitt(body) != expected:
-        return IdentifierError(f"identifier checksum mismatch in {label!r}")
+        return f"identifier checksum mismatch in {label!r}"
     sent_at, vp_int, dst_int, ttl = _BODY.unpack(body)
     try:
         return DecoyIdentity(
@@ -134,7 +135,7 @@ def _decode_label(label: str):
             sequence=int(sequence_text),
         )
     except IdentifierError as exc:
-        return exc
+        return str(exc)
 
 
 @lru_cache(maxsize=65536)
@@ -164,8 +165,8 @@ class IdentifierCodec:
         experiment identifier — corrupted, truncated, or foreign labels.
         """
         result = _decode_label(label)
-        if isinstance(result, IdentifierError):
-            raise result
+        if isinstance(result, str):
+            raise IdentifierError(result)
         return result
 
     def decode_domain(self, domain: str, zone: str) -> DecoyIdentity:
@@ -181,13 +182,11 @@ class IdentifierCodec:
         # ("probe.<identifier>.<zone>"), so the identifier is not
         # necessarily leftmost — try every candidate label and accept the
         # one that decodes (the checksum rejects foreign labels).
-        last_error: IdentifierError = IdentifierError(
-            f"no decodable label in {domain!r}"
-        )
+        last_error = f"no decodable label in {domain!r}"
         for candidate in label.split("."):
             result = _decode_label(candidate)
-            if isinstance(result, IdentifierError):
+            if isinstance(result, str):
                 last_error = result
             else:
                 return result
-        raise last_error
+        raise IdentifierError(last_error)

@@ -308,11 +308,10 @@ class _Encoder:
     """Body writer plus the payload-wide string table it populates.
 
     References are assigned in first-use order while the body is written
-    (the shared :class:`~repro.core.columnar.StringTable` — the same
-    machinery the columnar in-memory stores intern through, so the wire
-    format and the stores agree on ordering semantics by construction);
-    :meth:`frame` then emits ``MAGIC | version | kind | table | body |
-    crc32`` so the decoder can materialize every string up front.
+    (a :class:`~repro.core.columnar.StringTable`, so replaying the same
+    values yields the same table and the same bytes); :meth:`frame` then
+    emits ``MAGIC | version | kind | table | body | crc32`` so the
+    decoder can materialize every string up front.
     """
 
     __slots__ = ("body", "_table", "ref", "opt_ref")

@@ -1,26 +1,18 @@
 """Unified, append-only request log shared by all honeypot services.
 
-Storage is columnar: one ``array`` per :class:`LoggedRequest` field, with
-every string routed through a shared :class:`~repro.core.columnar.
-StringTable` — sites, protocols, source addresses, and (heavily repeated)
-domains become 4-byte references instead of object pointers.  A paper-
-scale campaign logs millions of requests; the columns keep that at tens
-of bytes per row where one dataclass instance per row costs hundreds.
-
-Rows materialize back into :class:`LoggedRequest` objects on demand
-through a weak-value cache: while anything holds a row's object (a
-correlation event, a wire payload under construction), every read of
-that row returns the *same* object, and once nothing does, the object
-is collectable again.
+The store keeps the :class:`LoggedRequest` objects it is given, in
+arrival order, so every read returns the very object that was appended.
+Beside them it maintains what its queries need: an ``array`` of entry
+times that time windows bisect, and per-domain and per-protocol lists of
+entries.
 """
 
 import bisect
-import weakref
 from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.columnar import NONE_REF, StringTable, merged_order
+from repro.core.columnar import merged_order
 from repro.telemetry.registry import NULL_REGISTRY, labeled
 
 PROTOCOL_DNS = "dns"
@@ -54,29 +46,20 @@ class LoggedRequest:
 
 
 class LogStore:
-    """Append-only columnar log with by-domain and by-time retrieval.
+    """Append-only log with by-domain, by-protocol and by-time retrieval.
 
     Entries are appended in event order (the simulator guarantees
     monotonic time), so time-windowed queries can bisect.
     """
 
     def __init__(self, metrics=None):
-        self._table = StringTable()
+        self._entries: List[LoggedRequest] = []
         self._times = array("d")
         """Entry times, append-ordered — :meth:`between` bisects these."""
-        self._sites = array("i")
-        self._protocols = array("i")
-        self._srcs = array("i")
-        self._domain_refs = array("i")
-        self._paths = array("i")
-        self._qtypes = array("i")
-        self._uas = array("i")
-        self._by_domain: Dict[str, List[int]] = {}
-        self._by_protocol: Dict[str, List[int]] = {}
-        """Entry indexes per protocol — maintained on append so
+        self._by_domain: Dict[str, List[LoggedRequest]] = {}
+        self._by_protocol: Dict[str, List[LoggedRequest]] = {}
+        """Entries per protocol — maintained on append so
         :meth:`by_protocol` selects without a full scan."""
-        self._cache: "weakref.WeakValueDictionary[int, LoggedRequest]" = \
-            weakref.WeakValueDictionary()
         metrics = metrics if metrics is not None else NULL_REGISTRY
         self._m_requests = {
             protocol: metrics.counter(
@@ -115,53 +98,24 @@ class LogStore:
                 f"log must be appended in time order: {entry.time} after "
                 f"{self._times[-1]}"
             )
-        index = len(self._times)
-        table = self._table
+        self._entries.append(entry)
         self._times.append(entry.time)
-        self._sites.append(table.intern(entry.site))
-        self._protocols.append(table.intern(entry.protocol))
-        self._srcs.append(table.intern(entry.src_address))
-        self._domain_refs.append(table.intern(entry.domain))
-        self._paths.append(table.intern_opt(entry.path))
-        self._qtypes.append(NONE_REF if entry.qtype is None else entry.qtype)
-        self._uas.append(table.intern_opt(entry.user_agent))
-        self._by_domain.setdefault(entry.domain, []).append(index)
-        self._by_protocol.setdefault(entry.protocol, []).append(index)
-        self._cache[index] = entry
+        self._by_domain.setdefault(entry.domain, []).append(entry)
+        self._by_protocol.setdefault(entry.protocol, []).append(entry)
         self._m_requests[entry.protocol].inc()
 
-    def _entry(self, index: int) -> LoggedRequest:
-        """Materialize row ``index`` (same object while any ref is live)."""
-        entry = self._cache.get(index)
-        if entry is not None:
-            return entry
-        table = self._table
-        qtype = self._qtypes[index]
-        entry = LoggedRequest(
-            time=self._times[index],
-            site=table.value(self._sites[index]),
-            protocol=table.value(self._protocols[index]),
-            src_address=table.value(self._srcs[index]),
-            domain=table.value(self._domain_refs[index]),
-            path=table.value_opt(self._paths[index]),
-            qtype=None if qtype == NONE_REF else qtype,
-            user_agent=table.value_opt(self._uas[index]),
-        )
-        self._cache[index] = entry
-        return entry
-
     def __len__(self) -> int:
-        return len(self._times)
+        return len(self._entries)
 
     def __iter__(self) -> Iterator[LoggedRequest]:
-        return (self._entry(index) for index in range(len(self._times)))
+        return iter(self._entries)
 
     def all(self) -> Tuple[LoggedRequest, ...]:
-        return tuple(self)
+        return tuple(self._entries)
 
     def for_domain(self, domain: str) -> List[LoggedRequest]:
         """All requests bearing ``domain``, in arrival order."""
-        return [self._entry(index) for index in self._by_domain.get(domain, [])]
+        return list(self._by_domain.get(domain, ()))
 
     def domains(self) -> List[str]:
         return list(self._by_domain)
@@ -179,7 +133,7 @@ class LogStore:
         """
         low = bisect.bisect_left(self._times, start)
         high = bisect.bisect_left(self._times, end)
-        return [self._entry(index) for index in range(low, high)]
+        return self._entries[low:high]
 
     def tail(self, cursor: int = 0) -> Tuple[List[LoggedRequest], int]:
         """(entries appended at or after ``cursor``, new cursor).
@@ -194,11 +148,9 @@ class LogStore:
         """
         if cursor < 0:
             raise ValueError(f"tail cursor must be >= 0, got {cursor}")
-        end = len(self._times)
-        return [self._entry(index) for index in range(cursor, end)], end
+        return self._entries[cursor:], len(self._entries)
 
     def by_protocol(self, protocol: str) -> List[LoggedRequest]:
         """All requests of one protocol, in arrival order — O(k) via the
         per-protocol index, not a full scan."""
-        return [self._entry(index)
-                for index in self._by_protocol.get(protocol, [])]
+        return list(self._by_protocol.get(protocol, ()))

@@ -285,16 +285,17 @@ def _context_problem(context) -> Optional[str]:
     """What makes a registration context unusable, or None.
 
     Checked before a session is built from it: a JSON object with a
-    non-empty string ``zone``; ``directory``, if present, a list of
-    :data:`_DIRECTORY_FIELDS` rows that agree on each address's AS and
-    country, as :class:`~repro.intel.directory.IpDirectory` requires;
-    ``blocklist``, if present, a list of address strings.
+    string ``zone`` of at least one label (not only dots); ``directory``,
+    if present, a list of :data:`_DIRECTORY_FIELDS` rows that agree on
+    each address's AS and country, as
+    :class:`~repro.intel.directory.IpDirectory` requires; ``blocklist``,
+    if present, a list of address strings.
     """
     if not isinstance(context, dict):
         return f"context is a JSON {type(context).__name__}, not an object"
     zone = context.get("zone")
-    if type(zone) is not str or not zone:
-        return f"zone must be a non-empty string, got {zone!r}"
+    if type(zone) is not str or not zone.strip("."):
+        return f"zone must be a string with at least one label, got {zone!r}"
     directory = context.get("directory", [])
     if type(directory) is not list:
         return "directory must be a list of rows"

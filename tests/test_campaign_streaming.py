@@ -1,11 +1,13 @@
-"""Columnar-store round-trips.
+"""Ledger and log round-trips.
 
-The columnar ledger/log must round-trip through the wire codec and the
-checkpoint store exactly like their object-per-row predecessors did, and
-a merged log must answer every query like a serially built one.
+The ledger and the log must round-trip through the wire codec and hand
+back the very records they hold, and a merged log must answer every
+query like a serially built one.
 """
 
+import gc
 import random
+import weakref
 
 from repro.core.columnar import merged_order
 from repro.core.correlate import DecoyLedger
@@ -76,8 +78,7 @@ def _log_with_entries(rng, count=60):
 
 
 class TestColumnarRoundTrip:
-    """Columnar ledger/log state survives the wire codec and the
-    checkpoint store byte-for-byte."""
+    """Ledger and log state survives the wire codec byte for byte."""
 
     def _payload(self, rng):
         ledger, payload_records = _ledger_with_keys(rng)
@@ -99,8 +100,8 @@ class TestColumnarRoundTrip:
         decoded = decode_phase1_payload(encode_phase1_payload(payload))
         assert decoded.records == payload.records
         assert decoded.log_entries == payload.log_entries
-        # Rebuilding columnar stores from the decoded rows reproduces
-        # every index-backed view of the originals.
+        # Rebuilding the stores from the decoded rows reproduces every
+        # index-backed view of the originals.
         rebuilt = DecoyLedger()
         for key, record in decoded.records:
             rebuilt.register(record)
@@ -114,16 +115,33 @@ class TestColumnarRoundTrip:
         assert rebuilt_log.all() == log.all()
         assert rebuilt_log.domains() == log.domains()
 
-    def test_materialized_rows_keep_identity_while_referenced(self):
-        """The weak-value cache contract: a row reads back as the *same*
-        object while any strong reference lives."""
+    def test_stores_return_the_objects_they_were_given(self):
+        """The ledger and the log hold the records appended to them:
+        every read returns the very object, even once no caller holds
+        it any more."""
         rng = random.Random(11)
-        ledger, _records = _ledger_with_keys(rng, count=5)
-        first = ledger.records()[0]
-        assert ledger.lookup(first.domain) is first
+        ledger, keyed = _ledger_with_keys(rng, count=5)
         log = _log_with_entries(rng, count=5)
-        held = log.all()
-        assert log.between(0.0, 1e9)[0] is held[0]
+        record_refs = [weakref.ref(record) for _key, record in keyed]
+        entry_refs = [weakref.ref(entry) for entry in log]
+        del keyed
+        gc.collect()
+        records = [ref() for ref in record_refs]
+        entries = [ref() for ref in entry_refs]
+        assert None not in records and None not in entries
+        assert all(ledger.lookup(record.domain) is record
+                   for record in records)
+        for view in (ledger.records(), list(ledger.records_from(0)),
+                     ledger.records(phase=1)):
+            assert all(a is b for a, b in zip(view, records, strict=True))
+        for view in (list(log), log.all(), log.between(0.0, 1e9),
+                     log.tail(0)[0]):
+            assert all(a is b for a, b in zip(view, entries, strict=True))
+        for entry in entries:
+            assert any(entry is other
+                       for other in log.for_domain(entry.domain))
+            assert any(entry is other
+                       for other in log.by_protocol(entry.protocol))
 
 
 class TestMergedOrder:

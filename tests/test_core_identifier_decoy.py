@@ -1,6 +1,7 @@
 """Tests for the identifier codec and decoy factory."""
 
 import random
+import traceback
 
 import pytest
 
@@ -91,6 +92,24 @@ class TestIdentifierCodec:
     def test_rejects_wrong_length(self):
         with pytest.raises(IdentifierError):
             self.codec.decode("ge-0001")
+
+    @pytest.mark.parametrize("decode", [
+        lambda codec: codec.decode("notalabel"),
+        lambda codec: codec.decode_domain(f"probe.notalabel.{ZONE}", ZONE),
+    ], ids=["label", "domain"])
+    def test_memoized_failure_raises_a_fresh_error(self, decode):
+        # Failures are memoized; re-raising one cached instance would add
+        # every raise's frames to its traceback and keep them alive.
+        errors = []
+        for _ in range(5):
+            with pytest.raises(IdentifierError) as excinfo:
+                decode(self.codec)
+            errors.append(excinfo.value)
+        depths = [len(traceback.extract_tb(error.__traceback__))
+                  for error in errors]
+        assert depths == [depths[0]] * 5
+        assert len({id(error) for error in errors}) == 5
+        assert len({str(error) for error in errors}) == 1
 
     def test_decode_domain(self):
         identity = make_identity()

@@ -1,24 +1,33 @@
 """Tests for the unsolicited-request classifier (Section 3 rules)."""
 
+import gc
+import random
+import weakref
+
 import pytest
 
+from repro.core import identifier
 from repro.core.correlate import (
     Correlator,
     DecoyLedger,
     DecoyRecord,
     IncrementalCorrelator,
 )
-from repro.core.identifier import DecoyIdentity, IdentifierCodec
+from repro.core.identifier import DecoyIdentity, IdentifierCodec, IdentifierError
 from repro.honeypot.logstore import LoggedRequest, LogStore
 
 ZONE = "www.experiment.domain"
 CODEC = IdentifierCodec()
 
 
-def make_record(protocol="dns", sequence=1, phase=1) -> DecoyRecord:
-    identity = DecoyIdentity(sent_at=100, vp_address="100.96.0.1",
-                             dst_address="8.8.8.8", ttl=64, sequence=sequence)
-    domain = f"{CODEC.encode(identity)}.{ZONE}"
+def make_record(protocol="dns", sequence=1, phase=1, identity=None,
+                domain=None) -> DecoyRecord:
+    if identity is None:
+        identity = DecoyIdentity(sent_at=100, vp_address="100.96.0.1",
+                                 dst_address="8.8.8.8", ttl=64,
+                                 sequence=sequence)
+    if domain is None:
+        domain = f"{CODEC.encode(identity)}.{ZONE}"
     return DecoyRecord(
         identity=identity, domain=domain, protocol=protocol,
         vp_id="vp-1", vp_country="DE", vp_province=None,
@@ -267,3 +276,197 @@ class TestDecoyLedger:
         assert ledger.lookup("nope") is None
         assert len(ledger.records(phase=2)) == 1
         assert len(ledger) == 2
+
+
+
+def _reference_resolve(ledger, zone, domain):
+    """The decode-every-hit rule the correlator must match: a ledger hit
+    counts only when its name decodes; a miss whose name decodes to a
+    registered canonical name other than itself is that decoy, aliased.
+    Returns ``(record, aliased)``, or None for noise."""
+    record = ledger.lookup(domain)
+    if record is not None:
+        try:
+            CODEC.decode_domain(domain, zone)
+        except IdentifierError:
+            return None
+        return record, False
+    try:
+        identity = CODEC.decode_domain(domain, zone)
+    except IdentifierError:
+        return None
+    canonical = f"{CODEC.encode(identity)}.{zone}"
+    if canonical == domain:
+        return None
+    record = ledger.lookup(canonical)
+    return None if record is None else (record, True)
+
+
+def _reference_verdicts(ledger, zone, entries):
+    """Per entry: ("unknown",), ("initial",) or (combo, decoy record)."""
+    resolutions, initial_seen, verdicts = {}, set(), []
+    for item in entries:
+        if item.domain not in resolutions:
+            resolutions[item.domain] = _reference_resolve(ledger, zone,
+                                                          item.domain)
+        resolved = resolutions[item.domain]
+        if resolved is None:
+            verdicts.append(("unknown",))
+            continue
+        record, aliased = resolved
+        if (not aliased and item.protocol == "dns"
+                and record.protocol == "dns"
+                and item.domain not in initial_seen):
+            initial_seen.add(item.domain)
+            verdicts.append(("initial",))
+            continue
+        verdicts.append((Correlator.combo_label(record.protocol,
+                                                item.protocol), record))
+    return verdicts
+
+
+class TestClassifiesAsDecodeEveryHit:
+    """The correlator accepts a ledger hit on its record's canonical name
+    without decoding it; every verdict must still equal the
+    decode-every-hit rule's, entry by entry."""
+
+    ZONES = ("www.experiment.domain", "WWW.Experiment.Domain",
+             "www.experiment.domain.", "Www.Experiment.Domain.", ".")
+
+    @staticmethod
+    def _identity(rng, sequence):
+        return DecoyIdentity(
+            sent_at=rng.randrange(1 << 20),
+            vp_address=f"100.96.{rng.randrange(256)}.1",
+            dst_address=f"8.8.{rng.randrange(256)}.8",
+            ttl=rng.randrange(1, 256), sequence=sequence)
+
+    def _world(self, rng, zone):
+        """A ledger as a campaign or a serve feeder could fill it, and
+        logged names that reach every resolution path."""
+        ledger, names = DecoyLedger(), []
+
+        def register(identity, domain):
+            ledger.register(make_record(
+                rng.choice(("dns", "dns", "http", "tls")),
+                identity=identity, domain=domain))
+            names.append(domain)
+
+        for sequence in range(8):
+            # Canonical names under the zone as configured, and the
+            # shapes third parties replay them in.
+            identity = self._identity(rng, sequence)
+            domain = f"{CODEC.encode(identity)}.{zone}"
+            register(identity, domain)
+            names.extend([domain + ".", domain.upper(), f"probe.{domain}",
+                          f"a.b.{domain}"])
+        normalized = zone.rstrip(".").lower()
+        for sequence in range(8, 11):
+            identity = self._identity(rng, sequence)
+            domain = f"{CODEC.encode(identity)}.{normalized}"
+            register(identity, domain)
+            names.append(f"scan.{domain}")
+        # Serve-fed records whose domain is not their identity's encoding:
+        # another identity's name, an identity that cannot be encoded, a
+        # corrupted checksum, a wrong sequence width, another zone.
+        register(self._identity(rng, 20),
+                 f"{CODEC.encode(self._identity(rng, 21))}.{zone}")
+        unencodable = DecoyIdentity(sent_at=5, vp_address="not-an-ip",
+                                    dst_address="8.8.8.8", ttl=1, sequence=22)
+        register(unencodable,
+                 f"{CODEC.encode(self._identity(rng, 23))}.{zone}")
+        register(unencodable, f"not-an-ip-0022.{zone}")
+        identity = self._identity(rng, 24)
+        label = CODEC.encode(identity)
+        corrupted = ("a" if label[0] != "a" else "b") + label[1:]
+        register(identity, f"{corrupted}.{zone}")
+        names.append(f"probe.{corrupted}.{zone}")
+        token = label.rsplit("-", 1)[0]
+        register(identity, f"{token}-024.{zone}")
+        names.append(f"{token}-00024.{zone}")
+        register(identity, f"{label}.other.example")
+        # Noise: foreign labels under the zone, names outside it.
+        names.extend([f"www.{zone}", f"probe.{zone}",
+                      f"not-an-identifier-0001.{zone}", "foo.example.com",
+                      zone, label])
+        return ledger, names
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("zone", ZONES)
+    def test_verdicts_match_reference(self, zone, seed):
+        rng = random.Random(seed)
+        ledger, names = self._world(rng, zone)
+        picks = names + [rng.choice(names) for _ in range(3 * len(names))]
+        rng.shuffle(picks)
+        entries = [entry(name, rng.choice(("dns", "dns", "http", "https")),
+                         float(time))
+                   for time, name in enumerate(picks)]
+        expected = _reference_verdicts(ledger, zone, entries)
+        correlator = IncrementalCorrelator(ledger, zone, retain_events=True)
+        verdicts = []
+        for item in entries:
+            initial = correlator.initial_count
+            event = correlator.ingest(item)
+            if event is not None:
+                verdicts.append((event.combo, event.decoy))
+            elif correlator.initial_count > initial:
+                verdicts.append(("initial",))
+            else:
+                verdicts.append(("unknown",))
+        assert verdicts == expected
+        assert all(got[1] is want[1] for got, want in zip(verdicts, expected)
+                   if len(want) == 2)
+        first_unknown = {}
+        for item, verdict in zip(entries, expected):
+            if verdict == ("unknown",):
+                first_unknown.setdefault(item.domain)
+        assert correlator.result().unknown_domains == list(first_unknown)
+        assert correlator.unknown_count == len(first_unknown)
+        if zone != ".":
+            # The sweep reaches every verdict, aliased events included.
+            assert {"initial", "unknown"} <= {v[0] for v in expected}
+            assert any(len(v) == 2 and v[1].domain != item.domain
+                       for item, v in zip(entries, expected))
+
+
+class TestCanonicalHitSkipsDecode:
+    @pytest.mark.parametrize("zone", [ZONE, ZONE.upper() + "."])
+    def test_canonical_hit_never_reaches_decode_label(self, monkeypatch,
+                                                      zone):
+        calls = []
+        decode_label = identifier._decode_label
+
+        def counting(label):
+            calls.append(label)
+            return decode_label(label)
+
+        monkeypatch.setattr(identifier, "_decode_label", counting)
+        ledger = DecoyLedger()
+        records = [make_record(protocol=protocol, sequence=sequence)
+                   for sequence, protocol in enumerate(("dns", "http", "tls"),
+                                                       start=40)]
+        for record in records:
+            ledger.register(record)
+        correlator = IncrementalCorrelator(ledger, zone)
+        for time, record in enumerate(records * 2):
+            correlator.ingest(entry(record.domain, "dns", float(time)))
+        assert calls == []
+        assert (correlator.initial_count, correlator.event_count) == (1, 5)
+        correlator.ingest(entry(f"probe.{records[0].domain}", "dns", 9.0))
+        assert calls
+
+
+class TestNoiseReleasesTheLedger:
+    def test_ledger_collected_after_undecodable_name(self):
+        # A memoized decode failure must not keep the frames of the
+        # call that raised it, and with them the correlator and ledger.
+        ledger = DecoyLedger()
+        ledger.register(make_record())
+        correlator = IncrementalCorrelator(ledger, ZONE)
+        for name in (f"bogus-label.{ZONE}", f"probe.bogus-label.{ZONE}"):
+            assert correlator.ingest(entry(name, "dns", 1.0)) is None
+        assert correlator.unknown_count == 2
+        ledger_ref = weakref.ref(ledger)
+        del correlator, ledger
+        gc.collect()
+        assert ledger_ref() is None

@@ -225,8 +225,10 @@ class TestConfigValidation:
     def test_zone_must_fit_decoy_names(self):
         assert len(self.LONGEST_ZONE) == 223
         ExperimentConfig(zone=self.LONGEST_ZONE).validate()
+        # A zone of only dots names the root, under which no logged name
+        # decodes: the campaign would send its decoys and find nothing.
         for zone in (self.LONGEST_ZONE + "w", "a..example", "x" * 64 + ".example",
-                     "bücher.example"):
+                     "bücher.example", "", ".", "..."):
             with pytest.raises(ConfigError) as excinfo:
                 ExperimentConfig(zone=zone)
             assert [p for p in excinfo.value.problems if p.startswith("zone:")]

@@ -492,6 +492,7 @@ class TestBadRegistrationContext:
         "conflicting-rows": dict(_GOOD_CONTEXT, directory=[
             _ROW, dict(_ROW, asn=4837)]),
         "zone-not-a-string": {"zone": 5},
+        "zone-of-only-dots": dict(_GOOD_CONTEXT, zone="."),
         "blocklist-not-strings": dict(_GOOD_CONTEXT, blocklist=[5]),
     }
 
