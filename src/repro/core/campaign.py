@@ -139,6 +139,8 @@ class Campaign:
         self.vetting: Optional[VettingReport] = None
         self._probe_context: Optional[Tuple[VantagePoint, Endpoint, bool]] = None
         """(VP, its endpoint, its verdict) of the VP vetting last probed."""
+        self._pair_endpoints: Dict[str, Endpoint] = {}
+        """Vetting's pair-resolver endpoints, by address."""
         self.sends_planned = 0
         self.sends_scheduled = 0
         self.last_send_time = 0.0
@@ -286,28 +288,29 @@ class Campaign:
         pinned first hop, so the answer is whether that router intercepts;
         no packet is sent.
 
-        The path to the pair address is still built when building it
-        would create a router.  Until the router fabric is order-free, a
-        router's address and country depend on the order routers are
-        created in, so dropping such a path would move later routers.  A
-        path that would only revisit existing routers is skipped, which
-        changes nothing: the path itself was never used.
+        The routers the path to the pair address would create are still
+        created (:meth:`TopologyModel.add_routers`).  Until the router
+        fabric is order-free, a router's address and country depend on
+        the order routers are created in, so skipping them would move
+        later routers.  The path itself is never built: nothing uses it.
 
         A VP's probes share its endpoint and verdict, computed once,
-        after its first probe's build.  Looking the first hop up before
-        that build would create the first-hop router early, and then
-        skip the paths that would have created only it.
+        after its first probe's routers.  Looking the first hop up before
+        them creates the same routers in the same order, but can fill the
+        access pool first and so change ``vetting.probe_paths_built``.
         """
         topology = self.eco.topology
         self._m_pair_probes.inc()
         context = self._probe_context
         known = context is not None and context[0] is vp
         source = context[1] if known else vp.endpoint()
-        pair = Endpoint(address=pair_address, asn=topology.backbone_asn("US", 0),
-                        country="US")
-        if topology.creates_routers(source, pair):
+        pair = self._pair_endpoints.get(pair_address)
+        if pair is None:
+            pair = Endpoint(address=pair_address,
+                            asn=topology.backbone_asn("US", 0), country="US")
+            self._pair_endpoints[pair_address] = pair
+        if topology.add_routers(source, pair):
             self._m_probe_paths_built.inc()
-            topology.build_path(source, pair, cache=False)
         if known:
             return context[2]
         interceptor = self.eco.interceptor_at(topology.first_hop(source).address)

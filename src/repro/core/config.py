@@ -219,14 +219,17 @@ class ExperimentConfig:
                     f"(got {getattr(self, field_name)!r})"
                 )
 
-        check(_zone_fits_decoy_names(self.zone), "zone",
-              f"every decoy name <{LABEL_LENGTH}-char identifier>.<zone> "
-              "must be a valid DNS name: labels of 1-63 ASCII bytes, at "
-              f"most {MAX_NAME_LENGTH} wire bytes, so a zone of at most "
-              f"{MAX_NAME_LENGTH - LABEL_LENGTH - 3} characters")
-        check(str(self.zone).strip("."), "zone",
-              "must have at least one label: no logged name decodes under "
-              "the root, so the campaign would correlate nothing")
+        check(isinstance(self.zone, str), "zone",
+              "must be a str, a DNS name such as 'www.experiment.domain'")
+        if isinstance(self.zone, str):
+            check(_zone_fits_decoy_names(self.zone), "zone",
+                  f"every decoy name <{LABEL_LENGTH}-char identifier>.<zone> "
+                  "must be a valid DNS name: labels of 1-63 ASCII bytes, at "
+                  f"most {MAX_NAME_LENGTH} wire bytes, so a zone of at most "
+                  f"{MAX_NAME_LENGTH - LABEL_LENGTH - 3} characters")
+            check(self.zone.strip("."), "zone",
+                  "must have at least one label: no logged name decodes "
+                  "under the root, so the campaign would correlate nothing")
         check(self.vp_scale > 0.0, "vp_scale",
               "must be positive — a fraction of the paper's 4,364 VPs "
               "(values > 1 over-recruit for scale benchmarks)")

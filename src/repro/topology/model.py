@@ -112,6 +112,9 @@ class TopologyModel:
         self._backbone_asns: Dict[Tuple[str, int], int] = {}
         self._transit_asns: Dict[Tuple[str, str], int] = {}
         self._first_hop_hashes: Dict[str, int] = {}
+        self._probe_segments: Dict[tuple, list] = {}
+        """:meth:`add_routers`' segment tables, without their full
+        trailing rows, by what :meth:`_segments` reads."""
 
     # -- router fabric -------------------------------------------------------
 
@@ -250,45 +253,52 @@ class TopologyModel:
                      config.destination_as_hops))
         return rows
 
-    def creates_routers(self, vp: Endpoint, destination: Endpoint) -> bool:
-        """Would :meth:`build_path` from ``vp`` to ``destination`` create a router?
+    def add_routers(self, vp: Endpoint, destination: Endpoint) -> bool:
+        """Create the routers :meth:`build_path` from ``vp`` to
+        ``destination`` would create, in its order, and build no path.
 
-        Only while some pool it draws from is not yet full.  Every index a
-        path asks for (the first hop's, each segment's draw and its re-pick
-        ``(index + 1) % pool``) lies inside its segment's pool, and the
-        first hop's pool is the access row's.
+        Returns False, deriving no stream, when every pool the path draws
+        from is full: every index a path asks for (the first hop's, each
+        draw and its re-pick ``(index + 1) % pool``) lies inside its
+        segment's pool, so the path would create no router.  Otherwise
+        draws as :meth:`build_path` does, up to the last open segment.
+        A pool never empties, so full trailing rows leave the kept table.
         """
+        key = (vp.asn, vp.country,
+               self.config.upstream_as_overrides.get(
+                   destination.address, destination.asn),
+               destination.country)
+        segments = self._probe_segments.get(key)
+        if segments is None:
+            segments = self._segments(vp, destination, destination.country)
+            self._probe_segments[key] = segments
         filled = self._filled
-        return any(filled.get(asn, 0) < pool for asn, _, pool, _
-                   in self._segments(vp, destination, destination.country))
+        while segments and filled.get(segments[-1][0], 0) >= segments[-1][2]:
+            segments.pop()
+        if not segments:
+            return False
+        self._draw_routers(vp, destination, segments, None)
+        return True
 
-    def build_path(self, vp: Endpoint, destination: Endpoint,
-                   destination_country_override: Optional[str] = None,
-                   destination_open_ports: Tuple[int, ...] = (),
-                   cache: bool = True) -> Path:
-        """The hop list from ``vp`` to ``destination``.
+    def _draw_routers(self, vp: Endpoint, destination: Endpoint,
+                      segments: list, hops: Optional[List[Hop]]) -> None:
+        """Look the first hop up and draw each segment's routers, in path
+        order.
 
-        Deterministic per (vp.address, destination.address) pair; repeated
-        calls return the same cached :class:`Path` object, so taps attached
-        by the campaign survive re-lookup.
-        ``destination_country_override`` places the terminal segment in an
-        anycast instance's country rather than the service's home.
-        ``cache=False`` neither reads nor fills the path cache, for a
-        caller that wants only the routers the path creates.
+        Appends every router to ``hops``.  With ``hops`` None, looks
+        routers up only in pools that are still open: in a full pool
+        every index exists, and :meth:`router_hop` on an existing router
+        changes nothing.
         """
-        cache_key = (vp.address, destination.address, destination_country_override)
-        if cache:
-            cached = self._paths.get(cache_key)
-            if cached is not None:
-                self._paths.move_to_end(cache_key)
-                return cached
-        dest_country = destination_country_override or destination.country
         pair_rng = self._router.fork(
             f"path:{vp.address}->{destination.address}"
         ).stream("hops")
-        hops = [self.first_hop(vp)]
-        for asn, country, pool, (low, high) in self._segments(
-                vp, destination, dest_country):
+        first = self.first_hop(vp)
+        if hops is not None:
+            hops.append(first)
+        filled = self._filled
+        for asn, country, pool, (low, high) in segments:
+            look_up = hops is not None or filled.get(asn, 0) < pool
             previous = None
             for _ in range(randint(pair_rng, low, high)):
                 index = randrange(pair_rng, pool)
@@ -296,8 +306,32 @@ class TopologyModel:
                     # The hop before is this router (one index, one
                     # router, one address): take the next one.
                     index = (index + 1) % pool
-                hops.append(self.router_hop(asn, index, country))
                 previous = index
+                if look_up:
+                    hop = self.router_hop(asn, index, country)
+                    if hops is not None:
+                        hops.append(hop)
+
+    def build_path(self, vp: Endpoint, destination: Endpoint,
+                   destination_country_override: Optional[str] = None,
+                   destination_open_ports: Tuple[int, ...] = ()) -> Path:
+        """The hop list from ``vp`` to ``destination``.
+
+        Deterministic per (vp.address, destination.address) pair; repeated
+        calls return the same cached :class:`Path` object, so taps attached
+        by the campaign survive re-lookup.
+        ``destination_country_override`` places the terminal segment in an
+        anycast instance's country rather than the service's home.
+        """
+        cache_key = (vp.address, destination.address, destination_country_override)
+        cached = self._paths.get(cache_key)
+        if cached is not None:
+            self._paths.move_to_end(cache_key)
+            return cached
+        dest_country = destination_country_override or destination.country
+        hops: List[Hop] = []
+        self._draw_routers(vp, destination,
+                           self._segments(vp, destination, dest_country), hops)
         hops.append(
             Hop(
                 address=destination.address,
@@ -308,10 +342,9 @@ class TopologyModel:
             )
         )
         path = Path(hops)
-        if cache:
-            self._paths[cache_key] = path
-            if len(self._paths) > _PATH_CACHE_LIMIT:
-                self._paths.popitem(last=False)
+        self._paths[cache_key] = path
+        if len(self._paths) > _PATH_CACHE_LIMIT:
+            self._paths.popitem(last=False)
         return path
 
     @staticmethod

@@ -1,11 +1,10 @@
 """Platform vetting on a built world: the pair probe and the two filters.
 
-The pair probe reads the VP's pinned first hop and builds the path to
-the pair address only when that path would create a router.  Router
-addresses and countries depend on creation order, so the skip is exact
-only if it never drops a path that creates one: vetting must leave the
-same router table, interceptors and verdicts as building every probe
-path does.
+The pair probe reads the VP's pinned first hop and builds no path to
+the pair address: it creates only the routers that path would create
+(``TopologyModel.add_routers``).  Router addresses and countries depend
+on creation order, so vetting must leave the same router table,
+interceptors and verdicts as building every probe path does.
 """
 
 import dataclasses
@@ -19,10 +18,10 @@ from repro.datasets.resolvers import PUBLIC_RESOLVERS
 from repro.topology.model import Endpoint, TopologyModel
 
 
-def scale_shaped(vps: int = 300) -> ExperimentConfig:
+def scale_shaped(vps: int = 300, seed: int = 1) -> ExperimentConfig:
     """perfbench's ``scale`` config at ``vps`` VPs: tiny per-VP work and
     two DNS destinations, so most VPs share their routers."""
-    config = ExperimentConfig.tiny(seed=1)
+    config = ExperimentConfig.tiny(seed=seed)
     config.vp_scale = vps / 4364
     config.dns_destination_count = 2
     config.telemetry = True
@@ -59,19 +58,29 @@ def probe_counts(eco):
 
 
 def probe_alone(self, vp, pair_address):
-    """The reference pair probe: each probe builds its path if that
-    creates a router, then asks the first hop's interceptor, sharing
-    nothing with the VP's other probes."""
+    """The reference pair probe: each probe builds its path through
+    ``build_path``, then asks the first hop's interceptor, sharing nothing
+    with the VP's other probes.  It counts the path as built when some
+    pool on it was open before the build, which is when the shipped probe
+    draws it."""
     topology = self.eco.topology
     source = vp.endpoint()
     self._m_pair_probes.inc()
     pair = Endpoint(address=pair_address, asn=topology.backbone_asn("US", 0),
                     country="US")
-    if topology.creates_routers(source, pair):
+    if any(topology._filled.get(asn, 0) < pool for asn, _, pool, _
+           in topology._segments(source, pair, pair.country)):
         self._m_probe_paths_built.inc()
-        topology.build_path(source, pair, cache=False)
+    topology.build_path(source, pair)
     interceptor = self.eco.interceptor_at(topology.first_hop(source).address)
     return interceptor is not None and interceptor.answers_pair_probe()
+
+
+def build_every_path(topology, vp, destination):
+    """A stand-in for ``TopologyModel.add_routers`` that builds the whole
+    path through ``build_path``."""
+    topology.build_path(vp, destination)
+    return True
 
 
 class TestProbeSkipIsExact:
@@ -82,8 +91,7 @@ class TestProbeSkipIsExact:
     @pytest.fixture(scope="class")
     def always_built(self):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(TopologyModel, "creates_routers",
-                          lambda self, vp, destination: True)
+            patch.setattr(TopologyModel, "add_routers", build_every_path)
             return vet(scale_shaped())
 
     def test_same_world_as_building_every_probe_path(self, shipped, always_built):
@@ -99,11 +107,10 @@ class TestProbeSkipIsExact:
             return vet(scale_shaped())
 
     def test_sharing_a_vps_verdict_changes_nothing(self, shipped, probed_alone):
-        """Reusing a VP's endpoint and verdict across its probes leaves
-        the world, the verdicts and the probe counts that looking the
-        first hop up at every probe leaves.  Looking it up before the
-        VP's first build instead creates the first-hop router early and
-        skips the paths that would have created only it."""
+        """Reusing a VP's endpoint and verdict across its probes, and
+        building no probe path, leaves the world, the verdicts and the
+        probe counts that building every path and looking the first hop
+        up at every probe leaves."""
         eco, _, report = shipped
         alone_eco, _, alone_report = probed_alone
         assert fingerprint(eco, report) == fingerprint(alone_eco, alone_report)

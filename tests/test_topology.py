@@ -127,31 +127,58 @@ class TestPathConstruction:
         assert to_google.hop_at(1) is model.first_hop(VP)
 
     def test_uncached_build_is_not_kept(self):
+        # add_routers walks a pair's path to create its routers and keeps
+        # no path; build_path later builds and caches the same hops.
         model = make_model()
-        uncached = model.build_path(VP, DEST, cache=False)
-        cached = model.build_path(VP, DEST)
-        assert cached is not uncached
-        assert [hop.address for hop in cached.hops] == [
-            hop.address for hop in uncached.hops]
+        assert model.add_routers(VP, DEST)
+        assert len(model._paths) == 0
+        path = model.build_path(VP, DEST)
+        assert [hop.address for hop in path.hops] == [
+            hop.address for hop in make_model().build_path(VP, DEST).hops]
+        assert model.build_path(VP, DEST) is path
 
-    def test_creates_routers_predicts_every_new_router(self):
+    def test_creates_routers_predicts_every_new_router(self, monkeypatch):
+        # add_routers creates, in order, every router build_path creates,
+        # and says False, deriving no stream, only when it created none.
         # Pools small enough to fill within the sweep; the transit pool is
         # larger than the access and backbone ones, so it stays open after
-        # a VP's own pools are full.
-        model = make_model(routers_per_access_as=2, routers_per_backbone_as=2,
-                           routers_per_transit_as=6)
+        # a VP's own pools are full.  The third VP shares the first one's
+        # AS and country, so the two share segment tables.
+        pools = dict(routers_per_access_as=2, routers_per_backbone_as=2,
+                     routers_per_transit_as=6,
+                     upstream_as_overrides={"198.18.0.7": 21859})
+        probed, built = make_model(**pools), make_model(**pools)
+        forks = []
+        fork = RandomRouter.fork
+
+        def counted_fork(router, name):
+            forks.append(name)
+            return fork(router, name)
+
+        monkeypatch.setattr(RandomRouter, "fork", counted_fork)
+
+        def routers(model):
+            return [(key, hop.address, hop.country)
+                    for key, hop in model._hops.items()]
+
         vps = (VP, VP_CN, Endpoint("100.96.0.3", 64512, "DE"))
-        skipped = 0
+        outcomes = []
         for index in range(60):
             destination = Endpoint(f"198.18.0.{index}", 64600 + index % 3,
                                    ("US", "DE", "JP")[index % 3])
             for vp in vps:
-                predicted = model.creates_routers(vp, destination)
-                before = len(model._hops)
-                model.build_path(vp, destination, cache=False)
-                assert predicted or len(model._hops) == before
-                skipped += not predicted
-        assert skipped
+                before = len(probed._hops)
+                forks.clear()
+                walked = probed.add_routers(vp, destination)
+                if not walked:
+                    assert len(probed._hops) == before
+                    assert forks == []
+                outcomes.append(walked)
+                built.build_path(vp, destination)
+                assert routers(probed) == routers(built)
+        assert any(outcomes) and not all(outcomes)
+        assert any(asn == 21859 for asn, _ in probed._hops)
+        assert len(probed._paths) == 0
 
     def test_cross_country_path_includes_both_backbones(self):
         model = make_model()
