@@ -246,14 +246,17 @@ def _command_run(args: argparse.Namespace) -> int:
                        args.fault_log_dup)
         if any(knob for knob in fault_knobs):
             from repro.faults import FaultSpec
-            config.faults = FaultSpec(
-                seed=args.fault_seed,
-                link_loss_rate=args.fault_loss,
-                vp_churn_rate=args.fault_churn,
-                honeypot_outages_per_site=args.fault_outages,
-                log_delay_rate=args.fault_log_delay,
-                log_duplicate_rate=args.fault_log_dup,
-            )
+            try:
+                config.faults = FaultSpec(
+                    seed=args.fault_seed,
+                    link_loss_rate=args.fault_loss,
+                    vp_churn_rate=args.fault_churn,
+                    honeypot_outages_per_site=args.fault_outages,
+                    log_delay_rate=args.fault_log_delay,
+                    log_duplicate_rate=args.fault_log_dup,
+                )
+            except ValueError as error:
+                raise ConfigError([f"faults: {error}"]) from None
         config.validate()
     except ConfigError as error:
         for problem in error.problems:

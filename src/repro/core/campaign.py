@@ -28,10 +28,9 @@ from repro.vpn.vetting import VettingReport, full_vetting
 
 
 _PATH_CACHE_LIMIT = 8192
-"""Materialized :class:`PathInfo` entries kept per campaign (LRU).  An
-internet-scale campaign touches millions of (VP, destination) pairs;
-paths rebuild deterministically from keyed substreams, so eviction only
-costs the rebuild."""
+"""Materialized :class:`PathInfo` entries kept per campaign (LRU), the
+one path cache.  Paths rebuild deterministically from keyed substreams,
+so eviction only costs the rebuild."""
 
 _FEED_LOOKAHEAD = 600.0
 """Virtual seconds of plan fed per feeder pull — batches the generator
@@ -255,11 +254,10 @@ class Campaign:
         )
         self._paths[key] = info
         if len(self._paths) > _PATH_CACHE_LIMIT:
-            # Bounded LRU: a streamed campaign touches far more pairs
-            # than fit in RAM.  Rebuilding an evicted path is draw-free
-            # (keyed per-pair substreams; router hops stay cached in the
-            # topology) and tap attachment is idempotent, so eviction
-            # never changes behavior — only costs the rebuild.
+            # Bounded LRU.  An evicted pair is rebuilt from its keyed
+            # per-pair stream, which gives the same hops and creates no
+            # router, on a new Path that gets its taps above, so
+            # eviction never changes behavior — only costs the rebuild.
             self._paths.popitem(last=False)
         return info
 

@@ -20,15 +20,11 @@ checksum, then ``-<sequence>``.  Layout (15 bytes before base32):
 24 base32 characters + ``-`` + sequence stays well under the 63-byte
 label limit.
 
-This codec sits on the per-decoy hot path — every send encodes one
-identifier and every logged request decodes up to one label per domain
-component — so the implementation is profile-driven: the C CRC of
-``binascii``, precompiled ``struct.Struct`` instances, memoized address
-parsing and a pair-table base32 encoder on encode, and a memoized label
-decoder.  Memoizing *failures* matters as much as successes:
-``decode_domain`` tries every label of a multi-label name, so the common
-case for a candidate label is rejection, and campaign traffic repeats the
-same foreign labels ("probe", "www") millions of times.
+Every send encodes one identifier, so encoding is profile-driven: the C
+CRC of ``binascii``, precompiled ``struct.Struct`` instances, memoized
+address parsing and a pair-table base32 encoder.  Decoding is rare: the
+correlator decodes a logged name only when it misses the ledger or is not
+its decoy's canonical encoding, and resolves each logged domain once.
 """
 
 import base64
@@ -97,15 +93,9 @@ class DecoyIdentity:
             raise IdentifierError(f"sequence out of range: {self.sequence}")
 
 
-@lru_cache(maxsize=65536)
-def _decode_label(label: str):
-    """Decode one label to a :class:`DecoyIdentity`, or to the message
-    of the :class:`IdentifierError` it fails with — cached either way,
-    because the try-every-label loop in ``decode_domain`` makes rejection
-    the common outcome and the same foreign labels recur campaign-wide.
-    A failure is cached as its message, never as an exception instance:
-    re-raising one instance grows its traceback by every raise's frames
-    and keeps their locals alive for as long as the cache holds it."""
+def _decode_label(label: str) -> DecoyIdentity:
+    """Decode one identifier label; raise :class:`IdentifierError` for
+    anything else."""
     token, separator, sequence_text = label.partition("-")
     # The sequence suffix must be exactly the four digits encode()
     # emits: accepting shorter or longer digit runs lets distinct
@@ -113,29 +103,27 @@ def _decode_label(label: str):
     # misattribute foreign traffic to a decoy.
     if (not separator or len(sequence_text) != 4
             or not sequence_text.isdigit()):
-        return f"label has no sequence suffix: {label!r}"
+        raise IdentifierError(f"label has no sequence suffix: {label!r}")
     padding = "=" * (-len(token) % 8)
     try:
         packed = base64.b32decode(token.upper() + padding)
     except Exception:
-        return f"label is not base32: {label!r}"
+        raise IdentifierError(f"label is not base32: {label!r}") from None
     if len(packed) != 15:
-        return f"identifier payload must be 15 bytes, got {len(packed)}"
+        raise IdentifierError(
+            f"identifier payload must be 15 bytes, got {len(packed)}")
     body, checksum_bytes = packed[:13], packed[13:]
     (expected,) = _CRC.unpack(checksum_bytes)
     if crc16_ccitt(body) != expected:
-        return f"identifier checksum mismatch in {label!r}"
+        raise IdentifierError(f"identifier checksum mismatch in {label!r}")
     sent_at, vp_int, dst_int, ttl = _BODY.unpack(body)
-    try:
-        return DecoyIdentity(
-            sent_at=sent_at,
-            vp_address=ip_from_int(vp_int),
-            dst_address=ip_from_int(dst_int),
-            ttl=ttl,
-            sequence=int(sequence_text),
-        )
-    except IdentifierError as exc:
-        return str(exc)
+    return DecoyIdentity(
+        sent_at=sent_at,
+        vp_address=ip_from_int(vp_int),
+        dst_address=ip_from_int(dst_int),
+        ttl=ttl,
+        sequence=int(sequence_text),
+    )
 
 
 @lru_cache(maxsize=65536)
@@ -164,10 +152,7 @@ class IdentifierCodec:
         Raises :class:`IdentifierError` for anything that is not a genuine
         experiment identifier — corrupted, truncated, or foreign labels.
         """
-        result = _decode_label(label)
-        if isinstance(result, str):
-            raise IdentifierError(result)
-        return result
+        return _decode_label(label)
 
     def decode_domain(self, domain: str, zone: str) -> DecoyIdentity:
         """Decode the identity from a full experiment domain."""
@@ -182,11 +167,9 @@ class IdentifierCodec:
         # ("probe.<identifier>.<zone>"), so the identifier is not
         # necessarily leftmost — try every candidate label and accept the
         # one that decodes (the checksum rejects foreign labels).
-        last_error = f"no decodable label in {domain!r}"
         for candidate in label.split("."):
-            result = _decode_label(candidate)
-            if isinstance(result, str):
-                last_error = result
-            else:
-                return result
-        raise IdentifierError(last_error)
+            try:
+                return _decode_label(candidate)
+            except IdentifierError as error:
+                last_error = error
+        raise last_error

@@ -207,7 +207,8 @@ def load_analysis_state(directory: Union[str, pathlib.Path]):
 
     This is the fast path behind ``repro report``: it reads one JSON
     file — no ledger reload, no log replay, no re-correlation — and
-    verifies the stored content digest.
+    verifies the stored content digest.  A file of the wrong shape, or
+    whose digest does not match, is a ValueError naming it.
     """
     from repro.analysis.streaming import AnalysisState
 
@@ -215,8 +216,20 @@ def load_analysis_state(directory: Union[str, pathlib.Path]):
     if not path.exists():
         return None
     payload = _json(path.read_text(), path)
-    state = AnalysisState.from_snapshot(payload["state"])
-    if state.digest() != payload["digest"]:
+    if (not isinstance(payload, dict)
+            or not isinstance(payload.get("state"), dict)
+            or not isinstance(payload.get("digest"), str)):
+        raise ValueError(
+            f"{path}: not an object with a \"state\" object and a "
+            f"\"digest\" string")
+    try:
+        state = AnalysisState.from_snapshot(payload["state"])
+        digest = state.digest()
+    except (AttributeError, KeyError, TypeError) as error:
+        raise ValueError(
+            f"{path}: malformed analysis state "
+            f"({type(error).__name__}: {error})") from None
+    if digest != payload["digest"]:
         raise ValueError(
             f"analysis state in {path} is corrupt: digest mismatch"
         )
@@ -226,11 +239,21 @@ def load_analysis_state(directory: Union[str, pathlib.Path]):
 def load_bundle(directory: Union[str, pathlib.Path]) -> AnalysisBundle:
     """Reload a bundle and re-run correlation over the stored log."""
     src = pathlib.Path(directory)
-    meta = _json((src / _PATHS["meta"]).read_text(), src / _PATHS["meta"])
+    meta_path = src / _PATHS["meta"]
+    meta = _json(meta_path.read_text(), meta_path)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path}: not a JSON object")
     if meta.get("format_version") != BUNDLE_FORMAT_VERSION:
         raise ValueError(
             f"unsupported bundle format {meta.get('format_version')!r}"
         )
+    config = meta.get("config")
+    if not isinstance(config, dict):
+        raise ValueError(f"{meta_path}: config must be an object, "
+                         f"got {config!r}")
+    if not isinstance(config.get("zone"), str):
+        raise ValueError(f"{meta_path}: config.zone must be a string, "
+                         f"got {config.get('zone')!r}")
 
     ledger = DecoyLedger()
     for record in _read_jsonl(src / _PATHS["ledger"], _decoy_record, DecoyRecord):
@@ -253,7 +276,7 @@ def load_bundle(directory: Union[str, pathlib.Path]) -> AnalysisBundle:
             if line.strip():
                 blocklist.add(line.strip())
 
-    full = Correlator(ledger, zone=meta["config"]["zone"]).correlate(log)
+    full = Correlator(ledger, zone=config["zone"]).correlate(log)
     phase1 = split_correlation(full, ledger, 1)
     phase2 = split_correlation(full, ledger, 2)
 

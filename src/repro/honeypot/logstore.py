@@ -1,16 +1,15 @@
 """Unified, append-only request log shared by all honeypot services.
 
-The store keeps the :class:`LoggedRequest` objects it is given, in
-arrival order, so every read returns the very object that was appended.
-Beside them it maintains what its queries need: an ``array`` of entry
-times that time windows bisect, and per-domain and per-protocol lists of
-entries.
+The store keeps the :class:`LoggedRequest` objects it is given, in one
+list in arrival order, so every read returns the very object that was
+appended.  Arrival order is time order, so time windows bisect the list;
+per-domain and per-protocol queries scan it.
 """
 
 import bisect
-from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.columnar import merged_order
 from repro.telemetry.registry import NULL_REGISTRY, labeled
@@ -54,12 +53,6 @@ class LogStore:
 
     def __init__(self, metrics=None):
         self._entries: List[LoggedRequest] = []
-        self._times = array("d")
-        """Entry times, append-ordered — :meth:`between` bisects these."""
-        self._by_domain: Dict[str, List[LoggedRequest]] = {}
-        self._by_protocol: Dict[str, List[LoggedRequest]] = {}
-        """Entries per protocol — maintained on append so
-        :meth:`by_protocol` selects without a full scan."""
         metrics = metrics if metrics is not None else NULL_REGISTRY
         self._m_requests = {
             protocol: metrics.counter(
@@ -76,9 +69,9 @@ class LogStore:
         each shard's simulator already guarantees monotonic time, and the
         shard position breaks cross-shard ties stably — so the merged
         order depends only on the inputs, never on worker completion
-        order.  Routing through :meth:`append` rebuilds every maintained
-        index (times, by-domain, by-protocol), so windowed and filtered
-        queries on the merged store match a serially-built one exactly.
+        order.  Routing through :meth:`append` checks that the merged
+        order is time order, so windowed and filtered queries on the
+        merged store match a serially-built one exactly.
 
         The merged store is deliberately un-instrumented: each entry was
         already counted by the live (per-shard) store it arrived at, and
@@ -93,15 +86,13 @@ class LogStore:
         return store
 
     def append(self, entry: LoggedRequest) -> None:
-        if self._times and entry.time < self._times[-1]:
+        entries = self._entries
+        if entries and entry.time < entries[-1].time:
             raise ValueError(
                 f"log must be appended in time order: {entry.time} after "
-                f"{self._times[-1]}"
+                f"{entries[-1].time}"
             )
-        self._entries.append(entry)
-        self._times.append(entry.time)
-        self._by_domain.setdefault(entry.domain, []).append(entry)
-        self._by_protocol.setdefault(entry.protocol, []).append(entry)
+        entries.append(entry)
         self._m_requests[entry.protocol].inc()
 
     def __len__(self) -> int:
@@ -115,10 +106,11 @@ class LogStore:
 
     def for_domain(self, domain: str) -> List[LoggedRequest]:
         """All requests bearing ``domain``, in arrival order."""
-        return list(self._by_domain.get(domain, ()))
+        return [entry for entry in self._entries if entry.domain == domain]
 
     def domains(self) -> List[str]:
-        return list(self._by_domain)
+        """Every distinct domain, in order of first arrival."""
+        return list(dict.fromkeys(entry.domain for entry in self._entries))
 
     def between(self, start: float, end: float) -> List[LoggedRequest]:
         """Entries in the half-open window ``start <= time < end``.
@@ -129,11 +121,12 @@ class LogStore:
         composes — ``between(a, b) + between(b, c) == between(a, c)``
         with no entry duplicated at the seam.  Pinned by
         ``tests/test_honeypot.py``.)  O(log n + k) via bisection over the
-        append-ordered times.
+        append-ordered entries.
         """
-        low = bisect.bisect_left(self._times, start)
-        high = bisect.bisect_left(self._times, end)
-        return self._entries[low:high]
+        entries, time = self._entries, attrgetter("time")
+        low = bisect.bisect_left(entries, start, key=time)
+        high = bisect.bisect_left(entries, end, key=time)
+        return entries[low:high]
 
     def tail(self, cursor: int = 0) -> Tuple[List[LoggedRequest], int]:
         """(entries appended at or after ``cursor``, new cursor).
@@ -151,6 +144,6 @@ class LogStore:
         return self._entries[cursor:], len(self._entries)
 
     def by_protocol(self, protocol: str) -> List[LoggedRequest]:
-        """All requests of one protocol, in arrival order — O(k) via the
-        per-protocol index, not a full scan."""
-        return list(self._by_protocol.get(protocol, ()))
+        """All requests of one protocol, in arrival order."""
+        return [entry for entry in self._entries
+                if entry.protocol == protocol]

@@ -115,18 +115,9 @@ class Path:
     def add_tap(self, position: int, tap: HopTap) -> None:
         """Attach a sniffer at ``position``; it sees every packet that
         reaches that hop (regardless of whether the packet expires there).
-
-        Idempotent: re-attaching a tap already present at that position
-        is a no-op (bound methods compare equal per instance+function).
-        Campaigns with a bounded path-info cache re-run attachment when a
-        pair is rebuilt after eviction while the underlying topology path
-        — taps included — survived; without the guard every rebuild would
-        duplicate each sniffer's capture.
         """
         if not 1 <= position <= len(self.hops):
             raise TransitError(f"tap position {position} outside path of length {len(self.hops)}")
-        if (position, tap) in self._taps:
-            return
         # Kept sorted by position, in attachment order within a position:
         # the order taps fire in, and what lets transit stop at the first
         # tap past the hop where the packet stopped.

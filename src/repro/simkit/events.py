@@ -1,14 +1,9 @@
 """Event queue and simulator loop.
 
-The queue is a bucketed calendar: events land in fixed-width virtual-time
-buckets (a dict keyed by ``floor(time / width)``), each bucket a small
-binary heap of ``(time, sequence, event)`` tuples, with a min-heap of
-bucket keys locating the earliest non-empty bucket.  Pushes and pops stay
-O(log b) in the *bucket* size instead of the whole queue, which is what
-keeps a multi-million-event campaign's event loop flat — and the heap
-entries are plain tuples, so ordering comparisons run at C speed.  The
-observable order is exactly the classic single-heap order: ``(time,
-sequence)``, globally unique, ties impossible.
+The queue is one binary heap of ``(time, sequence, event)`` tuples:
+plain tuples, so ordering comparisons run at C speed, and ``(time,
+sequence)`` is globally unique, so ties are impossible and events
+scheduled for the same instant fire in scheduling order.
 
 For internet-scale campaigns the simulator also supports a *feeder*: a
 pull hook that lazily schedules upcoming work (e.g. the streaming Phase I
@@ -26,11 +21,6 @@ from typing import Callable, Optional
 from repro.simkit.clock import VirtualClock
 from repro.telemetry.registry import NULL_REGISTRY
 
-_BUCKET_WIDTH = 32.0
-"""Default calendar bucket width in virtual seconds.  Phase I sends are
-spaced 0.5s apart, so a bucket holds ~64 sends — big enough that bucket
-churn is rare, small enough that per-bucket heaps stay tiny."""
-
 
 @dataclass(order=True, slots=True)
 class Event:
@@ -39,7 +29,7 @@ class Event:
     Ordering is (time, sequence) so that events scheduled for the same
     instant fire in scheduling order — a deterministic tiebreak that keeps
     campaigns reproducible.  ``slots=True`` keeps the per-event footprint
-    small; paper-scale campaigns queue millions of these.
+    small; a campaign schedules tens of thousands of these.
     """
 
     time: float
@@ -71,14 +61,9 @@ class Simulator:
     :class:`VirtualClock` as it goes.
     """
 
-    def __init__(self, clock: Optional[VirtualClock] = None, metrics=None,
-                 bucket_width: float = _BUCKET_WIDTH):
+    def __init__(self, clock: Optional[VirtualClock] = None, metrics=None):
         self.clock = clock if clock is not None else VirtualClock()
-        if bucket_width <= 0:
-            raise ValueError(f"bucket_width must be positive, got {bucket_width}")
-        self._width = float(bucket_width)
-        self._buckets: dict = {}
-        self._bucket_keys: list = []
+        self._queue: list = []
         self._counter = itertools.count()
         self._processed = 0
         self._pending = 0
@@ -98,7 +83,6 @@ class Simulator:
         self._m_fired = metrics.counter("sim.events.fired")
         self._m_cancelled = metrics.counter("sim.events.cancelled")
         self._m_heap_depth = metrics.gauge("sim.heap.max_depth")
-        self._m_buckets = metrics.gauge("sim.calendar.buckets")
 
     def now(self) -> float:
         return self.clock.now()
@@ -120,35 +104,6 @@ class Simulator:
         # churn the same way it reflects pushes and pops.
         self._m_heap_depth.record(self._pending)
 
-    # -- calendar queue ----------------------------------------------------
-
-    def _peek(self):
-        """The earliest queued ``(time, sequence, event)``, or None.
-
-        Lazily retires bucket keys whose bucket has drained; a key may
-        appear twice in the key heap when its bucket emptied and later
-        refilled — the stale copy is discarded when it surfaces.
-        """
-        keys = self._bucket_keys
-        buckets = self._buckets
-        while keys:
-            bucket = buckets.get(keys[0])
-            if not bucket:
-                heapq.heappop(keys)
-                continue
-            return bucket[0]
-        return None
-
-    def _pop(self):
-        """Remove and return the earliest entry (``_peek`` must be truthy)."""
-        key = self._bucket_keys[0]
-        bucket = self._buckets[key]
-        entry = heapq.heappop(bucket)
-        if not bucket:
-            del self._buckets[key]
-            heapq.heappop(self._bucket_keys)
-        return entry
-
     def schedule_at(self, time: float, action: Callable[[], None], label: str = "") -> Event:
         """Schedule ``action`` at absolute virtual time ``time``."""
         if time < self.clock.now():
@@ -162,19 +117,12 @@ class Simulator:
             label=label,
             on_cancel=self._note_cancel,
         )
-        key = int(event.time // self._width)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            bucket = self._buckets[key] = []
-            heapq.heappush(self._bucket_keys, key)
-        heapq.heappush(bucket, (event.time, event.sequence, event))
+        heapq.heappush(self._queue, (event.time, event.sequence, event))
         self._pending += 1
         self._m_scheduled.inc()
-        # Depth counts live (not-cancelled) events — the pre-calendar
-        # gauge sampled raw heap length, which over-reported under
-        # cancel-heavy churn by counting tombstones awaiting their pop.
+        # Depth counts live (not-cancelled) events, not raw heap length,
+        # which would count cancelled tombstones awaiting their pop.
         self._m_heap_depth.record(self._pending)
-        self._m_buckets.record(len(self._buckets))
         return event
 
     def schedule_in(self, delay: float, action: Callable[[], None], label: str = "") -> Event:
@@ -249,18 +197,18 @@ class Simulator:
         executed = 0
         capped = False
         label_counts = self.label_counts
+        queue = self._queue
         while True:
             if max_events is not None and executed >= max_events:
                 capped = True
                 break
             if self._feeder is not None:
-                head = self._peek()
-                if head is not None:
-                    # About to fire `head`: the schedule must be known
+                if queue:
+                    # About to fire the head: the schedule must be known
                     # through head + margin first, so any deferred event
-                    # tying a follow-up head may enqueue already holds
-                    # its (earlier) sequence number.
-                    want = head[0] + self._feed_margin
+                    # tying a follow-up the head may enqueue already
+                    # holds its (earlier) sequence number.
+                    want = queue[0][0] + self._feed_margin
                     if self._feed_guarantee < want:
                         self._pull_feed(want)
                         continue  # feeding may have queued earlier events
@@ -276,13 +224,11 @@ class Simulator:
                     if base < horizon:
                         self._pull_feed(min(horizon, base + self._feed_lookahead))
                         continue
-            head = self._peek()
-            if head is None:
+            if not queue:
                 break
-            time_, _sequence, event = head
-            if until is not None and time_ > until:
+            if until is not None and queue[0][0] > until:
                 break
-            self._pop()
+            time_, _sequence, event = heapq.heappop(queue)
             if event.cancelled:
                 continue
             # Detach the hook first: a late cancel() on an already-fired
@@ -299,8 +245,7 @@ class Simulator:
                 label_counts[event.label] = \
                     label_counts.get(event.label, 0) + 1
         if until is not None and not capped and self.clock.now() < until:
-            head = self._peek()
-            if head is None or head[0] > until:
+            if not queue or queue[0][0] > until:
                 self.clock.advance_to(until)
         return executed
 

@@ -78,17 +78,27 @@ def load_telemetry(path: Union[str, pathlib.Path]) -> RunTelemetry:
         raise FileNotFoundError(f"no telemetry file at {target}")
     if target.suffix == ".jsonl":
         spans = [
-            Span.from_dict(_json(line, f"{target} line {number}"))
+            _built(Span.from_dict, line, f"{target} line {number}")
             for number, line in enumerate(target.read_text().splitlines(), 1)
             if line.strip()
         ]
         return RunTelemetry(spans=spans, enabled=True)
-    return RunTelemetry.from_dict(_json(target.read_text(), target))
+    return _built(RunTelemetry.from_dict, target.read_text(), target)
 
 
-def _json(text: str, where) -> object:
-    """``json.loads``; a parse error is a ValueError naming ``where``."""
+def _built(build, text: str, where):
+    """``build`` of the JSON object ``text``.  A parse error, a value
+    that is not an object, or one ``build`` cannot read is a ValueError
+    naming ``where``."""
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except ValueError as error:
         raise ValueError(f"{where}: {error}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}: not a JSON object")
+    try:
+        return build(data)
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
+        raise ValueError(
+            f"{where}: malformed telemetry ({type(error).__name__}: "
+            f"{error})") from None

@@ -1,18 +1,8 @@
 """Deterministic router fabric and path builder."""
 
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
-
-_PATH_CACHE_LIMIT = 16384
-"""Built :class:`Path` objects kept (LRU).  Router hops stay cached
-unbounded — they are shared across paths and bounded by the pool sizes —
-but whole paths are per-(VP, destination) and an internet-scale campaign
-has millions of pairs.  Rebuilding an evicted path replays the same keyed
-per-pair stream, so the hop list is identical; only the tap attachments
-are lost, and the campaign re-attaches those (idempotently) whenever it
-rebuilds its own evicted entry."""
 
 from repro.datasets.asns import CN_BACKBONE_ASNS, synthetic_asn
 from repro.net.addr import ip_from_int
@@ -107,8 +97,6 @@ class TopologyModel:
         A pool ``(asn, size)`` is full once this reaches ``size``; routers
         are never dropped, so a full pool stays full."""
         self._addresses_in_use: set = set()
-        self._paths: "OrderedDict[Tuple[str, str, Optional[str]], Path]" = \
-            OrderedDict()
         self._backbone_asns: Dict[Tuple[str, int], int] = {}
         self._transit_asns: Dict[Tuple[str, str], int] = {}
         self._first_hop_hashes: Dict[str, int] = {}
@@ -315,19 +303,15 @@ class TopologyModel:
     def build_path(self, vp: Endpoint, destination: Endpoint,
                    destination_country_override: Optional[str] = None,
                    destination_open_ports: Tuple[int, ...] = ()) -> Path:
-        """The hop list from ``vp`` to ``destination``.
+        """A new :class:`Path` from ``vp`` to ``destination``, with no taps.
 
-        Deterministic per (vp.address, destination.address) pair; repeated
-        calls return the same cached :class:`Path` object, so taps attached
-        by the campaign survive re-lookup.
+        Deterministic per (vp.address, destination.address) pair: a
+        rebuild replays the same keyed per-pair stream and finds every
+        router already in the table, so it gives the same hops and
+        creates no router.
         ``destination_country_override`` places the terminal segment in an
         anycast instance's country rather than the service's home.
         """
-        cache_key = (vp.address, destination.address, destination_country_override)
-        cached = self._paths.get(cache_key)
-        if cached is not None:
-            self._paths.move_to_end(cache_key)
-            return cached
         dest_country = destination_country_override or destination.country
         hops: List[Hop] = []
         self._draw_routers(vp, destination,
@@ -341,11 +325,7 @@ class TopologyModel:
                 open_ports=destination_open_ports,
             )
         )
-        path = Path(hops)
-        self._paths[cache_key] = path
-        if len(self._paths) > _PATH_CACHE_LIMIT:
-            self._paths.popitem(last=False)
-        return path
+        return Path(hops)
 
     @staticmethod
     def normalized_hop(position: int, path_length: int) -> int:

@@ -1,13 +1,20 @@
 """Focused unit tests for Campaign and HopByHopTracer internals."""
 
+from collections import Counter
+
 import pytest
 
+import repro.core.campaign
 from repro.core.campaign import Campaign
 from repro.core.config import ExperimentConfig
 from repro.core.correlate import Correlator
 from repro.core.ecosystem import build_ecosystem
+from repro.core.experiment import Experiment
 from repro.core.phase2 import HopByHopTracer
+from repro.core.shard import result_digest
 from repro.datasets.resolvers import DESTINATIONS_BY_NAME
+from repro.net.packet import Packet
+from tests.make_pins import TINY_SEEDS, check
 
 
 @pytest.fixture()
@@ -52,6 +59,54 @@ class TestPathInfo:
         vp = campaign.eco.platform.vantage_points[0]
         info = google_info(campaign, vp)
         assert info.path.destination.address == "8.8.8.8"
+
+
+class TestPathEviction:
+    """The campaign's PathInfo LRU is the one path cache: an evicted pair
+    is rebuilt as a fresh path with its taps attached once."""
+
+    @pytest.mark.parametrize("seed", TINY_SEEDS)
+    def test_evicting_every_path_keeps_the_pinned_result(self, monkeypatch,
+                                                         seed):
+        monkeypatch.setattr(repro.core.campaign, "_PATH_CACHE_LIMIT", 1)
+        result = Experiment(ExperimentConfig.tiny(seed=seed)).run()
+        check(f"tiny-{seed}-result", result_digest(result))
+
+    def test_rebuilt_path_fires_each_tap_once(self, campaign, monkeypatch):
+        monkeypatch.setattr(repro.core.campaign, "_PATH_CACHE_LIMIT", 1)
+        deployment = campaign.eco.observer_deployment
+        destinations = campaign.eco.web_destinations
+
+        def info(vp, destination):
+            return campaign.path_info(vp, destination.address,
+                                      destination.asn, destination.country,
+                                      service_name=destination.site)
+
+        def sniffers(path):
+            """Sniffer -> how many positions of ``path`` it taps."""
+            return Counter(
+                sniffer for sniffer in map(deployment.sniffer_for,
+                                           path.hops[:-1])
+                if sniffer is not None)
+
+        vp, destination = next(
+            (vp, destination)
+            for vp in campaign.eco.platform.vantage_points
+            for destination in destinations
+            if sniffers(info(vp, destination).path))
+        first = info(vp, destination)
+        other = destinations[destinations.index(destination) - 1]
+        info(vp, other)  # evicts the first pair
+        rebuilt = info(vp, destination)
+        assert rebuilt is not first and rebuilt.path is not first.path
+        assert rebuilt.path.hops == first.path.hops
+        expected = sniffers(rebuilt.path)
+        before = {sniffer: sniffer.packets_seen for sniffer in expected}
+        rebuilt.path.transit(Packet.udp(
+            src=vp.address, dst=destination.address, ttl=64,
+            src_port=40000, dst_port=80, payload=b"decoy"))
+        assert {sniffer: sniffer.packets_seen - before[sniffer]
+                for sniffer in expected} == expected
 
 
 class TestSequences:

@@ -14,7 +14,12 @@ from repro.analysis.paperreport import full_report
 from repro.cli import main
 from repro.core.config import ExperimentConfig
 from repro.core.experiment import Experiment
-from repro.core.persist import AnalysisBundle, export_result, load_bundle
+from repro.core.persist import (
+    AnalysisBundle,
+    export_result,
+    load_analysis_state,
+    load_bundle,
+)
 from tests.make_pins import bundle_pin, check
 
 
@@ -62,8 +67,22 @@ ROW_DAMAGE = {
         "locations.jsonl", 1, lambda row: {**row, "trigger_ttl": "x"},
         "trigger_ttl must be int or null, got 'x'"),
 }
+SHAPE_DAMAGE = {
+    # damage: (file, the JSON written there instead of its old content).
+    # Each meta.json damage also removes analysis.json, which a report
+    # would otherwise read instead of meta.json.
+    "analysis-list": ("analysis.json", lambda old: [1, 2]),
+    "analysis-string": ("analysis.json", lambda old: "x"),
+    "analysis-no-state": ("analysis.json", lambda old: {"digest": "x"}),
+    "meta-list": ("meta.json", lambda old: [1]),
+    "meta-no-config": (
+        "meta.json",
+        lambda old: {k: v for k, v in old.items() if k != "config"}),
+    "meta-zone-int": (
+        "meta.json", lambda old: {**old, "config": {**old["config"], "zone": 5}}),
+}
 BUNDLE_DAMAGE = ["missing", "analysis-cut", "analysis-digest", "ledger-cut",
-                 *ROW_DAMAGE]
+                 *ROW_DAMAGE, *SHAPE_DAMAGE]
 
 
 def damaged_bundle(bundle_dir, tmp_path, damage):
@@ -76,6 +95,13 @@ def damaged_bundle(bundle_dir, tmp_path, damage):
     for path in bundle_dir.iterdir():
         (copy / path.name).write_bytes(path.read_bytes())
     analysis = copy / "analysis.json"
+    if damage in SHAPE_DAMAGE:
+        name, rewrite = SHAPE_DAMAGE[damage]
+        if name != "analysis.json":
+            analysis.unlink()
+        path = copy / name
+        path.write_text(json.dumps(rewrite(json.loads(path.read_text()))))
+        return copy, name
     if damage == "analysis-cut":
         analysis.write_bytes(analysis.read_bytes()[:100])
         return copy, "analysis.json"
@@ -216,6 +242,21 @@ class TestLoad:
         message = str(caught.value)
         assert named in message
         assert ROW_DAMAGE[damage][3] in message
+
+    @pytest.mark.parametrize("damage", list(SHAPE_DAMAGE))
+    def test_rejects_wrong_shape_naming_file(self, bundle_dir, tmp_path,
+                                             damage):
+        """JSON of the wrong shape is a ValueError naming its file, from
+        both loaders.  A bundle without analysis.json has no stored state
+        to refuse: load_analysis_state reads nothing else."""
+        bundle, named = damaged_bundle(bundle_dir, tmp_path, damage)
+        with pytest.raises(ValueError, match=named):
+            load_bundle(bundle)
+        if named == "analysis.json":
+            with pytest.raises(ValueError, match=named):
+                load_analysis_state(bundle)
+        else:
+            assert load_analysis_state(bundle) is None
 
     def test_detects_tampered_log(self, bundle_dir, tmp_path):
         tampered = tmp_path / "tampered"
@@ -402,6 +443,21 @@ class TestCli:
                      "--output", os.devnull]) == 2
         err = capsys.readouterr().err
         assert err.startswith("invalid configuration: workers:")
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--fault-loss", "2", "link_loss_rate"),
+        ("--fault-outages", "-1", "honeypot_outages_per_site"),
+    ])
+    def test_bad_fault_flag_exits_2(self, monkeypatch, capsys, flag, value,
+                                    field):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the campaign ran")
+
+        monkeypatch.setattr(Experiment, "run", refuse)
+        assert main(["run", "--tiny", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid configuration: faults: {field} ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("unreadable", ["old-format", "previous-format",
                                             "run-kind", "corrupt-journal",

@@ -39,9 +39,16 @@ class TestTopologyProperties:
 
     @given(endpoints("100.96"), endpoints("198.18"), st.integers(0, 2**31))
     @settings(max_examples=40, deadline=None)
-    def test_rebuild_returns_cached_path(self, vp, destination, seed):
+    def test_rebuild_gives_equal_hops_and_no_router(self, vp, destination,
+                                                    seed):
+        """A rebuild replays the pair's keyed stream over the routers the
+        first build created: a new Path, the same hops, no new router."""
         model = TopologyModel(RandomRouter(seed))
-        assert model.build_path(vp, destination) is model.build_path(vp, destination)
+        first = model.build_path(vp, destination)
+        routers = dict(model._hops)
+        second = model.build_path(vp, destination)
+        assert second.hops == first.hops
+        assert model._hops == routers
 
     @given(endpoints("100.96"), st.lists(endpoints("198.18"), min_size=2,
                                          max_size=4, unique_by=lambda e: e.address),

@@ -1,8 +1,12 @@
 """Unit tests for the virtual clock and the event loop."""
 
+import bisect
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.simkit import Simulator, VirtualClock
+from repro.telemetry.registry import MetricsRegistry
 
 
 class TestVirtualClock:
@@ -197,35 +201,31 @@ class TestRunUntilClockSkip:
 
 
 class TestCalendarQueue:
-    """The bucketed calendar must preserve single-heap (time, sequence)
-    order across every bucket boundary."""
+    """The queue fires in (time, sequence) order, whatever order events
+    were scheduled in."""
 
     def test_cross_bucket_order(self):
-        sim = Simulator(bucket_width=4.0)
+        sim = Simulator()
         fired = []
-        # Schedule out of order, spanning many buckets.
+        # Schedule out of order.
         for t in (33.0, 1.0, 17.5, 4.0, 3.9999, 64.0, 16.0, 0.0):
             sim.schedule_at(t, lambda t=t: fired.append(t))
         sim.run()
         assert fired == sorted(fired)
 
     def test_bucket_refill_after_drain(self):
-        sim = Simulator(bucket_width=4.0)
+        sim = Simulator()
         fired = []
-        # Fire an event in bucket 0, then (from within a later bucket)
-        # schedule back into a time whose bucket already drained once.
+        # Fire an event, then (from within a later one) schedule a
+        # follow-up after the queue has drained once.
         sim.schedule_at(1.0, lambda: fired.append("a"))
         sim.schedule_at(9.0, lambda: (fired.append("b"),
                                       sim.schedule_at(9.5, lambda: fired.append("c"))))
         sim.run()
         assert fired == ["a", "b", "c"]
 
-    def test_invalid_bucket_width_rejected(self):
-        with pytest.raises(ValueError, match="bucket_width"):
-            Simulator(bucket_width=0.0)
-
     def test_ties_fire_in_scheduling_order_across_push_pattern(self):
-        sim = Simulator(bucket_width=2.0)
+        sim = Simulator()
         fired = []
         for name in "abcd":
             sim.schedule_at(6.0, lambda name=name: fired.append(name))
@@ -233,10 +233,74 @@ class TestCalendarQueue:
         assert fired == ["a", "b", "c", "d"]
 
 
+_TIMES = st.integers(0, 8).map(float)
+"""Few distinct times, so ties are common."""
+_BEHAVIOURS = st.tuples(
+    st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]), max_size=2),
+    st.none() | st.integers(0, 40),
+)
+"""What the event of one sequence number does when it fires: schedule
+follow-ups at these delays from now (a delay of 0 ties the current time,
+a short one lands before events already queued), then cancel the event
+of this sequence number, if one was scheduled."""
+
+
+class TestQueueOrderProperty:
+    @given(st.lists(_TIMES, min_size=1, max_size=20),
+           st.lists(_BEHAVIOURS, max_size=40),
+           st.sets(st.integers(0, 19), max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sorted_list_reference(self, initial, behaviours,
+                                           cancelled_first):
+        """Events fire in (time, scheduling order) as a sorted list of
+        live ``(time, sequence)`` pairs predicts, and ``pending`` and
+        ``sim.heap.max_depth`` equal its live counts."""
+        registry = MetricsRegistry()
+        sim = Simulator(metrics=registry)
+        events = []
+        reference = []
+        max_live = 0
+
+        def schedule(time):
+            nonlocal max_live
+            sequence = len(events)
+            events.append(sim.schedule_at(time, lambda: fire(sequence)))
+            bisect.insort(reference, (time, sequence))
+            max_live = max(max_live, len(reference))
+
+        def cancel(sequence):
+            if sequence < len(events):
+                events[sequence].cancel()
+                live = [entry for entry in reference if entry[1] == sequence]
+                for entry in live:
+                    reference.remove(entry)
+
+        def fire(sequence):
+            assert (sim.now(), sequence) == reference.pop(0)
+            assert sim.pending == len(reference)
+            if sequence < len(behaviours):
+                delays, target = behaviours[sequence]
+                for delay in delays:
+                    schedule(sim.now() + delay)
+                if target is not None:
+                    cancel(target)
+            assert sim.pending == len(reference)
+
+        for time in initial:
+            schedule(time)
+        for sequence in cancelled_first:
+            cancel(sequence)
+        assert sim.pending == len(reference)
+        sim.run()
+        assert reference == []
+        assert sim.pending == 0
+        assert registry.gauge("sim.heap.max_depth").value == max_live
+
+
 class TestDepthGauge:
-    """sim.heap.max_depth samples live depth on push, pop, AND cancel —
-    the pre-calendar gauge only sampled pushes, so tombstones from
-    cancel-heavy churn inflated the high-water mark."""
+    """sim.heap.max_depth samples live depth on push, pop, AND cancel, so
+    cancelled events awaiting their pop never inflate the high-water
+    mark."""
 
     def _sim_with_registry(self):
         from repro.telemetry.registry import MetricsRegistry
@@ -255,13 +319,6 @@ class TestDepthGauge:
         # 2 live events now; the recorded max stays 5.
         assert registry.gauge("sim.heap.max_depth").value == 5
         assert sim.pending == 2
-
-    def test_bucket_gauge_tracks_calendar_occupancy(self):
-        sim, registry = self._sim_with_registry()
-        width = sim._width
-        for bucket in range(3):
-            sim.schedule_at(bucket * width + 0.5, lambda: None)
-        assert registry.gauge("sim.calendar.buckets").value == 3
 
 
 class TestFeeder:

@@ -366,3 +366,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"cannot read {capture}: {capture}{where}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, content, where", [
+        ("telemetry.json", "[1]", ": "),
+        ("telemetry.json", '"x"', ": "),
+        ("telemetry.json", '{"metrics": [1]}', ": "),
+        ("telemetry.json", '{"metrics": {"counters": {"x": 5}}}', ": "),
+        ("telemetry.json", '{"spans": [1]}', ": "),
+        ("telemetry.json", '{"meta": [1]}', ": "),
+        ("spans.jsonl", "[1]\n", " line 1: "),
+    ])
+    def test_wrong_shape_capture_exits_2(self, tmp_path, capsys, name,
+                                         content, where):
+        """JSON of the wrong shape is a ValueError naming the file, which
+        the command reports in one line."""
+        from repro.cli import main
+        capture = tmp_path / name
+        capture.write_text(content)
+        with pytest.raises(ValueError) as caught:
+            load_telemetry(capture)
+        assert str(caught.value).startswith(f"{capture}{where}")
+        assert main(["telemetry", str(capture)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot read {capture}: {capture}{where}")
+        assert err.count("\n") == 1

@@ -128,14 +128,12 @@ class TestPathConstruction:
 
     def test_uncached_build_is_not_kept(self):
         # add_routers walks a pair's path to create its routers and keeps
-        # no path; build_path later builds and caches the same hops.
+        # no path; build_path later builds the same hops.
         model = make_model()
         assert model.add_routers(VP, DEST)
-        assert len(model._paths) == 0
         path = model.build_path(VP, DEST)
         assert [hop.address for hop in path.hops] == [
             hop.address for hop in make_model().build_path(VP, DEST).hops]
-        assert model.build_path(VP, DEST) is path
 
     def test_creates_routers_predicts_every_new_router(self, monkeypatch):
         # add_routers creates, in order, every router build_path creates,
@@ -178,7 +176,6 @@ class TestPathConstruction:
                 assert routers(probed) == routers(built)
         assert any(outcomes) and not all(outcomes)
         assert any(asn == 21859 for asn, _ in probed._hops)
-        assert len(probed._paths) == 0
 
     def test_cross_country_path_includes_both_backbones(self):
         model = make_model()
