@@ -8,16 +8,16 @@
   points only.
 """
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from repro.analysis.combos import http_https_share, shadowed_share
 from repro.analysis.temporal import Cdf, dns_delay_cdfs, reappearance_share
 from repro.core.correlate import DecoyLedger, ShadowingEvent
+from repro.records import frozen
 from repro.simkit.units import DAY
 
 
-@dataclass(frozen=True)
+@frozen
 class YandexCaseStudy:
     """Case Study I digest."""
 
@@ -48,7 +48,7 @@ def yandex_case_study(ledger: DecoyLedger,
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class AnycastCaseStudy:
     """Case Study II digest: per-VP-region susceptibility of an anycast
     destination."""

@@ -1,10 +1,10 @@
 """Figure 5: breakdown of DNS decoys per destination by protocol
 combination and latency bucket."""
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.correlate import DecoyLedger, ShadowingEvent
+from repro.records import frozen
 from repro.simkit.units import DAY, HOUR, MINUTE
 
 # Figure 5 groups unsolicited requests into these latency buckets.
@@ -23,7 +23,7 @@ def bucket_of(delta: float) -> str:
     return LATENCY_BUCKETS[-1][0]
 
 
-@dataclass(frozen=True)
+@frozen
 class BreakdownRow:
     """One segment of a Figure 5 bar."""
 

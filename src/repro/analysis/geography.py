@@ -5,11 +5,11 @@ module builds that matrix from the ledger and events, aggregates
 countries into world regions, and renders a terminal heat map.
 """
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.landscape import PathRatioRow, problematic_path_ratios
 from repro.core.correlate import DecoyLedger, ShadowingEvent
+from repro.records import frozen
 
 # Coarse world regions for aggregation; anything unlisted lands in "Other".
 REGIONS: Dict[str, Tuple[str, ...]] = {
@@ -35,7 +35,7 @@ def region_of(country: str) -> str:
     return "Other"
 
 
-@dataclass(frozen=True)
+@frozen
 class HeatCell:
     """One cell of the country x destination matrix."""
 

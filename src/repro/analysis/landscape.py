@@ -1,13 +1,13 @@
 """Landscape analyses: Figure 3 and Table 2."""
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.correlate import DecoyLedger, ShadowingEvent
 from repro.core.phase2 import ObserverLocation
+from repro.records import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class PathRatioRow:
     """One cell of Figure 3: VP grouping × destination, per decoy protocol."""
 

@@ -8,14 +8,14 @@ round — a consistency property the single-figure presentation of the
 paper implicitly relies on.
 """
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.analysis.stats import total_variation
 from repro.core.correlate import DecoyLedger, ShadowingEvent
+from repro.records import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class RoundSummary:
     """Per-round landscape digest for one decoy protocol."""
 

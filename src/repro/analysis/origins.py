@@ -1,6 +1,5 @@
 """Origin and observer network analyses: Figure 6, Table 3, Section 5.2."""
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.correlate import ShadowingEvent
@@ -9,6 +8,7 @@ from repro.datasets.asns import lookup_as
 from repro.datasets.resolvers import RESOLVER_H_NAMES
 from repro.intel.blocklist import Blocklist
 from repro.intel.directory import IpDirectory
+from repro.records import frozen
 
 
 def _as_label(asn: int) -> str:
@@ -18,7 +18,7 @@ def _as_label(asn: int) -> str:
         return f"AS{asn}"
 
 
-@dataclass(frozen=True)
+@frozen
 class OriginAsRow:
     """One bar of Figure 6."""
 
@@ -94,7 +94,7 @@ def origin_blocklist_rate(
     return blocklist.hit_rate(addresses)
 
 
-@dataclass(frozen=True)
+@frozen
 class ObserverAsRow:
     """One row of Table 3."""
 
@@ -159,7 +159,7 @@ def observer_country_counts(
     return counts
 
 
-@dataclass(frozen=True)
+@frozen
 class ObserverGroupRow:
     """Section 5.2: per-observer-AS behaviour of HTTP/TLS shadowing."""
 

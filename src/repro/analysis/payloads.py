@@ -5,15 +5,15 @@ What do unsolicited HTTP(S) requests actually try to do?  The paper finds
 exploit payloads, and large shares of their origins sit on IP blocklists.
 """
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.correlate import ShadowingEvent
 from repro.intel.blocklist import Blocklist
 from repro.intel.exploitdb import PayloadVerdict, check_payload
+from repro.records import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class IncentiveReport:
     """Aggregate verdicts over unsolicited HTTP(S) requests."""
 

@@ -4,15 +4,15 @@ The time between a decoy's emission and an unsolicited request bearing its
 data is the paper's proxy for how long observers retain user data.
 """
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.correlate import CorrelationResult, ShadowingEvent
 from repro.datasets.resolvers import RESOLVER_H_NAMES
+from repro.records import frozen
 from repro.simkit.units import DAY, HOUR, MINUTE
 
 
-@dataclass(frozen=True)
+@frozen
 class Cdf:
     """Empirical CDF over a list of non-negative samples."""
 
@@ -92,7 +92,7 @@ def web_delay_cdfs(events: Sequence[ShadowingEvent]) -> Dict[str, Cdf]:
     return {protocol: Cdf.from_values(values) for protocol, values in deltas.items()}
 
 
-@dataclass(frozen=True)
+@frozen
 class MultiUseStats:
     """Section 5.1: how often one decoy's data is leveraged repeatedly."""
 

@@ -7,14 +7,14 @@ the planted shadowing did the decoy-honeypot methodology recover, and did
 it ever flag something no exhibitor did?
 """
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set
 
 from repro.core.correlate import CorrelationResult, DecoyLedger, ShadowingEvent
 from repro.observers.exhibitor import GroundTruth
+from repro.records import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class ValidationReport:
     """Pipeline-vs-ground-truth comparison."""
 

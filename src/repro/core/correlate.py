@@ -30,12 +30,13 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from repro.core.identifier import DecoyIdentity, IdentifierCodec, IdentifierError
 from repro.honeypot.logstore import LoggedRequest, LogStore
 from repro.net.addr import InvalidAddressError
+from repro.records import frozen
 
 _DECOY_LABELS = {"dns": "DNS", "http": "HTTP", "tls": "TLS"}
 _REQUEST_LABELS = {"dns": "DNS", "http": "HTTP", "https": "HTTPS"}
 
 
-@dataclass(frozen=True)
+@frozen
 class DecoyRecord:
     """Ledger entry: one decoy as sent, with its path context."""
 
@@ -139,7 +140,7 @@ class DecoyLedger:
         return len(self._records)
 
 
-@dataclass(frozen=True)
+@frozen
 class ShadowingEvent:
     """One unsolicited request correlated back to its decoy."""
 

@@ -7,7 +7,6 @@ resolvers, honeypots) parses real messages.
 """
 
 import random
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.identifier import DecoyIdentity, IdentifierCodec
@@ -15,6 +14,7 @@ from repro.net.packet import Packet
 from repro.protocols.dns import make_query
 from repro.protocols.http import make_get
 from repro.protocols.tls import ClientHello, wrap_handshake
+from repro.records import frozen
 from repro.simkit.rng import random_bytes, randrange
 
 DECOY_PROTOCOLS = ("dns", "http", "tls")
@@ -41,7 +41,7 @@ def _ech_provider_config():
 DECOY_MITIGATIONS = ("none", "ech", "doh")
 
 
-@dataclass(frozen=True)
+@frozen
 class Decoy:
     """One decoy, ready to transit a path."""
 

@@ -31,6 +31,7 @@ from repro.core.correlate import (
 from repro.core.ecosystem import Ecosystem, build_ecosystem
 from repro.core.phase2 import HopByHopTracer, ObserverLocation
 from repro.honeypot.logstore import LogStore
+from repro.records import frozen
 from repro.telemetry.export import RunTelemetry
 from repro.telemetry.spans import SpanTracer, timings_from_spans
 from repro.vpn.vetting import VettingReport
@@ -83,7 +84,7 @@ class ExperimentResult:
         return ordered
 
 
-@dataclass(frozen=True)
+@frozen
 class Phase2PlanEntry:
     """One problematic path selected for Phase II tracerouting.
 

@@ -30,10 +30,10 @@ its decoy's canonical encoding, and resolves each logged domain once.
 import base64
 import binascii
 import struct
-from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.net.addr import ip_from_int, ip_to_int
+from repro.records import frozen
 
 _BODY = struct.Struct("!III B")
 _CRC = struct.Struct("!H")
@@ -72,7 +72,7 @@ def _base32(packed: bytes) -> str:
     return "".join([pairs[value >> shift & 0x3FF] for shift in _PAIR_SHIFTS])
 
 
-@dataclass(frozen=True)
+@frozen
 class DecoyIdentity:
     """Everything a decoy's identifier encodes."""
 

@@ -15,7 +15,7 @@ import pathlib
 import typing
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Tuple, Union
+from typing import Callable, Dict, List, Tuple, Union
 
 from repro.core.correlate import (
     CorrelationResult,
@@ -71,10 +71,24 @@ def _write_jsonl(path: pathlib.Path, rows) -> None:
             handle.write(encode(row) + "\n")
 
 
+@lru_cache(maxsize=None)
+def _row_reader(kind) -> Callable[[object], dict]:
+    """A function that copies the fields of a ``kind`` dataclass into a
+    new dict, in field order: one dict display of attribute reads, built
+    from source the way ``dataclasses`` builds its methods.  (Records are
+    slotted, so there is no ``vars()`` to copy; ``dict(zip(names,
+    attrgetter(*names)(record)))`` measured twice as slow as this.)"""
+    reads = ", ".join(f"{item.name!r}: record.{item.name}"
+                      for item in dataclasses.fields(kind))
+    namespace = {}
+    exec(f"def row(record):\n return {{{reads}}}\n", {}, namespace)
+    return namespace["row"]
+
+
 def _row(record) -> dict:
     """``dataclasses.asdict`` without its deep copy, for a dataclass of
-    plain values whose instance dict holds exactly its fields."""
-    return dict(vars(record))
+    plain values."""
+    return _row_reader(type(record))(record)
 
 
 def _json(text: str, where) -> object:

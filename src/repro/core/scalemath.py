@@ -8,10 +8,10 @@ rotation cadence; this module derives them from an
 its scaled campaign sits on the same curve.
 """
 
-from dataclasses import dataclass
 
 from repro.core.config import ExperimentConfig
 from repro.datasets.providers import PAPER_TOTAL_VP_COUNT
+from repro.records import frozen
 from repro.simkit.units import DAY
 
 # Paper constants (Section 4).
@@ -25,7 +25,7 @@ PAPER_DNS_PATHS = 157_000          # "157K client-server paths"
 PAPER_WEB_PATHS = 10_100_000       # "10.1M paths"
 
 
-@dataclass(frozen=True)
+@frozen
 class CampaignVolume:
     """Decoy counts and derived rates for one campaign."""
 

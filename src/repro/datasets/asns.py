@@ -6,11 +6,12 @@ with their real numbers so the reproduced tables carry recognizable rows,
 then pad each country with synthetic ASes for path diversity.
 """
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
+from repro.records import frozen
 
-@dataclass(frozen=True)
+
+@frozen
 class AutonomousSystem:
     """One AS in the synthetic topology."""
 

@@ -6,11 +6,12 @@ vantage points) across providers; the platform scales these by the
 experiment's ``vp_scale`` so laptop-sized campaigns stay tractable.
 """
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
+from repro.records import frozen
 
-@dataclass(frozen=True)
+
+@frozen
 class VpnProvider:
     """One commercial VPN provider the platform recruits VPs from."""
 

@@ -5,13 +5,13 @@
 most-problematic destinations (Section 5.1).
 """
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.net.addr import ip_from_int, ip_to_int
+from repro.records import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class DnsDestination:
     """One DNS destination of the Phase I campaign."""
 

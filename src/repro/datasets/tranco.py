@@ -7,14 +7,14 @@ destinations whose country mix mirrors Figure 3's destination axis (most
 mass in US/CN plus a long tail including small economies like AD).
 """
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.net.addr import ip_from_int
+from repro.records import frozen
 from repro.simkit.rng import RandomRouter
 
 
-@dataclass(frozen=True)
+@frozen
 class WebDestination:
     """One address behind a synthetic top site."""
 

@@ -20,10 +20,11 @@ from repro.net.path import Hop, Path
 from repro.observers.onpath import ObserverDeployment
 from repro.protocols.http import make_get
 from repro.protocols.tls import ClientHello, wrap_handshake
+from repro.records import frozen
 from repro.simkit.events import Simulator
 
 
-@dataclass(frozen=True)
+@frozen
 class CanaryVerdict:
     """One router's sweep outcome."""
 

@@ -36,16 +36,16 @@ Retry/backoff policy for undelivered decoys also lives here
 robustness constants.
 """
 
-from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+from repro.records import frozen
 from repro.simkit.rng import SubstreamFactory
 from repro.simkit.units import DAY, HOUR, MINUTE
 
 _NO_WINDOWS: Tuple["OutageWindow", ...] = ()
 
 
-@dataclass(frozen=True)
+@frozen
 class OutageWindow:
     """One half-open ``[start, end)`` interval of virtual downtime."""
 
@@ -71,7 +71,7 @@ class OutageWindow:
         return self.end if self.contains(time) else time
 
 
-@dataclass(frozen=True)
+@frozen
 class FaultSpec:
     """Declarative fault configuration; rates, not decisions.
 

@@ -7,11 +7,11 @@ per-domain and per-protocol queries scan it.
 """
 
 import bisect
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.columnar import merged_order
+from repro.records import frozen
 from repro.telemetry.registry import NULL_REGISTRY, labeled
 
 PROTOCOL_DNS = "dns"
@@ -20,7 +20,7 @@ PROTOCOL_HTTPS = "https"
 KNOWN_PROTOCOLS = (PROTOCOL_DNS, PROTOCOL_HTTP, PROTOCOL_HTTPS)
 
 
-@dataclass(frozen=True)
+@frozen
 class LoggedRequest:
     """One request that arrived at a honeypot.
 

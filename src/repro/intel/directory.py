@@ -6,13 +6,13 @@ so analyses can answer "which AS / country does this source address belong
 to?" exactly the way the paper queries commercial IP databases.
 """
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
 
 from repro.datasets.asns import lookup_as
+from repro.records import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class IpRecord:
     """What the directory knows about one address."""
 

@@ -8,10 +8,10 @@ devices.  In the simulation, routers carry their ``open_ports`` on the
 output shape a banner scan would produce.
 """
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.net.path import Hop
+from repro.records import frozen
 
 _BANNERS: Dict[int, str] = {
     179: "BGP-4",
@@ -23,7 +23,7 @@ _BANNERS: Dict[int, str] = {
 }
 
 
-@dataclass(frozen=True)
+@frozen
 class PortScanResult:
     """Scan outcome for one observer address."""
 

@@ -11,15 +11,15 @@ required to open), deliberately not production crypto.
 import hashlib
 import random
 import struct
-from dataclasses import dataclass
 
 from repro.protocols.tls.clienthello import ClientHello, TlsDecodeError
+from repro.records import frozen
 
 ECH_EXTENSION_TYPE = 0xFE0D
 _NONCE_LENGTH = 12
 
 
-@dataclass(frozen=True)
+@frozen
 class EchConfig:
     """One provider's ECH configuration, as published in DNS."""
 

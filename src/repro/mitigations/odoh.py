@@ -16,6 +16,8 @@ import struct
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
+from repro.records import frozen
+
 _NONCE_LENGTH = 12
 
 
@@ -23,7 +25,7 @@ class OdohError(ValueError):
     """Raised for malformed or unopenable oblivious queries."""
 
 
-@dataclass(frozen=True)
+@frozen
 class OdohQuery:
     """A sealed query in flight between client, proxy, and target."""
 

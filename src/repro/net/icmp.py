@@ -8,16 +8,16 @@ the error back to the decoy it sent.
 """
 
 import struct
-from dataclasses import dataclass
 
 from repro.net.errors import PacketDecodeError
 from repro.net.packet import IPv4Header, Packet, checksum16
+from repro.records import frozen
 
 ICMP_TIME_EXCEEDED = 11
 _QUOTE_PAYLOAD_BYTES = 8  # RFC 792: original header + first 8 payload bytes
 
 
-@dataclass(frozen=True)
+@frozen
 class IcmpTimeExceeded:
     """A type-11 code-0 ICMP error, quoting the expired packet."""
 

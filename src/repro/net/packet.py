@@ -9,11 +9,12 @@ honest end to end.
 """
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Optional
 
 from repro.net.addr import ip_from_int, ip_to_int
 from repro.net.errors import PacketDecodeError
+from repro.records import frozen
 
 PROTO_ICMP = 1
 PROTO_TCP = 6
@@ -37,7 +38,7 @@ def checksum16(data: bytes) -> int:
     return (~total) & 0xFFFF
 
 
-@dataclass(frozen=True)
+@frozen
 class IPv4Header:
     """Minimal IPv4 header: the fields the methodology manipulates/reads."""
 
@@ -109,7 +110,7 @@ class IPv4Header:
         )
 
 
-@dataclass(frozen=True)
+@frozen
 class UDPSegment:
     """UDP header plus payload."""
 
@@ -138,7 +139,7 @@ class UDPSegment:
         return cls(src_port=src_port, dst_port=dst_port, payload=data[8:])
 
 
-@dataclass(frozen=True)
+@frozen
 class TCPSegment:
     """TCP header plus payload (no options; enough for decoy transport)."""
 
@@ -209,7 +210,7 @@ class TCPSegment:
         )
 
 
-@dataclass(frozen=True)
+@frozen
 class Packet:
     """A full simulated packet: IPv4 header plus transport segment."""
 

@@ -22,12 +22,13 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.net.errors import TransitError
 from repro.net.icmp import IcmpTimeExceeded
 from repro.net.packet import Packet
+from repro.records import frozen
 
 # Signature of a sniffer callback: (hop position 1-indexed, hop, packet).
 HopTap = Callable[[int, "Hop", Packet], None]
 
 
-@dataclass(frozen=True)
+@frozen
 class Hop:
     """One device on a client-server path."""
 

@@ -11,10 +11,10 @@ headers (https://wiki.wireshark.org/Development/LibpcapFileFormat).
 """
 
 import struct
-from dataclasses import dataclass
 from typing import BinaryIO, Iterator, List, Tuple, Union
 
 from repro.net.packet import Packet
+from repro.records import frozen
 
 PCAP_MAGIC = 0xA1B2C3D4
 PCAP_VERSION = (2, 4)
@@ -28,7 +28,7 @@ class PcapFormatError(ValueError):
     """Raised for files that do not parse as classic pcap."""
 
 
-@dataclass(frozen=True)
+@frozen
 class CapturedPacket:
     """One record read back from a capture."""
 

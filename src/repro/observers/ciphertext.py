@@ -24,7 +24,6 @@ decision — placement and the tunable false-positive rate — is a keyed
 substream draw, so serial and sharded campaigns classify identically.
 """
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.mitigations.doh import DOH_RESOLVER_HOST
@@ -32,6 +31,7 @@ from repro.mitigations.ech import ECH_EXTENSION_TYPE, _NONCE_LENGTH
 from repro.net.packet import PROTO_TCP, Packet
 from repro.observers.placement import PlacementPlanner
 from repro.protocols.tls import ClientHello, wrap_handshake
+from repro.records import frozen
 from repro.telemetry.registry import NULL_REGISTRY
 
 PADDING_BUCKET = 32
@@ -51,7 +51,7 @@ SIZE_WEIGHT = 0.7
 TIMING_WEIGHT = 0.3
 
 
-@dataclass(frozen=True)
+@frozen
 class FlowFeatures:
     """Metadata extracted from one packet without reading plaintext."""
 

@@ -1,9 +1,9 @@
 """Shadow exhibitors: retention plus unsolicited-request emission."""
 
 import random
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.records import frozen
 from repro.simkit.rng import SubstreamFactory, random_bytes, randrange
 
 from repro.honeypot.deployment import HoneypotDeployment
@@ -21,7 +21,7 @@ from repro.telemetry.registry import NULL_REGISTRY, labeled
 DELAY_BUCKETS = (MINUTE, HOUR, DAY, 10 * DAY)
 
 
-@dataclass(frozen=True)
+@frozen
 class ObservationRecord:
     """Ground truth: one exhibitor observing one decoy's data.
 

@@ -8,7 +8,6 @@ observes many client-server paths at once.
 """
 
 import random
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.net.packet import PROTO_TCP, PROTO_UDP, Packet
@@ -19,6 +18,7 @@ from repro.protocols.http import HttpRequest
 from repro.protocols.tls import TlsPlaintext
 from repro.protocols.tls.clienthello import ClientHello
 from repro.protocols.tls.record import CONTENT_TYPE_HANDSHAKE
+from repro.records import frozen
 from repro.simkit.rng import SubstreamFactory
 from repro.telemetry.registry import NULL_REGISTRY, labeled
 
@@ -96,7 +96,7 @@ class WireSniffer:
             self._report(domain, self.hop.address)
 
 
-@dataclass(frozen=True)
+@frozen
 class SnifferSpec:
     """Deployment rule: which routers of an AS carry which DPI."""
 
@@ -155,10 +155,12 @@ class ObserverDeployment:
         """The sniffer at this router, if deployment placed one there."""
         if hop.address in self._decisions:
             return self._decisions[hop.address]
+        specs = self._specs_by_asn.get(hop.asn, ())
+        # Only a spec draws, so a hop in an AS without one derives nothing.
         rng = (self._streams.derive(hop.address)
-               if self._streams is not None else self._rng)
+               if self._streams is not None and specs else self._rng)
         sniffer: Optional[WireSniffer] = None
-        for spec in self._specs_by_asn.get(hop.asn, []):
+        for spec in specs:
             if rng.random() < spec.router_fraction:
                 sniffer = WireSniffer(
                     hop=hop,

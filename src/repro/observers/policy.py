@@ -16,6 +16,7 @@ import random
 from repro.intel.blocklist import Blocklist
 from repro.intel.directory import IpDirectory
 from repro.net.addr import ip_from_int
+from repro.records import frozen
 from repro.simkit.distributions import Constant, Distribution
 
 # Unsolicited-request origin addresses live in 100.88.0.0-100.95.255.255:
@@ -47,7 +48,7 @@ class AddressAllocator:
         return address
 
 
-@dataclass(frozen=True)
+@frozen
 class OriginGroup:
     """One network that unsolicited requests originate from."""
 

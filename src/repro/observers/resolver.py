@@ -16,19 +16,19 @@ resolver modelling carries most of the DNS findings:
 """
 
 import random
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.datasets.resolvers import DnsDestination
 from repro.honeypot.deployment import HoneypotDeployment
 from repro.observers.exhibitor import ShadowExhibitor
 from repro.protocols.dns import make_query
+from repro.records import frozen
 from repro.simkit.events import Simulator
 from repro.simkit.rng import SubstreamFactory, randrange
 from repro.telemetry.registry import NULL_REGISTRY, labeled
 
 
-@dataclass(frozen=True)
+@frozen
 class ResolverProfile:
     """Static behaviour description of one DNS destination."""
 
@@ -110,10 +110,10 @@ class ResolverModel:
         if self._streams is not None:
             arrival = self._arrivals.get(domain, 0)
             self._arrivals[domain] = arrival + 1
-            rng = self._streams.derive(self.name, domain, arrival)
-        else:
-            rng = self._rng
         if self.profile.recursive:
+            # Only a recursive resolver draws, so only it derives a stream.
+            rng = (self._streams.derive(self.name, domain, arrival)
+                   if self._streams is not None else self._rng)
             # Recursive lookup toward the honeypot authoritative server —
             # the decoy's first (solicited) appearance in the logs.
             self._sim.schedule_in(
@@ -129,8 +129,8 @@ class ResolverModel:
                         lambda domain=domain: self._query_authoritative(domain),
                         label=f"retry:{self.name}",
                     )
-        if self.profile.recursive and self.profile.cache_refresh_probability > 0:
-            if rng.random() < self.profile.cache_refresh_probability:
+            if (self.profile.cache_refresh_probability > 0
+                    and rng.random() < self.profile.cache_refresh_probability):
                 for generation in range(1, self.profile.cache_refresh_count + 1):
                     self._sim.schedule_in(
                         generation * self.profile.cache_refresh_ttl

@@ -8,16 +8,16 @@ rates.
 """
 
 import random
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.datasets.tranco import WebDestination
 from repro.observers.exhibitor import ShadowExhibitor
+from repro.records import frozen
 from repro.simkit.rng import SubstreamFactory
 from repro.telemetry.registry import NULL_REGISTRY, labeled
 
 
-@dataclass(frozen=True)
+@frozen
 class WebDestinationBehavior:
     """Per-country shadowing rates for destination web servers."""
 

@@ -8,18 +8,18 @@ packs extended-rcode/version/flags.
 """
 
 import struct
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.protocols.dns.message import DnsMessage, ResourceRecord
 from repro.protocols.dns.types import QTYPE
+from repro.records import frozen
 
 OPT_RTYPE = 41
 DEFAULT_UDP_PAYLOAD_SIZE = 1232  # the DNS-flag-day recommendation
 FLAG_DO = 0x8000
 
 
-@dataclass(frozen=True)
+@frozen
 class EdnsOptions:
     """Decoded view of an OPT pseudo-record."""
 

@@ -8,7 +8,6 @@ authoritative server run on.
 """
 
 import struct
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
@@ -23,6 +22,7 @@ from repro.protocols.dns.names import (
     normalize_name,
 )
 from repro.protocols.dns.types import QCLASS_IN, RCODE, QTYPE
+from repro.records import frozen
 
 _HEADER = struct.Struct("!HHHHHH")
 _QUESTION_TAIL = struct.Struct("!HH")
@@ -38,7 +38,7 @@ FLAG_RD = 0x0100
 FLAG_RA = 0x0080
 
 
-@dataclass(frozen=True)
+@frozen
 class DnsHeader:
     """The 12-byte DNS header."""
 
@@ -80,7 +80,7 @@ class DnsHeader:
                    ancount=ancount, nscount=nscount, arcount=arcount)
 
 
-@dataclass(frozen=True)
+@frozen
 class DnsQuestion:
     """One entry of the question section."""
 
@@ -92,7 +92,7 @@ class DnsQuestion:
         object.__setattr__(self, "qname", normalize_name(self.qname))
 
 
-@dataclass(frozen=True)
+@frozen
 class ResourceRecord:
     """One resource record. ``rdata`` interpretation depends on ``rtype``:
 
@@ -272,7 +272,7 @@ def _decode_rdata(message: bytes, offset: int, rtype: int, rdlength: int) -> str
     return blob.hex()
 
 
-@dataclass(frozen=True)
+@frozen
 class DnsMessage:
     """A complete DNS message."""
 

@@ -18,17 +18,17 @@ authoritative shortcut (the full chain collapses to it for a wildcard
 zone one delegation below the TLD).
 """
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.protocols.dns.names import normalize_name
+from repro.records import frozen
 
 
 class ResolutionError(Exception):
     """Raised when the chain cannot resolve a name."""
 
 
-@dataclass(frozen=True)
+@frozen
 class Delegation:
     """One zone cut: who is authoritative below this point."""
 
@@ -37,7 +37,7 @@ class Delegation:
     server_address: str
 
 
-@dataclass(frozen=True)
+@frozen
 class UpstreamQuery:
     """One query as seen by an upstream server — the observable the
     resolver-authoritative bias analysis cares about."""

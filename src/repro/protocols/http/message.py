@@ -7,8 +7,9 @@ line shape, header syntax, Content-Length framing) and deliberately
 tolerant about the rest, mirroring how measurement honeypots behave.
 """
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+from repro.records import frozen
 
 _CRLF = b"\r\n"
 _MAX_HEADERS = 128
@@ -42,7 +43,7 @@ def _split_head(data: bytes) -> Tuple[List[bytes], bytes]:
     return lines, body
 
 
-@dataclass(frozen=True)
+@frozen
 class HttpRequest:
     """An HTTP/1.1 request."""
 
@@ -100,7 +101,7 @@ class HttpRequest:
         return request
 
 
-@dataclass(frozen=True)
+@frozen
 class HttpResponse:
     """An HTTP/1.1 response."""
 

@@ -8,8 +8,9 @@ extract exactly this field.  Encoding follows the handshake structure:
 """
 
 import struct
-from dataclasses import dataclass, field
 from typing import Optional, Tuple
+
+from repro.records import frozen
 
 HANDSHAKE_CLIENT_HELLO = 1
 LEGACY_VERSION_TLS12 = 0x0303
@@ -58,7 +59,7 @@ def _decode_sni(body: bytes) -> str:
     raise TlsDecodeError("no host_name entry in server_name extension")
 
 
-@dataclass(frozen=True)
+@frozen
 class ClientHello:
     """A ClientHello carrying SNI — the TLS decoy."""
 

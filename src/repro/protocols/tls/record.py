@@ -1,7 +1,8 @@
 """TLS record layer (TLSPlaintext framing, RFC 8446 section 5.1)."""
 
 import struct
-from dataclasses import dataclass
+
+from repro.records import frozen
 
 CONTENT_TYPE_HANDSHAKE = 22
 LEGACY_RECORD_VERSION = 0x0301  # TLS 1.0 on the wire, as modern stacks send
@@ -12,7 +13,7 @@ class TlsRecordError(ValueError):
     """Raised for malformed TLS records."""
 
 
-@dataclass(frozen=True)
+@frozen
 class TlsPlaintext:
     """One TLS record: content type, legacy version, fragment."""
 

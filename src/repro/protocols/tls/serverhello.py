@@ -9,7 +9,6 @@ than a silent socket.
 """
 
 import struct
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.protocols.tls.clienthello import (
@@ -18,6 +17,7 @@ from repro.protocols.tls.clienthello import (
     LEGACY_VERSION_TLS12,
     TlsDecodeError,
 )
+from repro.records import frozen
 
 HANDSHAKE_SERVER_HELLO = 2
 
@@ -25,7 +25,7 @@ HANDSHAKE_SERVER_HELLO = 2
 PREFERRED_SUITES: Tuple[int, ...] = (0x1301, 0x1302, 0x1303, 0xC02F, 0xC030)
 
 
-@dataclass(frozen=True)
+@frozen
 class ServerHello:
     """A ServerHello answering one ClientHello."""
 

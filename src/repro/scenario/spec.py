@@ -19,8 +19,9 @@ import dataclasses
 import json
 import hashlib
 import pathlib
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
+
+from repro.records import frozen
 
 SCENARIO_FORMAT_VERSION = 1
 
@@ -43,7 +44,7 @@ class ScenarioError(ValueError):
 # the fuzzer's shrinking-by-field-reset operates on a flat, enumerable
 # field space and canonical JSON stays trivially diffable.
 
-@dataclass(frozen=True)
+@frozen
 class FleetSpec:
     """VP fleet scale and vetting policy."""
 
@@ -52,7 +53,7 @@ class FleetSpec:
     pair_resolver_filter: bool = True
 
 
-@dataclass(frozen=True)
+@frozen
 class TopologySpec:
     """Destination pools and the (VP, destination) pairing shape."""
 
@@ -62,7 +63,7 @@ class TopologySpec:
     dns_vps_per_destination: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@frozen
 class ObserverSpec:
     """Observer population and mix."""
 
@@ -79,7 +80,7 @@ class ObserverSpec:
     nod_noise_rate: float = 0.0
 
 
-@dataclass(frozen=True)
+@frozen
 class RetentionSpec:
     """Per-observer-class retention capacities (None = unbounded)."""
 
@@ -88,7 +89,7 @@ class RetentionSpec:
     destination_capacity: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@frozen
 class TimingSpec:
     """Campaign cadence and Phase II shape (windows in virtual days)."""
 
@@ -102,7 +103,7 @@ class TimingSpec:
     wildcard_record_ttl: int = 3600
 
 
-@dataclass(frozen=True)
+@frozen
 class FaultsSpec:
     """Fault plan rates; all-zero means fair weather (no plan compiled)."""
 
@@ -114,7 +115,7 @@ class FaultsSpec:
     log_duplicate_rate: float = 0.0
 
 
-@dataclass(frozen=True)
+@frozen
 class EngineSpec:
     """Execution-engine knobs (never change measured behaviour)."""
 
@@ -122,7 +123,7 @@ class EngineSpec:
     telemetry: bool = False
 
 
-@dataclass(frozen=True)
+@frozen
 class Scenario:
     """One named, fully declarative ecosystem + campaign description."""
 

@@ -46,11 +46,19 @@ class RunTelemetry:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "RunTelemetry":
+        """The inverse of :meth:`to_dict`.  A TypeError when ``enabled`` is
+        not a bool or ``meta`` not an object."""
+        enabled = data.get("enabled", False)
+        if not isinstance(enabled, bool):
+            raise TypeError(f"enabled must be true or false, got {enabled!r}")
+        meta = data.get("meta", {})
+        if not isinstance(meta, dict):
+            raise TypeError(f"meta must be an object, got {meta!r}")
         return cls(
             metrics=MetricsRegistry.from_snapshot(data.get("metrics", {})),
             spans=[Span.from_dict(entry) for entry in data.get("spans", [])],
-            enabled=bool(data.get("enabled", False)),
-            meta=dict(data.get("meta", {})),
+            enabled=enabled,
+            meta=dict(meta),
         )
 
 

@@ -13,14 +13,16 @@ for analysis/bench consumers while the spans carry the richer story.
 
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Callable, Dict, Iterable, List, Optional
+
+from repro.records import frozen
 
 PARENT_SHARD = -1
 """``Span.shard`` value for the parent process (or a serial run)."""
 
 
-@dataclass(frozen=True)
+@frozen
 class Span:
     """One completed stage timing."""
 

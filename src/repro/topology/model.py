@@ -7,6 +7,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.datasets.asns import CN_BACKBONE_ASNS, synthetic_asn
 from repro.net.addr import ip_from_int
 from repro.net.path import Hop, Path
+from repro.records import frozen
 from repro.simkit.rng import RandomRouter, randint, randrange
 
 # Router addresses live in the lower quarter of 100.64.0.0/10 (CGNAT
@@ -22,7 +23,7 @@ def _stable_hash(text: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-@dataclass(frozen=True)
+@frozen
 class Endpoint:
     """A path endpoint: either a vantage point or a destination server."""
 
@@ -31,7 +32,7 @@ class Endpoint:
     country: str
 
 
-@dataclass(frozen=True)
+@frozen
 class AnycastPresence:
     """Countries where an anycast service operates instances."""
 

@@ -14,16 +14,16 @@ observed ones, quantifying the skew the paper distrusts.
 """
 
 import random
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.intel.directory import IpDirectory
 from repro.net.path import Hop, Path
 from repro.net.tcpconn import TcpClient
+from repro.records import frozen
 from repro.vpn.vantage import VantagePoint
 
 
-@dataclass(frozen=True)
+@frozen
 class GeolocationResult:
     """Observed identity of one vantage point."""
 

@@ -1,7 +1,6 @@
 """Construction and Table 1 accounting of the VPN measurement platform."""
 
 import hashlib
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.datasets.asns import synthetic_asn
@@ -13,6 +12,7 @@ from repro.datasets.providers import (
     VpnProvider,
 )
 from repro.net.addr import ip_from_int
+from repro.records import frozen
 from repro.simkit.rng import RandomRouter
 from repro.vpn.vantage import VantagePoint
 
@@ -21,7 +21,7 @@ from repro.vpn.vantage import VantagePoint
 _VP_SPACE_BASE = (100 << 24) | (96 << 16)
 
 
-@dataclass(frozen=True)
+@frozen
 class PlatformSummary:
     """One row of Table 1."""
 

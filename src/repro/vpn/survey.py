@@ -5,14 +5,15 @@ platforms' capabilities; this module embeds that comparison matrix and the
 capability predicate used to filter them.
 """
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
+
+from repro.records import frozen
 
 # Tri-state capability: True (full), "partial", False, None (unknown).
 Capability = object
 
 
-@dataclass(frozen=True)
+@frozen
 class SurveyedPlatform:
     """One row of Table 6."""
 

@@ -1,12 +1,12 @@
 """Vantage points: the measurement platform's client endpoints."""
 
-from dataclasses import dataclass
 from typing import Optional
 
+from repro.records import frozen
 from repro.topology.model import Endpoint
 
 
-@dataclass(frozen=True)
+@frozen
 class VantagePoint:
     """One VPN egress the platform sends decoys from.
 

@@ -33,6 +33,7 @@ from repro.protocols.http import make_get
 from repro.protocols.tls import ClientHello, wrap_handshake
 from repro.simkit.distributions import Constant
 from repro.simkit.events import Simulator
+from repro.simkit.rng import SubstreamFactory
 
 ZONE = "www.experiment.domain"
 DOMAIN = f"abcd1234-0001.{ZONE}"
@@ -388,6 +389,77 @@ class TestResolverModel:
         with pytest.raises(ValueError):
             ResolverModel(profile, Simulator(), HoneypotDeployment(zone=ZONE),
                           None, "100.88.0.1", random.Random(1))
+
+
+class TestDeriveOnlyWhereDrawn:
+    """A keyed stream costs a sha256 and an MT19937 seeding, so a router
+    or a resolver derives one only when a draw follows."""
+
+    @pytest.fixture
+    def derived(self, monkeypatch):
+        """``(namespace, keys)`` of every ``SubstreamFactory.derive``."""
+        calls = []
+        original = SubstreamFactory.derive
+
+        def counting(factory, *keys):
+            calls.append((factory.namespace, keys))
+            return original(factory, *keys)
+
+        monkeypatch.setattr(SubstreamFactory, "derive", counting)
+        return calls
+
+    def test_hop_without_specs_derives_nothing(self, derived):
+        exhibitor, _, _ = make_exhibitor()
+        deployment = ObserverDeployment(
+            specs=[SnifferSpec(4134, 0.5, ("http",), "p")],
+            exhibitors={"p": exhibitor}, zone=ZONE, rng=random.Random(7),
+            streams=SubstreamFactory(1, "sniffer.placement"))
+        assert deployment.sniffer_for(Hop("10.0.0.2", 9999, "US")) is None
+        assert derived == []
+        deployment.sniffer_for(Hop("10.0.0.1", 4134, "CN"))
+        assert derived == [("sniffer.placement", ("10.0.0.1",))]
+
+    def test_non_recursive_delivery_derives_nothing(self, derived):
+        streams = SubstreamFactory(1, "resolver.behavior")
+        for name, recursive in (("A-root", False), ("Google", True)):
+            profile = ResolverProfile(destination=DESTINATIONS_BY_NAME[name],
+                                      asn=15169, recursive=recursive)
+            model = ResolverModel(profile, Simulator(),
+                                  HoneypotDeployment(zone=ZONE), None,
+                                  "100.88.0.1", random.Random(4),
+                                  streams=streams)
+            model.receive_decoy(DOMAIN, instance_country="US")
+            model.receive_decoy(DOMAIN, instance_country="US")
+        # Only the recursive resolver derives, once per delivery, keyed by
+        # the delivery's arrival index.
+        assert derived == [("resolver.behavior", ("Google", DOMAIN, 0)),
+                           ("resolver.behavior", ("Google", DOMAIN, 1))]
+
+    def test_tiny_run_derives_no_idle_stream(self, derived, monkeypatch):
+        from repro.core.config import ExperimentConfig
+        from repro.core.experiment import Experiment
+
+        asn_of = {}
+        sniffer_for = ObserverDeployment.sniffer_for
+
+        def recording(deployment, hop):
+            asn_of[hop.address] = hop.asn
+            return sniffer_for(deployment, hop)
+
+        monkeypatch.setattr(ObserverDeployment, "sniffer_for", recording)
+        eco = Experiment(ExperimentConfig.tiny(seed=20240301)).run().eco
+        spec_asns = set(eco.observer_deployment._specs_by_asn)
+        idle = {address for address, asn in asn_of.items()
+                if asn not in spec_asns}
+        placed = [keys[0] for namespace, keys in derived
+                  if namespace == "sniffer.placement"]
+        assert idle and len(placed) == len(set(placed))
+        assert set(placed) == set(asn_of) - idle
+        quiet = {model.name for model in eco.resolver_models.values()
+                 if not model.profile.recursive and model.decoys_received}
+        resolvers = {keys[0] for namespace, keys in derived
+                     if namespace == "resolver.behavior"}
+        assert quiet and resolvers and not quiet & resolvers
 
 
 class TestWebDestinationModel:

@@ -374,6 +374,11 @@ class TestCli:
         ("telemetry.json", '{"metrics": {"counters": {"x": 5}}}', ": "),
         ("telemetry.json", '{"spans": [1]}', ": "),
         ("telemetry.json", '{"meta": [1]}', ": "),
+        ("telemetry.json", '{"meta": [[1, 2]], "metrics": {}, "spans": []}',
+         ": "),
+        ("telemetry.json", '{"enabled": "no", "metrics": {}, "spans": []}',
+         ": "),
+        ("telemetry.json", '{"enabled": 1}', ": "),
         ("spans.jsonl", "[1]\n", " line 1: "),
     ])
     def test_wrong_shape_capture_exits_2(self, tmp_path, capsys, name,
