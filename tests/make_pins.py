@@ -12,6 +12,10 @@ cannot drift:
 * ``fig4``, ``table2``, ``table3`` and ``matrix``, the golden artifacts
   of tiny seed 20240301, and ``medium`` (serial and 2 workers) and
   ``faulted-tiny-7`` (``tests/test_analysis.py``);
+* ``refresh-tiny-7``, ``backoff-tiny-7`` and ``rounds-tiny-7``, tiny seed
+  7 where an event handler's follow-up or a later round can land on the
+  same instant as a Phase I send, so the digest depends on which of the
+  two fires first (``tests/test_analysis.py``);
 * ``bundle-tiny-20240301``, the bytes of the bundle ``export_result``
   writes for tiny seed 20240301 (``tests/test_persist_cli.py``);
 * ``pcap-tiny-20240301``, the bytes of the decoy capture
@@ -81,6 +85,45 @@ def faulted_config() -> ExperimentConfig:
     )
     config.validate()
     return config
+
+
+def refresh_config() -> ExperimentConfig:
+    """Tiny seed 7 with cache-refreshing resolvers: each refresh fires
+    exactly one wildcard TTL after a send on the 0.5 s send grid."""
+    config = ExperimentConfig.tiny(seed=7)
+    config.cache_refreshing_resolvers = True
+    config.validate()
+    return config
+
+
+def backoff_config() -> ExperimentConfig:
+    """Tiny seed 7 with lossy links and long retry backoffs: a lost decoy
+    retries after 30, 60, 120 and 240 s, each a whole number of send
+    slots."""
+    config = ExperimentConfig.tiny(seed=7)
+    config.faults = FaultSpec(seed=3, link_loss_rate=0.1, max_retries=4,
+                              retry_backoff_base=30.0)
+    config.validate()
+    return config
+
+
+def rounds_config() -> ExperimentConfig:
+    """Tiny seed 7 with three Phase I rounds 600 s apart.  A round lasts
+    about 670 s, so each round starts before the last one's tail."""
+    config = ExperimentConfig.tiny(seed=7)
+    config.phase1_rounds = 3
+    config.round_interval = 600.0
+    config.validate()
+    return config
+
+
+TIE_CONFIGS = {
+    "refresh-tiny-7": refresh_config,
+    "backoff-tiny-7": backoff_config,
+    "rounds-tiny-7": rounds_config,
+}
+"""The tie-order pins: configs whose events can share an instant with a
+Phase I send."""
 
 
 def ciphertext_config(seed: int = GOLDEN_SEED,
@@ -233,6 +276,8 @@ def compute() -> Dict[str, str]:
     pins["medium"] = result_digest(Experiment(medium_config()).run())
     pins["faulted-tiny-7"] = result_digest(
         Experiment(faulted_config()).run())
+    for name, make_config in TIE_CONFIGS.items():
+        pins[name] = result_digest(Experiment(make_config()).run())
     pins["matrix"] = matrix_pin(
         Experiment(ciphertext_config()).run().analysis.matrix)
     for vp_count in SCALE_POINTS:

@@ -39,6 +39,7 @@ from repro.core.experiment import Experiment
 from repro.core.shard import result_digest
 from repro.simkit.units import DAY, HOUR, MINUTE
 from tests.make_pins import (
+    TIE_CONFIGS,
     check,
     ciphertext_config,
     faulted_config,
@@ -371,3 +372,18 @@ class TestWirePathDigests:
     def test_faulted_tiny_digest(self):
         result = Experiment(faulted_config()).run()
         check("faulted-tiny-7", result_digest(result))
+
+
+class TestTieOrderDigests:
+    """Result digests of the configs where another event can fire at
+    the same virtual instant as a Phase I send: a cache refresh one
+    wildcard TTL after a send, a retry after a whole-second backoff, or
+    the next round's first send inside the last round's tail.  Events at
+    one instant fire in scheduling order, so these pins fix which of the
+    two fires first.
+    """
+
+    @pytest.mark.parametrize("name", sorted(TIE_CONFIGS))
+    def test_tie_case_digest(self, name):
+        result = Experiment(TIE_CONFIGS[name]()).run()
+        check(name, result_digest(result))
