@@ -30,12 +30,8 @@ from repro.vpn.vetting import VettingReport, full_vetting
 _PATH_CACHE_LIMIT = 8192
 """Materialized :class:`PathInfo` entries kept per campaign (LRU), the
 one path cache.  Paths rebuild deterministically from keyed substreams,
-so eviction only costs the rebuild."""
-
-_FEED_LOOKAHEAD = 600.0
-"""Virtual seconds of plan fed per feeder pull — batches the generator
-work so the feeder runs once per ~1200 sends, not once per event."""
-
+so eviction only costs the rebuild.  A queued Phase I send holds its
+own entry, which outlives eviction until the send fires."""
 
 def pair_shard(vp_address: str, destination_address: str, shard_count: int) -> int:
     """Deterministic shard assignment of one (VP, destination) pair.
@@ -130,11 +126,6 @@ class Campaign:
                              if eco.config.nod_noise_rate > 0.0 else None)
         self._paths: "OrderedDict[Tuple[str, str], PathInfo]" = OrderedDict()
         self._sequences: Dict[Tuple[str, str], int] = {}
-        self._web_choices: Dict[int, List[VantagePoint]] = {}
-        """VPs sampled per web destination (keyed by destination position),
-        drawn lazily from the sequential ``campaign.web.vps`` stream in
-        destination order, so the draws never depend on feed timing."""
-        self._web_sampler = None
         self.vetting: Optional[VettingReport] = None
         self._probe_context: Optional[Tuple[VantagePoint, Endpoint, bool]] = None
         """(VP, its endpoint, its verdict) of the VP vetting last probed."""
@@ -554,43 +545,26 @@ class Campaign:
 
     # -- Phase I scheduling ------------------------------------------------
 
-    def _web_choice(self, position: int, vps: List[VantagePoint]) -> List[VantagePoint]:
-        """The VPs sampled for web destination ``position`` (cached).
-
-        First use draws from the sequential ``campaign.web.vps`` stream;
-        the plan generator visits destinations in pool order, so draws
-        happen in pool order whenever the feeder reaches them.
-        """
-        chosen = self._web_choices.get(position)
-        if chosen is None:
-            if self._web_sampler is None:
-                self._web_sampler = self.eco.router.stream("campaign.web.vps")
-            chosen = self._web_sampler.sample(
-                vps, min(self.config.web_vps_per_destination, len(vps)))
-            self._web_choices[position] = chosen
-        return chosen
-
     def _phase1_plan(self, start: float, vps: List[VantagePoint],
                      dns_vps: List[VantagePoint]) -> Iterator[tuple]:
-        """The deterministic Phase I plan as a stream, never a list.
+        """The deterministic Phase I plan, in plan order.
 
-        Yields ``(floor, send_time, vp, destination, protocol, address,
-        asn, country, service, round_index)`` tuples in plan order.
-        ``floor`` is a lower bound on every *later* item's send time
-        (rate limiting and churn deferral only push sends later): within
-        a round the cursor is monotone, and the next round restarts at
-        ``start + (round+1) * round_interval``, which can precede a long
-        round's tail — hence the min.  The feeder returns ``floor`` as
-        its scheduling guarantee.
+        Yields ``(send_time, vp, destination, protocol, address, asn,
+        country, service, round_index)`` tuples, ``send_spacing`` apart:
+        each DNS destination from every VP of ``dns_vps``, then each web
+        destination over HTTP and TLS from its sampled VPs, and the whole
+        pass again every ``round_interval``.  The web VP samples are drawn
+        from the ``campaign.web.vps`` stream in pool order before the
+        first round, and every round reuses them.
         """
         config = self.config
         spacing = config.send_spacing
-        rounds = max(1, config.phase1_rounds)
-        for round_index in range(rounds):
-            next_round_base = (
-                start + (round_index + 1) * config.round_interval
-                if round_index + 1 < rounds else float("inf")
-            )
+        sampler = self.eco.router.stream("campaign.web.vps")
+        web_vps = [
+            sampler.sample(vps, min(config.web_vps_per_destination, len(vps)))
+            for _ in self.eco.web_destinations
+        ]
+        for round_index in range(max(1, config.phase1_rounds)):
             send_time = start + round_index * config.round_interval
             for destination in self.eco.dns_destinations:
                 address = destination.address
@@ -598,42 +572,18 @@ class Campaign:
                 country = destination.country
                 service = destination.name
                 for vp in dns_vps:
-                    cursor = send_time + spacing
-                    yield (min(cursor, next_round_base), send_time, vp,
-                           destination, "dns", address, asn, country,
-                           service, round_index)
-                    send_time = cursor
-            for position, destination in enumerate(self.eco.web_destinations):
-                for vp in self._web_choice(position, vps):
+                    yield (send_time, vp, destination, "dns", address, asn,
+                           country, service, round_index)
+                    send_time += spacing
+            for destination, sampled in zip(self.eco.web_destinations,
+                                            web_vps):
+                for vp in sampled:
                     for protocol in ("http", "tls"):
-                        cursor = send_time + spacing
-                        yield (min(cursor, next_round_base), send_time, vp,
-                               destination, protocol, destination.address,
-                               destination.asn, destination.country,
-                               destination.site, round_index)
-                        send_time = cursor
-
-    def _feed_margin(self) -> float:
-        """How far past the clock the fed schedule must always reach.
-
-        Must strictly exceed every *discrete* delay an event handler can
-        schedule at (continuous draws tie the 0.5s send grid with
-        probability zero): the retry backoff ceiling, and — when
-        refreshing resolver caches are enabled — the wildcard TTL, since
-        those refreshes fire at exactly ``ttl`` after a grid-aligned
-        send.  With the margin in hand, any follow-up event tying a
-        planned send finds that send already queued with an earlier
-        sequence number, so ties resolve in plan order.
-        """
-        margin = 64.0
-        faults = self.eco.faults
-        if faults is not None:
-            backoff_max = faults.spec.retry_backoff_base * (
-                2.0 ** max(0, faults.spec.max_retries - 1))
-            margin = max(margin, 4.0 * backoff_max)
-        if self.config.cache_refreshing_resolvers:
-            margin = max(margin, self.config.wildcard_record_ttl + 64.0)
-        return margin
+                        yield (send_time, vp, destination, protocol,
+                               destination.address, destination.asn,
+                               destination.country, destination.site,
+                               round_index)
+                        send_time += spacing
 
     def schedule_phase1(self) -> int:
         """Queue every Phase I decoy send; returns the count scheduled.
@@ -644,9 +594,12 @@ class Campaign:
         spacing).  ``phase1_rounds`` repeats the whole pass, as the
         paper's two-month continuous rotation does.
 
-        The pair space is never materialized: a first dry replay of the
-        plan generator fixes the counts and the last send time, then a
-        simulator feeder schedules sends lazily just ahead of the clock.
+        One pass over the plan queues every owned send before the clock
+        starts.  Paths are built and sends queued in plan order, so
+        router creation and sequence numbers follow the plan, and every
+        Phase I send holds a lower sequence number than any event a
+        handler schedules: a follow-up that lands on the same instant as
+        a planned send fires after it.
         """
         from repro.vpn.scheduler import RoundRobinScheduler
 
@@ -659,80 +612,47 @@ class Campaign:
             dns_vps = vps[: self.config.dns_vps_per_destination]
         start = sim.now()
         owns = self.owns_pair
-
-        # Pass 1 — dry replay.  Fixes sends_planned/scheduled and the
-        # last send time (run_phase1 needs it before the plan is
-        # consumed), reports the churn-deferral total, and populates the
-        # web VP sample cache, all in O(1) memory.  Churn windows are
-        # keyed content draws, so replaying the limiter twice is free of
-        # RNG side effects.
-        limiter = RoundRobinScheduler(vps, per_target_interval=0.5,
+        limiter = RoundRobinScheduler(per_target_interval=0.5,
                                       faults=self.eco.faults)
         planned = 0
         scheduled = 0
         last_time = start
-        for item in self._phase1_plan(start, vps, dns_vps):
-            send_time, vp, address = item[1], item[2], item[5]
+        for (send_time, vp, destination, protocol, address, asn, country,
+             service, round_index) in self._phase1_plan(start, vps, dns_vps):
             actual = limiter.earliest_send_time(address, send_time,
                                                 vp_address=vp.address)
+            plan_index = planned
             planned += 1
             if actual > last_time:
                 last_time = actual
-            if owns(vp.address, address):
-                scheduled += 1
+            if not owns(vp.address, address):
+                continue
+            scheduled += 1
+            info = self.path_info(vp, address, asn, country,
+                                  service_name=service)
+            sim.schedule_at(
+                actual,
+                lambda info=info, protocol=protocol, destination=destination,
+                       round_index=round_index, plan_index=plan_index:
+                    self.send_decoy(info, protocol, ttl=64, phase=1,
+                                    destination=destination,
+                                    round_index=round_index,
+                                    plan_key=(plan_index, 0)),
+                label=f"send:{protocol}",
+            )
         self.sends_planned += planned
         self.sends_scheduled += scheduled
         self.last_send_time = last_time
-        # Every shard replays the identical plan (merge="same"); the
+        # Every shard walks the identical plan (merge="same"); the
         # scheduled subset is partitioned work and sums back to the plan.
         self._metrics.counter(
             "campaign.sends_planned", merge=MERGE_SAME).inc(planned)
         self._metrics.counter("campaign.sends_scheduled").inc(scheduled)
-        # Churn deferrals happen inside the replayed plan, so every shard
+        # Churn deferrals happen inside the walked plan, so every shard
         # counts the identical total (merge="same", like sends_planned).
         self._metrics.counter(
             "faults.vp_churn_deferrals", merge=MERGE_SAME,
         ).inc(limiter.deferred_by_churn)
-
-        # Pass 2 — the feeder.  A fresh generator and a fresh limiter
-        # (its deferral count is NOT re-reported) replay the identical
-        # plan; owned pairs materialize their path and enqueue the send
-        # at feed time, in plan order, so path construction and sequence
-        # numbers follow the plan.
-        plan = self._phase1_plan(start, vps, dns_vps)
-        feed_limiter = RoundRobinScheduler(vps, per_target_interval=0.5,
-                                           faults=self.eco.faults)
-        next_plan_index = 0
-
-        def feed(target: float) -> Optional[float]:
-            nonlocal next_plan_index
-            for (floor, send_time, vp, destination, protocol, address,
-                 asn, country, service, round_index) in plan:
-                actual = feed_limiter.earliest_send_time(
-                    address, send_time, vp_address=vp.address)
-                plan_index = next_plan_index
-                next_plan_index += 1
-                if owns(vp.address, address):
-                    info = self.path_info(vp, address, asn, country,
-                                          service_name=service)
-                    sim.schedule_at(
-                        actual,
-                        lambda info=info, protocol=protocol,
-                               destination=destination,
-                               round_index=round_index,
-                               plan_index=plan_index:
-                            self.send_decoy(info, protocol, ttl=64, phase=1,
-                                            destination=destination,
-                                            round_index=round_index,
-                                            plan_key=(plan_index, 0)),
-                        label=f"send:{protocol}",
-                    )
-                if floor >= target:
-                    return floor
-            return None
-
-        sim.set_feeder(feed, margin=self._feed_margin(),
-                       lookahead=_FEED_LOOKAHEAD)
         return scheduled
 
     def run_phase1(self) -> None:

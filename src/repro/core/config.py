@@ -50,9 +50,11 @@ class ExperimentConfig:
     # -- platform scale --------------------------------------------------
     vp_scale: float = 0.02
     """Fraction of the paper's 4,364 VPs to recruit (0.02 -> ~90 VPs).
-    Values above 1.0 over-recruit past the paper's platform — the
-    streaming planner and bounded path caches make super-paper-scale
-    runs (``benchmarks/_scale_point.py 10000`` is ~2.3x) affordable."""
+    Values above 1.0 over-recruit past the paper's platform — Phase I
+    queues one event per planned send and the path cache is a bounded
+    LRU, so memory grows with the decoy ledger and super-paper-scale
+    runs (``benchmarks/_scale_point.py 10000`` is ~2.3x) stay
+    affordable."""
 
     # -- destination pools ------------------------------------------------
     web_site_count: int = 120

@@ -5,12 +5,12 @@ plain tuples, so ordering comparisons run at C speed, and ``(time,
 sequence)`` is globally unique, so ties are impossible and events
 scheduled for the same instant fire in scheduling order.
 
-For internet-scale campaigns the simulator also supports a *feeder*: a
-pull hook that lazily schedules upcoming work (e.g. the streaming Phase I
-planner) just ahead of the clock instead of materializing millions of
-events up front.  The feeder is not an event — it consumes no sequence
-numbers, fires no telemetry counters, and leaves ``label_counts``
-untouched — so a fed schedule is indistinguishable from an up-front one.
+Work is scheduled up front: a campaign queues every Phase I send before
+the clock starts, so each planned send holds a lower sequence number
+than any follow-up an event handler schedules, and a follow-up landing
+on the same instant fires after it.  The queue then peaks at about one
+event per planned send, near the size of the decoy ledger the run keeps
+anyway.
 """
 
 import heapq
@@ -71,10 +71,6 @@ class Simulator:
         """Executed-event tally per label — free introspection into what a
         campaign actually did (sends, retries, recursions, unsolicited
         emissions, cache refreshes...)."""
-        self._feeder: Optional[Callable[[float], Optional[float]]] = None
-        self._feed_guarantee = float("-inf")
-        self._feed_margin = 0.0
-        self._feed_lookahead = 0.0
         # Handles are fetched once; with telemetry disabled they are
         # shared no-op singletons, keeping the event loop overhead to one
         # no-op call per operation.
@@ -131,54 +127,6 @@ class Simulator:
             raise ValueError(f"delay must be non-negative, got {delay}")
         return self.schedule_at(self.clock.now() + delay, action, label=label)
 
-    # -- streaming feeder --------------------------------------------------
-
-    def set_feeder(self, feeder: Callable[[float], Optional[float]], *,
-                   margin: float, lookahead: float) -> None:
-        """Install a pull hook that schedules upcoming work on demand.
-
-        ``feeder(target)`` must schedule every deferred event whose time
-        is <= ``target`` and return a *guarantee*: a virtual time such
-        that all still-unscheduled work lies strictly later (the return
-        must be >= ``target``).  It returns None once exhausted.
-
-        ``margin`` is how far past the next event the schedule must be
-        known before that event may fire.  It has to exceed the longest
-        *discrete* delay any event handler can schedule at (e.g. the
-        campaign's retry backoff ceiling): a handler firing at ``t`` may
-        enqueue follow-ups at exactly ``t + backoff``, and any deferred
-        event tying that instant must already hold its (lower) sequence
-        number — that is what makes a fed schedule order-identical to an
-        up-front one.  ``lookahead`` batches feeder calls so the hook
-        runs once per chunk of virtual time, not once per event.
-        """
-        if margin < 0 or lookahead <= 0:
-            raise ValueError(
-                f"margin must be >= 0 and lookahead > 0, "
-                f"got margin={margin}, lookahead={lookahead}"
-            )
-        self._feeder = feeder
-        self._feed_margin = float(margin)
-        self._feed_lookahead = float(lookahead)
-        self._feed_guarantee = float("-inf")
-
-    @property
-    def feeding(self) -> bool:
-        """Is a feeder installed and not yet exhausted?"""
-        return self._feeder is not None
-
-    def _pull_feed(self, target: float) -> None:
-        result = self._feeder(target)
-        if result is None:
-            self._feeder = None
-            self._feed_guarantee = float("inf")
-            return
-        if result < target:
-            raise RuntimeError(
-                f"feeder returned guarantee {result} short of target {target}"
-            )
-        self._feed_guarantee = result
-
     # -- main loop ---------------------------------------------------------
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
@@ -202,28 +150,6 @@ class Simulator:
             if max_events is not None and executed >= max_events:
                 capped = True
                 break
-            if self._feeder is not None:
-                if queue:
-                    # About to fire the head: the schedule must be known
-                    # through head + margin first, so any deferred event
-                    # tying a follow-up the head may enqueue already
-                    # holds its (earlier) sequence number.
-                    want = queue[0][0] + self._feed_margin
-                    if self._feed_guarantee < want:
-                        self._pull_feed(want)
-                        continue  # feeding may have queued earlier events
-                else:
-                    # Nothing queued yet — pull the next lookahead chunk
-                    # (never the whole remaining plan at once; bounded
-                    # memory is the point of feeding).
-                    base = self._feed_guarantee
-                    if base == float("-inf"):
-                        base = self.clock.now()
-                    horizon = (float("inf") if until is None
-                               else until + self._feed_margin)
-                    if base < horizon:
-                        self._pull_feed(min(horizon, base + self._feed_lookahead))
-                        continue
             if not queue:
                 break
             if until is not None and queue[0][0] > until:

@@ -1,27 +1,22 @@
-"""Round-robin VP scheduling.
+"""The Phase I per-target rate limit.
 
 Section 4: "switching between different VPs from VPN services continuously
-in a round-robin fashion without stop".  The scheduler walks the VP list
-cyclically and spaces sends to respect the paper's per-target rate limit
-(no more than 2 decoys/second toward any single destination).
+in a round-robin fashion without stop".  The campaign's plan walks the
+VPs round-robin over every destination; this limiter spaces the planned
+sends to respect the paper's per-target rate limit (no more than 2
+decoys/second toward any single destination) and defers sends past VP
+disconnect windows.
 """
 
-from typing import Iterator, List, Optional, Sequence
-
-from repro.vpn.vantage import VantagePoint
+from typing import Optional
 
 
 class RoundRobinScheduler:
-    """Cycles through vantage points, tracking per-destination send times."""
+    """Tracks per-destination send times for the round-robin plan."""
 
-    def __init__(self, vantage_points: Sequence[VantagePoint],
-                 per_target_interval: float = 0.5, faults=None):
-        if not vantage_points:
-            raise ValueError("scheduler needs at least one vantage point")
+    def __init__(self, per_target_interval: float = 0.5, faults=None):
         if per_target_interval < 0:
             raise ValueError(f"interval must be non-negative, got {per_target_interval}")
-        self._vps: List[VantagePoint] = list(vantage_points)
-        self._cursor = 0
         self.per_target_interval = per_target_interval
         self._last_send_toward: dict = {}
         self._faults = faults
@@ -31,19 +26,6 @@ class RoundRobinScheduler:
         self.deferred_by_churn = 0
         """Sends shifted by a VP disconnect window; the campaign surfaces
         this as a replayed (merge="same") fault counter."""
-
-    def next_vp(self) -> VantagePoint:
-        """The next VP in rotation."""
-        vp = self._vps[self._cursor]
-        self._cursor = (self._cursor + 1) % len(self._vps)
-        return vp
-
-    def rounds(self, count: int) -> Iterator[VantagePoint]:
-        """Yield ``count`` full rotations worth of VPs."""
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        for _ in range(count * len(self._vps)):
-            yield self.next_vp()
 
     def earliest_send_time(self, target: str, proposed: float,
                            vp_address: Optional[str] = None) -> float:
@@ -67,6 +49,3 @@ class RoundRobinScheduler:
             send_at = last + self.per_target_interval
         self._last_send_toward[target] = send_at
         return send_at
-
-    def __len__(self) -> int:
-        return len(self._vps)

@@ -14,7 +14,7 @@ from repro.core.phase2 import HopByHopTracer
 from repro.core.shard import result_digest
 from repro.datasets.resolvers import DESTINATIONS_BY_NAME
 from repro.net.packet import Packet
-from tests.make_pins import TINY_SEEDS, check
+from tests.make_pins import TINY_SEEDS, check, faulted_config
 
 
 @pytest.fixture()
@@ -288,5 +288,30 @@ class TestPhase1Scheduling:
     def test_empty_platform_rejected(self, eco):
         campaign = Campaign(eco)
         eco.platform.replace_vps([])
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError,
+                           match="no vantage points left after vetting"):
             campaign.schedule_phase1()
+
+    @pytest.mark.parametrize("make_config", [
+        lambda: ExperimentConfig.tiny(seed=7),
+        faulted_config,
+    ], ids=["default", "faulted"])
+    def test_every_send_queued_before_the_clock_starts(self, make_config):
+        eco = build_ecosystem(make_config())
+        campaign = Campaign(eco)
+        campaign.vet_platform()
+        campaign.schedule_phase1()
+        assert eco.sim.pending == campaign.sends_scheduled
+        assert campaign.sends_scheduled == campaign.sends_planned > 0
+
+    def test_each_shard_queues_the_sends_it_owns(self):
+        scheduled = []
+        for index in range(2):
+            eco = build_ecosystem(ExperimentConfig.tiny(seed=7))
+            campaign = Campaign(eco, shard_index=index, shard_count=2)
+            campaign.vet_platform()
+            campaign.schedule_phase1()
+            assert eco.sim.pending == campaign.sends_scheduled > 0
+            scheduled.append(campaign.sends_scheduled)
+        # Every shard walks the whole plan, so each counts every send.
+        assert sum(scheduled) == campaign.sends_planned

@@ -319,104 +319,3 @@ class TestDepthGauge:
         # 2 live events now; the recorded max stays 5.
         assert registry.gauge("sim.heap.max_depth").value == 5
         assert sim.pending == 2
-
-
-class TestFeeder:
-    """The streaming feeder schedules work on demand, invisibly to every
-    digest-relevant observable."""
-
-    def test_feeder_supplies_events_lazily(self):
-        sim = Simulator()
-        fired = []
-        remaining = iter(range(10))
-
-        def feed(target):
-            for i in remaining:
-                sim.schedule_at(float(i), lambda i=i: fired.append(i))
-                if float(i) >= target:
-                    return float(i)
-            return None
-
-        sim.set_feeder(feed, margin=1.0, lookahead=3.0)
-        sim.run()
-        assert fired == list(range(10))
-        assert not sim.feeding
-
-    def test_feeder_is_not_an_event(self):
-        from repro.telemetry.registry import MetricsRegistry
-        registry = MetricsRegistry()
-        sim = Simulator(metrics=registry)
-        pulls = []
-
-        def feed(target):
-            pulls.append(target)
-            if len(pulls) > 3:
-                return None
-            sim.schedule_at(float(len(pulls)), lambda: None, label="fed")
-            return target
-
-        sim.set_feeder(feed, margin=0.5, lookahead=100.0)
-        sim.run()
-        # Pulls happened, events fired — but the feeder itself consumed
-        # no sequence numbers and left counters/labels untouched beyond
-        # the events it scheduled.
-        assert len(pulls) > 1
-        assert sim.label_counts == {"fed": 3}
-        assert registry.counter("sim.events.fired").value == 3
-        assert registry.counter("sim.events.scheduled").value == 3
-
-    def test_fed_schedule_matches_upfront_order(self):
-        def build(feeding):
-            sim = Simulator()
-            fired = []
-            times = [0.5 * i for i in range(40)]
-            if feeding:
-                pending = iter(times)
-
-                def feed(target):
-                    for t in pending:
-                        sim.schedule_at(t, lambda t=t: fired.append(t))
-                        if t >= target:
-                            return t
-                    return None
-
-                sim.set_feeder(feed, margin=2.0, lookahead=5.0)
-            else:
-                for t in times:
-                    sim.schedule_at(t, lambda t=t: fired.append(t))
-            sim.run()
-            return fired
-
-        assert build(feeding=True) == build(feeding=False)
-
-    def test_feeder_guarantee_shortfall_raises(self):
-        sim = Simulator()
-        sim.schedule_at(1.0, lambda: None)
-        sim.set_feeder(lambda target: target - 5.0, margin=1.0, lookahead=2.0)
-        with pytest.raises(RuntimeError, match="short of target"):
-            sim.run()
-
-    def test_invalid_feeder_parameters_rejected(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            sim.set_feeder(lambda t: t, margin=-1.0, lookahead=1.0)
-        with pytest.raises(ValueError):
-            sim.set_feeder(lambda t: t, margin=0.0, lookahead=0.0)
-
-    def test_run_until_does_not_exhaust_feeder_past_horizon(self):
-        sim = Simulator()
-        fed = []
-
-        def feed(target):
-            t = (fed[-1] + 1.0) if fed else 0.0
-            while t <= target:
-                fed.append(t)
-                sim.schedule_at(t, lambda: None)
-                t += 1.0
-            return fed[-1]
-
-        sim.set_feeder(feed, margin=1.0, lookahead=4.0)
-        sim.run(until=10.0)
-        # The feeder was only pulled through until + margin, not drained.
-        assert sim.feeding
-        assert max(fed) <= 15.0
