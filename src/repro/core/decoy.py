@@ -11,7 +11,7 @@ from typing import Optional
 
 from repro.core.identifier import DecoyIdentity, IdentifierCodec
 from repro.net.packet import Packet
-from repro.protocols.dns import make_query
+from repro.protocols.dns import encode_query
 from repro.protocols.http import make_get
 from repro.protocols.tls import ClientHello, wrap_handshake
 from repro.records import frozen
@@ -138,7 +138,7 @@ class DecoyFactory:
                 mitigation = "doh"
                 self.doh_built += 1
             else:
-                payload = make_query(domain, txid=randrange(rng, 0x10000)).encode()
+                payload = encode_query(domain, txid=randrange(rng, 0x10000))
                 packet = Packet.udp(
                     src=identity.vp_address, dst=identity.dst_address,
                     ttl=identity.ttl, src_port=src_port, dst_port=dst_port,

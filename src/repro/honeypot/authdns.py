@@ -7,16 +7,19 @@ unsolicited re-queries both land here, which is what makes rule (iii) of
 the unsolicited classifier decidable.
 """
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.honeypot.logstore import LoggedRequest, LogStore, PROTOCOL_DNS
+from repro.net.addr import is_valid_ipv4
 from repro.protocols.dns import (
     DnsMessage,
     QTYPE,
     RCODE,
     ResourceRecord,
+    encode_answer,
     make_response,
     normalize_name,
+    read_query,
 )
 
 WILDCARD_RECORD_TTL = 3600
@@ -35,6 +38,13 @@ class AuthoritativeServer:
     ):
         if not web_addresses:
             raise ValueError("need at least one honey web address")
+        for address in web_addresses:
+            if not is_valid_ipv4(address):
+                raise ValueError(f"honey web address is not IPv4: {address!r}")
+        # Checked here, so that no query is logged that cannot be answered.
+        if (not isinstance(record_ttl, int)
+                or not 0 <= record_ttl <= 0xFFFFFFFF):
+            raise ValueError(f"record TTL out of range: {record_ttl!r}")
         self.zone = normalize_name(zone)
         self._zone_suffix = "." + self.zone
         self.web_addresses = tuple(web_addresses)
@@ -62,16 +72,34 @@ class AuthoritativeServer:
         Queries outside the zone are REFUSED (and not logged as experiment
         traffic); in-zone queries are logged and answered from the
         wildcard.  A query without a question is answered FORMERR, and
-        not logged.
+        not logged.  A query of one question and no records, the shape
+        every query of a run has, is read and answered from its bytes;
+        any other goes through the message codec, with the same result.
         """
-        query = DnsMessage.decode(wire)
-        qname = query.qname
+        query = read_query(wire)
+        if query is not None:
+            txid, flags, qname, qtype, qclass = query
+            # covers(qname), for a name read_query has normalized.
+            if qname == self.zone or qname.endswith(self._zone_suffix):
+                address = self._serve(qname, qtype, src_address, now)
+                return encode_answer(txid, flags, qname, qtype, qclass,
+                                     self.record_ttl, address)
+        message = DnsMessage.decode(wire)
+        qname = message.qname
         if qname is None:
             self.refused += 1
-            return make_response(query, rcode=RCODE.FORMERR).encode()
+            return make_response(message, rcode=RCODE.FORMERR).encode()
         if not self.covers(qname):
             self.refused += 1
-            return make_response(query, rcode=RCODE.REFUSED).encode()
+            return make_response(message, rcode=RCODE.REFUSED).encode()
+        address = self._serve(qname, message.questions[0].qtype, src_address, now)
+        answer = ResourceRecord(
+            name=qname, rtype=QTYPE.A, ttl=self.record_ttl, rdata=address,
+        )
+        return make_response(message, answers=(answer,), authoritative=True).encode()
+
+    def _serve(self, qname: str, qtype: int, src_address: str, now: float) -> str:
+        """Log one in-zone query; returns the address its answer carries."""
         self._log.append(
             LoggedRequest(
                 time=now,
@@ -79,14 +107,8 @@ class AuthoritativeServer:
                 protocol=PROTOCOL_DNS,
                 src_address=src_address,
                 domain=qname,
-                qtype=query.questions[0].qtype,
+                qtype=qtype,
             )
         )
         self.queries_served += 1
-        answer = ResourceRecord(
-            name=qname,
-            rtype=QTYPE.A,
-            ttl=self.record_ttl,
-            rdata=self.resolve_address(qname),
-        )
-        return make_response(query, answers=(answer,), authoritative=True).encode()
+        return self.resolve_address(qname)

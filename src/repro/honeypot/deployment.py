@@ -111,6 +111,9 @@ class HoneypotDeployment:
                 web=web,
                 tls=tls,
             )
+        self._by_name: Tuple[HoneypotSite, ...] = tuple(
+            self.sites[name] for name in sorted(self.sites))
+        """The sites in name order, which client addresses index."""
 
     @property
     def site_names(self) -> List[str]:
@@ -119,16 +122,15 @@ class HoneypotDeployment:
     def site_for_client(self, client_address: str) -> HoneypotSite:
         """Deterministic site selection, standing in for DNS-based
         load distribution across the three locations."""
-        names = sorted(self.sites)
-        index = sum(client_address.encode()) % len(names)
-        return self.sites[names[index]]
+        by_name = self._by_name
+        return by_name[sum(client_address.encode()) % len(by_name)]
 
     def authoritative_for(self, client_address: str) -> AuthoritativeServer:
         return self.site_for_client(client_address).authdns
 
     def resolve_experiment_name(self, name: str) -> Optional[str]:
         """Wildcard resolution as any recursive resolver would see it."""
-        site = self.sites[sorted(self.sites)[0]]
+        site = self._by_name[0]
         if not site.authdns.covers(name):
             return None
         return site.authdns.resolve_address(name)

@@ -91,9 +91,12 @@ def parse_zone(text: str) -> ParsedZone:
             origin = normalize_name(fields[1])
             continue
         if fields[0] == "$TTL":
-            if len(fields) != 2 or not fields[1].isdigit():
+            if (len(fields) != 2 or not fields[1].isascii()
+                    or not fields[1].isdigit()):
                 raise ZoneFileError(f"malformed $TTL: {line!r}")
             default_ttl = int(fields[1])
+            if default_ttl > 0xFFFFFFFF:
+                raise ZoneFileError(f"$TTL {default_ttl} exceeds 4294967295")
             continue
         if origin is None:
             raise ZoneFileError("records before $ORIGIN")

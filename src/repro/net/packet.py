@@ -9,7 +9,6 @@ honest end to end.
 """
 
 import struct
-from dataclasses import replace
 from typing import Optional
 
 from repro.net.addr import ip_from_int, ip_to_int
@@ -231,9 +230,9 @@ class Packet:
     @classmethod
     def tcp(cls, src: str, dst: str, ttl: int, src_port: int, dst_port: int,
             payload: bytes, flags: int = TCPSegment.FLAG_PSH | TCPSegment.FLAG_ACK,
-            identification: int = 0) -> "Packet":
-        segment = TCPSegment(src_port=src_port, dst_port=dst_port,
-                             flags=flags, payload=payload)
+            identification: int = 0, seq: int = 0, ack: int = 0) -> "Packet":
+        segment = TCPSegment(src_port=src_port, dst_port=dst_port, seq=seq,
+                             ack=ack, flags=flags, payload=payload)
         header = IPv4Header(
             src=src, dst=dst, ttl=ttl, protocol=PROTO_TCP,
             identification=identification,
@@ -248,13 +247,16 @@ class Packet:
 
     def with_ttl(self, ttl: int) -> "Packet":
         """Copy of this packet with a different initial TTL (traceroute)."""
-        return Packet(ip=replace(self.ip, ttl=ttl), transport=self.transport)
+        ip = self.ip
+        return Packet(IPv4Header(ip.src, ip.dst, ttl, ip.protocol,
+                                 ip.identification, ip.payload_length),
+                      self.transport)
 
     def decrement_ttl(self) -> "Packet":
         """Copy with TTL reduced by one, as a router would forward it."""
         if self.ip.ttl <= 0:
             raise ValueError("cannot decrement TTL below zero")
-        return Packet(ip=replace(self.ip, ttl=self.ip.ttl - 1), transport=self.transport)
+        return self.with_ttl(self.ip.ttl - 1)
 
     def encode(self) -> bytes:
         """Full on-the-wire bytes: IP header followed by the segment."""

@@ -70,13 +70,8 @@ class TcpClient:
         syn = Packet.tcp(
             src=self.src, dst=self.dst, ttl=self.ttl,
             src_port=self.src_port, dst_port=self.dst_port,
-            payload=b"", flags=TCPSegment.FLAG_SYN,
+            payload=b"", flags=TCPSegment.FLAG_SYN, seq=self.client_isn,
         )
-        # Force the chosen ISN into the segment (Packet.tcp defaults seq=0).
-        syn = Packet(ip=syn.ip, transport=TCPSegment(
-            src_port=self.src_port, dst_port=self.dst_port,
-            seq=self.client_isn, flags=TCPSegment.FLAG_SYN,
-        ))
         self.state = TcpState.SYN_SENT
         result = self.path.transit(syn)
         if result.outcome is not TransitOutcome.DELIVERED:
@@ -108,19 +103,13 @@ class TcpClient:
         """
         if self.state is not TcpState.ESTABLISHED:
             raise RuntimeError(f"send() on {self.state} connection")
-        segment = TCPSegment(
-            src_port=self.src_port, dst_port=self.dst_port,
-            seq=self._next_seq,
-            ack=((self.server_isn or 0) + 1) & 0xFFFFFFFF,
-            flags=TCPSegment.FLAG_PSH | TCPSegment.FLAG_ACK,
-            payload=payload,
-        )
         packet = Packet.tcp(
             src=self.src, dst=self.dst,
             ttl=self.ttl if ttl is None else ttl,
             src_port=self.src_port, dst_port=self.dst_port, payload=payload,
+            seq=self._next_seq,
+            ack=((self.server_isn or 0) + 1) & 0xFFFFFFFF,
         )
-        packet = Packet(ip=packet.ip, transport=segment)
         self._next_seq = (self._next_seq + len(payload)) & 0xFFFFFFFF
         return self.path.transit(packet, loss_at=loss_at)
 

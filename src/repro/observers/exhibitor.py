@@ -9,7 +9,7 @@ from repro.simkit.rng import SubstreamFactory, random_bytes, randrange
 from repro.honeypot.deployment import HoneypotDeployment
 from repro.intel.exploitdb import ENUMERATION_PATHS
 from repro.observers.policy import ShadowPolicy
-from repro.protocols.dns import make_query
+from repro.protocols.dns import encode_query
 from repro.protocols.http import make_get
 from repro.protocols.tls import ClientHello, wrap_handshake
 from repro.simkit.events import Simulator
@@ -82,7 +82,7 @@ class UnsolicitedEmitter:
              path: str = "/") -> None:
         now = self._sim.now()
         if protocol == "dns":
-            wire = make_query(domain, txid=randrange(self._rng, 0x10000)).encode()
+            wire = encode_query(domain, txid=randrange(self._rng, 0x10000))
             server = self._deployment.authoritative_for(origin_address)
             server.handle_query(wire, origin_address, now)
         elif protocol == "http":

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
 from repro.honeypot.deployment import HoneypotDeployment
-from repro.protocols.dns import make_query
+from repro.protocols.dns import encode_query
 from repro.simkit.events import Simulator
 from repro.simkit.rng import SubstreamFactory, randrange
 from repro.telemetry.registry import NULL_REGISTRY
@@ -95,6 +95,6 @@ class DnsInterceptor:
             )
 
     def _query_authoritative(self, domain: str) -> None:
-        wire = make_query(domain, txid=randrange(self._rng, 0x10000)).encode()
+        wire = encode_query(domain, txid=randrange(self._rng, 0x10000))
         server = self._deployment.authoritative_for(self.alt_resolver_address)
         server.handle_query(wire, self.alt_resolver_address, self._sim.now())

@@ -10,10 +10,11 @@ observes many client-server paths at once.
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.net.errors import PacketDecodeError
 from repro.net.packet import PROTO_TCP, PROTO_UDP, Packet
 from repro.net.path import Hop
 from repro.observers.exhibitor import ShadowExhibitor
-from repro.protocols.dns import DnsMessage, is_subdomain_of
+from repro.protocols.dns import DnsMessage, is_subdomain_of, read_query
 from repro.protocols.http import HttpRequest
 from repro.protocols.tls import TlsPlaintext
 from repro.protocols.tls.clienthello import ClientHello
@@ -36,9 +37,11 @@ def extract_domain(packet: Packet) -> Optional[Tuple[str, str]]:
     port = packet.transport.dst_port
     try:
         if packet.ip.protocol == PROTO_UDP and port == 53:
-            message = DnsMessage.decode(payload)
-            if message.qname:
-                return ("dns", message.qname)
+            query = read_query(payload)
+            qname = (query[2] if query is not None
+                     else DnsMessage.decode(payload).qname)
+            if qname:
+                return ("dns", qname)
         elif packet.ip.protocol == PROTO_TCP and port == 80:
             request = HttpRequest.decode(payload)
             if request.host:
@@ -49,7 +52,7 @@ def extract_domain(packet: Packet) -> Optional[Tuple[str, str]]:
                 hello = ClientHello.decode(record.fragment)
                 if hello.server_name:
                     return ("tls", hello.server_name.lower().rstrip("."))
-    except ValueError:
+    except (ValueError, PacketDecodeError):
         return None
     return None
 

@@ -21,7 +21,7 @@ from typing import Dict, Optional, Tuple
 from repro.datasets.resolvers import DnsDestination
 from repro.honeypot.deployment import HoneypotDeployment
 from repro.observers.exhibitor import ShadowExhibitor
-from repro.protocols.dns import make_query
+from repro.protocols.dns import encode_query
 from repro.records import frozen
 from repro.simkit.events import Simulator
 from repro.simkit.rng import SubstreamFactory, randrange
@@ -145,6 +145,6 @@ class ResolverModel:
             )
 
     def _query_authoritative(self, domain: str) -> None:
-        wire = make_query(domain, txid=randrange(self._rng, 0x10000)).encode()
+        wire = encode_query(domain, txid=randrange(self._rng, 0x10000))
         server = self._deployment.authoritative_for(self.egress_address)
         server.handle_query(wire, self.egress_address, self._sim.now())

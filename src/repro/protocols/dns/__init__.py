@@ -5,8 +5,11 @@ from repro.protocols.dns.message import (
     DnsMessage,
     DnsQuestion,
     ResourceRecord,
+    encode_answer,
+    encode_query,
     make_query,
     make_response,
+    read_query,
 )
 from repro.protocols.dns.names import (
     DnsNameError,
@@ -24,6 +27,9 @@ __all__ = [
     "DnsMessage",
     "make_query",
     "make_response",
+    "encode_query",
+    "read_query",
+    "encode_answer",
     "encode_name",
     "decode_name",
     "normalize_name",

@@ -5,6 +5,12 @@ and A/NS/CNAME/TXT/SOA resource records, with name compression on encode
 (each full name is encoded at most once; later occurrences become
 pointers).  This is the codec both decoy generation and the honeypot
 authoritative server run on.
+
+The simulation's DNS round trip is one shape: a query with one question
+and no records, answered with one A record.  :func:`encode_query`,
+:func:`read_query` and :func:`encode_answer` write and read that shape
+straight from bytes, building no message records; each gives exactly the
+bytes, values and errors of the message codec it stands in for.
 """
 
 import struct
@@ -50,8 +56,7 @@ class DnsHeader:
     arcount: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.txid <= 0xFFFF:
-            raise ValueError(f"transaction id out of range: {self.txid}")
+        _check_txid(self.txid)
 
     @property
     def is_response(self) -> bool:
@@ -73,11 +78,19 @@ class DnsHeader:
 
     @classmethod
     def decode(cls, data: bytes) -> "DnsHeader":
-        if len(data) < 12:
-            raise PacketDecodeError(f"DNS header needs 12 bytes, got {len(data)}")
-        txid, flags, qdcount, ancount, nscount, arcount = _HEADER.unpack_from(data)
-        return cls(txid=txid, flags=flags, qdcount=qdcount,
-                   ancount=ancount, nscount=nscount, arcount=arcount)
+        return cls(*_unpack_header(data))
+
+
+def _check_txid(txid: int) -> None:
+    if not 0 <= txid <= 0xFFFF:
+        raise ValueError(f"transaction id out of range: {txid}")
+
+
+def _unpack_header(data: bytes) -> Tuple[int, int, int, int, int, int]:
+    """Transaction id, flags and the four section counts."""
+    if len(data) < 12:
+        raise PacketDecodeError(f"DNS header needs 12 bytes, got {len(data)}")
+    return _HEADER.unpack_from(data)
 
 
 @frozen
@@ -308,18 +321,10 @@ class DnsMessage:
     @classmethod
     def decode(cls, data: bytes) -> "DnsMessage":
         header = DnsHeader.decode(data)
-        size = len(data)
         cursor = 12
         questions: List[DnsQuestion] = []
         for _ in range(header.qdcount):
-            try:
-                qname, cursor = decode_name(data, cursor)
-            except DnsNameError as exc:
-                raise PacketDecodeError(f"bad QNAME: {exc}") from exc
-            if cursor + 4 > size:
-                raise PacketDecodeError("truncated question section")
-            qtype, qclass = _QUESTION_TAIL.unpack_from(data, cursor)
-            cursor += 4
+            qname, qtype, qclass, cursor = _read_question(data, cursor)
             questions.append(DnsQuestion(qname=qname, qtype=qtype, qclass=qclass))
         answers, cursor = _read_records(data, header.ancount, cursor)
         authorities, cursor = _read_records(data, header.nscount, cursor)
@@ -331,6 +336,19 @@ class DnsMessage:
             authorities=authorities,
             additionals=additionals,
         )
+
+
+def _read_question(data: bytes, cursor: int) -> Tuple[str, int, int, int]:
+    """Decode the question entry at ``cursor``: its name as written (not
+    yet normalized), type and class, and the offset after it."""
+    try:
+        qname, cursor = decode_name(data, cursor)
+    except DnsNameError as exc:
+        raise PacketDecodeError(f"bad QNAME: {exc}") from exc
+    if cursor + 4 > len(data):
+        raise PacketDecodeError("truncated question section")
+    qtype, qclass = _QUESTION_TAIL.unpack_from(data, cursor)
+    return qname, qtype, qclass, cursor + 4
 
 
 def _read_records(data: bytes, count: int,
@@ -368,6 +386,68 @@ def make_query(qname: str, txid: int, qtype: int = QTYPE.A,
         header=DnsHeader(txid=txid, flags=flags, qdcount=1),
         questions=(DnsQuestion(qname=qname, qtype=qtype),),
     )
+
+
+def _one_question(txid: int, flags: int, ancount: int, qname: str,
+                  qtype: int, qclass: int) -> bytearray:
+    """The header and the one question of a message without authority or
+    additional records, as :meth:`DnsMessage.encode` writes them; the
+    normalized ``qname`` goes through the name writer."""
+    writer = _NameWriter()
+    buffer = writer.buffer
+    buffer += _HEADER.pack(txid, flags, 1, ancount, 0, 0)
+    writer.write_name(qname)
+    buffer += _QUESTION_TAIL.pack(qtype, qclass)
+    return buffer
+
+
+def encode_query(qname: str, txid: int, qtype: int = QTYPE.A,
+                 recursion_desired: bool = True) -> bytes:
+    """The bytes of ``make_query(qname, txid, qtype,
+    recursion_desired).encode()``, with the same errors, built without the
+    message: the form for a caller that sends the query."""
+    _check_txid(txid)
+    return bytes(_one_question(txid, FLAG_RD if recursion_desired else 0, 0,
+                               normalize_name(qname), qtype, QCLASS_IN))
+
+
+def read_query(data: bytes) -> Optional[Tuple[int, int, str, int, int]]:
+    """``(txid, flags, qname, qtype, qclass)`` of a message with one
+    question and no records, with the name normalized as
+    :class:`DnsQuestion` normalizes it; None for any other shape.
+
+    What it reads, it reads as :meth:`DnsMessage.decode` does: malformed
+    bytes raise the same errors, and nothing past the question is read.
+    """
+    txid, flags, qdcount, ancount, nscount, arcount = _unpack_header(data)
+    if qdcount != 1 or ancount or nscount or arcount:
+        return None
+    qname, qtype, qclass, _ = _read_question(data, 12)
+    return txid, flags, normalize_name(qname), qtype, qclass
+
+
+_ANSWER_FLAGS = FLAG_QR | FLAG_AA | FLAG_RA | int(RCODE.NOERROR)
+_QTYPE_A = int(QTYPE.A)
+
+
+def encode_answer(txid: int, flags: int, qname: str, qtype: int, qclass: int,
+                  ttl: int, address: str) -> bytes:
+    """The authoritative A answer to a query :func:`read_query` returned
+    ``(txid, flags, qname, qtype, qclass)`` for: the bytes of
+    ``make_response(query, answers=(ResourceRecord(qname, QTYPE.A, ttl,
+    address),), authoritative=True).encode()``.
+
+    The question is written as the query sent it (normalized), and the
+    answer's name, the message's first name again, is a pointer to it at
+    offset 12 (the root name is its single zero byte).  ``ttl`` must fit
+    the record's u32 field, which the caller checks once.
+    """
+    buffer = _one_question(txid, _ANSWER_FLAGS | (flags & FLAG_RD), 1,
+                           qname, qtype, qclass)
+    buffer += b"\xc0\x0c" if qname else b"\x00"
+    buffer += _RECORD_HEAD.pack(_QTYPE_A, QCLASS_IN, ttl, 4)
+    buffer += _a_rdata(address)
+    return bytes(buffer)
 
 
 def make_response(query: DnsMessage, answers: Tuple[ResourceRecord, ...] = (),

@@ -1,11 +1,20 @@
-"""Tests for the DNS wire codec: names, header, records, full messages."""
+"""Tests for the DNS wire codec: names, header, records, full messages,
+and the byte path (query writer, query reader, answer writer) that must
+equal the message codec."""
+
+import random
+import string
+import struct
 
 import pytest
 
+from repro.core.decoy import DecoyFactory
 from repro.core.identifier import DecoyIdentity, IdentifierCodec
 from repro.honeypot.authdns import AuthoritativeServer
-from repro.honeypot.logstore import LogStore
+from repro.honeypot.logstore import PROTOCOL_DNS, LoggedRequest, LogStore
 from repro.net.errors import PacketDecodeError
+from repro.net.packet import PROTO_UDP, Packet
+from repro.observers.onpath import extract_domain
 from repro.protocols.dns import (
     DnsHeader,
     DnsMessage,
@@ -16,11 +25,14 @@ from repro.protocols.dns import (
     ResourceRecord,
     decode_name,
     encode_name,
+    encode_query,
     is_subdomain_of,
     make_query,
     make_response,
     normalize_name,
+    read_query,
 )
+from repro.simkit.rng import SubstreamFactory
 from repro.protocols.dns.edns import OPT_RTYPE, EdnsOptions, with_edns
 from repro.protocols.dns.message import FLAG_AA, FLAG_QR
 
@@ -409,6 +421,20 @@ def _served_no_question() -> bytes:
     return _served(DnsMessage(header=DnsHeader(txid=0x4242, flags=0x0100)).encode())
 
 
+def _served_edns() -> bytes:
+    """A decoy query carrying an OPT record: answered through the message
+    codec, which drops the OPT record from the reply."""
+    return _served(with_edns(_decoy_query(), EdnsOptions(dnssec_ok=True)).encode())
+
+
+def _served_two_questions() -> bytes:
+    """Answered for the first question, with both echoed."""
+    query = _decoy_query()
+    second = DnsQuestion(qname="Probe.WWW.Experiment.Domain.", qtype=QTYPE.TXT)
+    return _served(DnsMessage(header=query.header,
+                              questions=query.questions + (second,)).encode())
+
+
 class TestServedGoldenBytes:
     """The authoritative server's replies, byte for byte: the wildcard A
     answer (its honey address chosen from three), REFUSED outside the
@@ -425,6 +451,17 @@ class TestServedGoldenBytes:
             "0001"
         ),
         _served_no_question: "424281810000000000000000",
+        _served_edns: (
+            "1a2b858000010001000000001d6161617664706c656d6161616f63616962"
+            "616561736e66712d30303432037777770a6578706572696d656e7406646f"
+            "6d61696e0000010001c00c0001000100000e100004cb00711f"
+        ),
+        _served_two_questions: (
+            "1a2b858000020001000000001d6161617664706c656d6161616f63616962"
+            "616561736e66712d30303432037777770a6578706572696d656e7406646f"
+            "6d61696e00000100010570726f6265c02a00100001c00c0001000100000e"
+            "100004cb00711f"
+        ),
     }
 
     @pytest.mark.parametrize("build", list(GOLDEN), ids=lambda b: b.__name__[1:])
@@ -490,3 +527,202 @@ class TestDecodeErrors:
         with pytest.raises(PacketDecodeError) as caught:
             DnsMessage.decode(wire)
         assert str(caught.value) == message
+
+
+CASES = 300
+_LABEL_CHARS = string.ascii_letters + string.digits + "-_"
+
+
+def _label(rng: random.Random, size: int) -> str:
+    return "".join(rng.choice(_LABEL_CHARS) for _ in range(size))
+
+
+def _generated_name(rng: random.Random, zone: str = "") -> str:
+    """A valid name of mixed case, sometimes with a trailing dot: the
+    root, the zone apex, 63-byte labels, a 253-character name (255 wire
+    bytes) or random labels, under ``zone`` when one is given."""
+    shape = rng.randrange(5)
+    room = 253 - (len(zone) + 1 if zone else 0)
+    if shape == 0:
+        labels = []
+    elif shape == 1:
+        labels = [_label(rng, 63) for _ in range(rng.randint(1, room // 64))]
+    elif shape == 2:
+        labels = []
+        while room - 64 >= 1:
+            labels.append(_label(rng, 63))
+            room -= 64
+        labels.append(_label(rng, room))
+    else:
+        labels = [_label(rng, rng.randint(1, 20)) for _ in range(rng.randint(1, 4))]
+    name = ".".join(labels + ([zone] if zone else []))
+    if rng.random() < 0.5:
+        name = "".join(c.upper() if rng.random() < 0.3 else c for c in name)
+    if name and rng.random() < 0.3:
+        name += "."
+    return name
+
+
+def _raw_query(txid: int, flags: int, name: str, qtype: int, qclass: int,
+               tail: bytes = b"") -> bytes:
+    """One-question query bytes with the name's labels as given: upper
+    case stays upper case on the wire."""
+    labels = [label for label in name.split(".") if label]
+    return (DnsHeader(txid=txid, flags=flags, qdcount=1).encode()
+            + b"".join(bytes([len(label)]) + label.encode() for label in labels)
+            + b"\x00" + struct.pack("!HH", qtype, qclass) + tail)
+
+
+class TestQueryWriter:
+    """``encode_query`` writes exactly what ``make_query(...).encode()``
+    writes, and fails exactly where it fails."""
+
+    def test_equals_make_query(self):
+        rng = random.Random(28)
+        for case in range(CASES):
+            name = _generated_name(rng, ZONE if case % 2 else "")
+            txid = rng.choice((0, 1, 0xFFFE, 0xFFFF, rng.randrange(0x10000)))
+            qtype = rng.choice(list(QTYPE))
+            rd = rng.random() < 0.5
+            assert (encode_query(name, txid, qtype, recursion_desired=rd)
+                    == make_query(name, txid, qtype, recursion_desired=rd).encode())
+        assert encode_query("", 0) == make_query("", 0).encode()
+
+    @pytest.mark.parametrize("name, txid", [
+        ("a" * 63 + "." + "b" * 63 + "." + "c" * 63 + "." + "d" * 63, 1),
+        ("x." * 127 + "x", 1),
+        ("a..example.com", 1),
+        (".example.com", 1),
+        ("café.example.com", 1),
+        ("a" * 64 + ".example.com", 1),
+        ("www.example.com", -1),
+        ("www.example.com", 0x10000),
+    ], ids=["name-256-bytes", "name-257-bytes", "empty-label", "leading-dot",
+            "non-ascii", "long-label", "txid-negative", "txid-too-large"])
+    def test_raises_what_make_query_raises(self, name, txid):
+        with pytest.raises(Exception) as expected:
+            make_query(name, txid=txid).encode()
+        with pytest.raises(type(expected.value)) as caught:
+            encode_query(name, txid=txid)
+        assert str(caught.value) == str(expected.value)
+
+
+class TestQueryReader:
+    """``read_query`` returns what ``DnsMessage.decode`` reads from a
+    one-question query, and None for any other shape."""
+
+    def test_reads_what_decode_reads(self):
+        rng = random.Random(29)
+        for _ in range(CASES):
+            tail = bytes(rng.randrange(256) for _ in range(rng.choice((0, 0, 3))))
+            wire = _raw_query(rng.randrange(0x10000), rng.randrange(0x10000),
+                              _generated_name(rng, ZONE), rng.randrange(0x10000),
+                              rng.randrange(0x10000), tail)
+            message = DnsMessage.decode(wire)
+            question = message.questions[0]
+            assert read_query(wire) == (message.header.txid, message.header.flags,
+                                        question.qname, question.qtype,
+                                        question.qclass)
+
+    def test_other_shapes_are_not_read(self):
+        query = _decoy_query()
+        answered = _authoritative_a()
+        for message in (
+            DnsMessage(header=DnsHeader(txid=7)),
+            DnsMessage(header=query.header,
+                       questions=query.questions + query.questions),
+            with_edns(query),
+            answered,
+        ):
+            assert read_query(message.encode()) is None
+
+
+def _server(log: LogStore) -> AuthoritativeServer:
+    return AuthoritativeServer(ZONE, HONEY_ADDRESSES, log, site="DE",
+                               record_ttl=86_400)
+
+
+class TestServedFromBytes:
+    """The server's byte path answers and logs as the message path does."""
+
+    def test_in_zone_queries_match_the_message_path(self):
+        rng = random.Random(30)
+        for case in range(CASES):
+            wire = _raw_query(rng.randrange(0x10000), rng.randrange(0x10000),
+                              _generated_name(rng, ZONE), rng.randrange(0x10000),
+                              rng.randrange(0x10000))
+            log = LogStore()
+            reply = _server(log).handle_query(wire, "100.96.0.7", float(case))
+            query = DnsMessage.decode(wire)
+            qname = query.qname
+            address = HONEY_ADDRESSES[sum(qname.encode()) % 3]
+            assert reply == make_response(query, answers=(ResourceRecord(
+                qname, QTYPE.A, 86_400, address),), authoritative=True).encode()
+            assert list(log.all()) == [LoggedRequest(
+                time=float(case), site="DE", protocol=PROTOCOL_DNS,
+                src_address="100.96.0.7", domain=qname,
+                qtype=query.questions[0].qtype)]
+
+    def test_root_name_answer_is_not_a_pointer(self):
+        """The root name registers no suffix, so the answer repeats it."""
+        server = AuthoritativeServer("", HONEY_ADDRESSES, LogStore(), site="US")
+        wire = make_query("", txid=3).encode()
+        assert server.handle_query(wire, "100.96.0.7", 1.0) == make_response(
+            DnsMessage.decode(wire), answers=(ResourceRecord(
+                "", QTYPE.A, 3600, HONEY_ADDRESSES[0]),), authoritative=True).encode()
+
+    @pytest.mark.parametrize("case", list(DECODE_ERRORS))
+    def test_malformed_wire_raises_what_decode_raises(self, case):
+        wire, message = DECODE_ERRORS[case]
+        log = LogStore()
+        with pytest.raises(PacketDecodeError) as caught:
+            _server(log).handle_query(wire, "100.96.0.7", 1.0)
+        assert str(caught.value) == message
+        assert len(log) == 0
+
+    @pytest.mark.parametrize("case", list(DECODE_ERRORS))
+    def test_sniffer_reads_no_domain_from_malformed_wire(self, case):
+        wire, _ = DECODE_ERRORS[case]
+        packet = Packet.udp(src="100.96.0.7", dst="8.8.8.8", ttl=9,
+                            src_port=40000, dst_port=53, payload=wire)
+        assert extract_domain(packet) is None
+
+
+def _extract_by_message(packet: Packet):
+    """What a sniffer read from a DNS payload through the message codec."""
+    if packet.ip.protocol == PROTO_UDP and packet.transport.dst_port == 53:
+        qname = DnsMessage.decode(packet.payload).qname
+        return ("dns", qname) if qname else None
+    return extract_domain(packet)
+
+
+class TestSnifferParse:
+    def test_every_dns_decoy_shape_reads_as_the_message_path(self):
+        factory = DecoyFactory(ZONE, random.Random(31), doh_adoption=0.5,
+                               doh_streams=SubstreamFactory(31, "doh"))
+        shapes = set()
+        for sequence in range(60):
+            identity = DecoyIdentity(sent_at=86_400 + sequence,
+                                     vp_address="100.96.0.7",
+                                     dst_address="8.8.8.8",
+                                     ttl=1 + sequence % 30, sequence=sequence)
+            decoy = factory.build(identity, "dns")
+            shapes.add(decoy.mitigation)
+            extracted = extract_domain(decoy.packet)
+            assert extracted == _extract_by_message(decoy.packet)
+            if decoy.mitigation == "none":
+                assert extracted == ("dns", decoy.domain)
+        assert shapes == {"none", "doh"}
+
+    def test_other_query_shapes_fall_back_to_the_message_codec(self):
+        query = _decoy_query()
+        for wire in (
+            with_edns(query).encode(),
+            DnsMessage(header=query.header,
+                       questions=query.questions + query.questions).encode(),
+            DnsMessage(header=DnsHeader(txid=7)).encode(),
+            make_query("", txid=7).encode(),
+        ):
+            packet = Packet.udp(src="100.96.0.7", dst="8.8.8.8", ttl=9,
+                                src_port=40000, dst_port=53, payload=wire)
+            assert extract_domain(packet) == _extract_by_message(packet)

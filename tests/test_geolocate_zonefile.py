@@ -72,6 +72,18 @@ class TestZoneFile:
         assert response.answers[0].ttl == 3600
         assert len(log) == 1
 
+    def test_rejects_ttl_beyond_u32(self):
+        log = LogStore()
+        with pytest.raises(ZoneFileError, match="4294967296"):
+            server = server_from_zonefile(
+                ZONE_TEXT.replace("$TTL 3600", "$TTL 4294967296"), log, site="US")
+            server.handle_query(
+                make_query("abc.www.experiment.domain", txid=5).encode(),
+                "9.9.9.9", 1.0)
+        assert len(log) == 0
+        assert parse_zone(ZONE_TEXT.replace("$TTL 3600", "$TTL 4294967295")
+                          ).default_ttl == 4294967295
+
     def test_server_requires_wildcard(self):
         with pytest.raises(ZoneFileError):
             server_from_zonefile("$ORIGIN z.example.\n@ IN A 1.2.3.4\n",

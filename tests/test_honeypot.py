@@ -203,6 +203,28 @@ class TestAuthoritativeServer:
         with pytest.raises(ValueError):
             AuthoritativeServer(ZONE, [], LogStore(), site="US")
 
+    # A server that cannot answer must fail when it is built, not after it
+    # has logged the query it then fails to answer.
+    @pytest.mark.parametrize("record_ttl", [-1, 2**32])
+    def test_rejects_record_ttl_out_of_range(self, record_ttl):
+        log = LogStore()
+        with pytest.raises(ValueError, match=f"record TTL out of range: {record_ttl}"):
+            server = AuthoritativeServer(ZONE, ["203.0.113.11"], log, site="US",
+                                         record_ttl=record_ttl)
+            server.handle_query(make_query(f"a.{ZONE}", txid=1).encode(),
+                                "1.2.3.4", 1.0)
+        assert len(log) == 0
+
+    def test_rejects_web_address_that_is_not_ipv4(self):
+        log = LogStore()
+        with pytest.raises(ValueError, match="'not-an-ip'"):
+            server = AuthoritativeServer(ZONE, ["203.0.113.11", "not-an-ip"],
+                                         log, site="US")
+            for index in range(4):
+                server.handle_query(
+                    make_query(f"{index}.{ZONE}", txid=1).encode(), "1.2.3.4", 1.0)
+        assert len(log) == 0
+
 
 class TestHoneyWebServer:
     def make_server(self):

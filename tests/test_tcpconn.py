@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.net.packet import TCPSegment
+from repro.net.packet import PROTO_TCP, IPv4Header, Packet, TCPSegment
 from repro.net.path import Hop, Path
 from repro.net.tcpconn import HandshakeResult, TcpClient, TcpState
 
@@ -83,6 +83,29 @@ class TestSend:
         first_seq = client._next_seq
         client.send(b"12345")
         assert client._next_seq == (first_seq + 5) & 0xFFFFFFFF
+
+    def test_packets_carry_the_connection_numbers(self):
+        """Every field of the SYN and of the data packet, as the first hop
+        receives them: the SYN carries the client ISN, and the data
+        segment the next sequence number and the server ISN + 1."""
+        path = make_path()
+        seen = []
+        path.add_tap(1, lambda position, hop, packet: seen.append(packet))
+        client = make_client(path=path, ttl=30)
+        client.connect()
+        client.send(b"hello")
+        syn, _, data = seen
+
+        def expected(length, segment):
+            return Packet(IPv4Header("100.96.0.1", "93.184.216.34", 30,
+                                     PROTO_TCP, 0, 20 + length), segment)
+
+        assert syn == expected(0, TCPSegment(
+            40000, 80, seq=client.client_isn, flags=TCPSegment.FLAG_SYN))
+        assert data == expected(5, TCPSegment(
+            40000, 80, seq=(client.client_isn + 1) & 0xFFFFFFFF,
+            ack=(client.server_isn + 1) & 0xFFFFFFFF,
+            flags=TCPSegment.FLAG_PSH | TCPSegment.FLAG_ACK, payload=b"hello"))
 
     def test_close_prevents_further_sends(self):
         client = make_client()
